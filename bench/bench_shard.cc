@@ -8,23 +8,24 @@
 //   bench_shard --shards=1 --benchmark_out=BENCH_shard_pre.json
 //   bench_shard --shards=4 --benchmark_out=BENCH_shard_post.json
 //   python3 bench/compare_bench.py BENCH_shard_pre.json BENCH_shard_post.json
-//       (add --require 'BM_CityRun/nodes:1000=2' to gate the ratio)
+//       (add --require 'BM_CityRun/nodes:1000/real_time=R' to gate the
+//       ratio at R)
 //
-// Scenario model: a four-district mobile city. Districts are 4.5 km-wide
+// Scenario model: a four-district mobile city. Districts are 2.5 km-wide
 // random-waypoint strips separated by 1.1 km of empty ground — wider than
 // carrier-sense range, so the shard territories are decoupled and the
-// lookahead barrier runs at shard_max_epoch (the cheap regime sharding
-// targets; tightly coupled shards are exercised by tests/test_shard.cc,
-// not measured here). Density is ~25 nodes/km² (≈5 rx-range neighbors, so
-// AODV actually finds multi-hop routes); Muzha flows with router
-// assistance give each core a production event mix.
+// lookahead barrier runs at its 10 ms maximum epoch (the cheap regime
+// sharding targets; tightly coupled shards are exercised by
+// tests/test_shard.cc, not measured here). Density is ~25 nodes/km² (≈5
+// rx-range neighbors, so AODV actually finds multi-hop routes); Muzha flows
+// with router assistance give each core a production event mix.
 //
 // The flag exists so the pre/post recordings (and the CI gate) measure the
-// SAME binary: shards=1 runs the classic single-core path through
-// run_experiment's dispatch, shards=4 the parallel engine. Note the two
-// are different RNG samples of the same scenario distribution (per-shard
-// seed streams), so this compares throughput, not bit-identical work;
-// bit-level equivalence at shards=1 is the test suite's job.
+// SAME binary: shards=1 builds and runs the city on the calling thread,
+// shards=4 runs it on the parallel engine; both build through the same
+// code path. Note the two are different RNG samples of the same scenario
+// distribution (per-shard seed streams), so this compares throughput, not
+// bit-identical work.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>

@@ -30,7 +30,6 @@ int main(int argc, char** argv) {
     cfg.hops = 4;
     cfg.duration = to_sim_time(duration);
     cfg.seed = 7;
-    cfg.throughput_bin = SimTime::from_seconds(1.0);
     for (Seconds st : starts) {
       cfg.flows.push_back({v, 0, 4, to_sim_time(st), 32});
     }

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,35 +23,18 @@ namespace {
 
 using namespace muzha;
 
-bool parse_variant(const std::string& s, TcpVariant* out) {
-  const struct {
-    const char* name;
-    TcpVariant v;
-  } table[] = {
-      {"tahoe", TcpVariant::kTahoe},     {"reno", TcpVariant::kReno},
-      {"newreno", TcpVariant::kNewReno}, {"sack", TcpVariant::kSack},
-      {"vegas", TcpVariant::kVegas},     {"muzha", TcpVariant::kMuzha},
-      {"door", TcpVariant::kDoor},       {"adtcp", TcpVariant::kAdtcp},
-      {"jersey", TcpVariant::kJersey},   {"rovegas", TcpVariant::kRoVegas},
-  };
-  for (const auto& e : table) {
-    if (s == e.name) {
-      *out = e.v;
-      return true;
-    }
-  }
-  return false;
-}
-
 void usage(const char* prog) {
   std::fprintf(
       stderr,
       "usage: %s [--variant v1,v2,...] [--topology chain|cross]\n"
       "          [--hops N] [--window N] [--duration SECONDS] [--seed N]\n"
       "          [--loss RATE] [--static-routing] [--csv PREFIX]\n"
-      "variants: tahoe reno newreno sack vegas muzha door adtcp jersey "
-      "rovegas\n",
+      "variants (any case):",
       prog);
+  for (const VariantInfo& v : variant_table()) {
+    std::fprintf(stderr, " %s", v.name);
+  }
+  std::fprintf(stderr, "\n");
 }
 
 }  // namespace
@@ -77,17 +61,25 @@ int main(int argc, char** argv) {
       std::stringstream ss(next());
       std::string tok;
       while (std::getline(ss, tok, ',')) {
-        TcpVariant v;
-        if (!parse_variant(tok, &v)) {
+        std::optional<TcpVariant> v = parse_variant(tok);
+        if (!v) {
           std::fprintf(stderr, "unknown variant '%s'\n", tok.c_str());
+          usage(argv[0]);
           return 2;
         }
-        variants.push_back(v);
+        variants.push_back(*v);
       }
     } else if (arg == "--topology") {
       std::string t = next();
-      cfg.topology =
-          t == "cross" ? TopologyKind::kCross : TopologyKind::kChain;
+      if (t == "chain") {
+        cfg.topology = TopologyKind::kChain;
+      } else if (t == "cross") {
+        cfg.topology = TopologyKind::kCross;
+      } else {
+        std::fprintf(stderr, "unknown topology '%s'\n", t.c_str());
+        usage(argv[0]);
+        return 2;
+      }
     } else if (arg == "--hops") {
       cfg.hops = std::atoi(next());
     } else if (arg == "--window") {
@@ -131,10 +123,10 @@ int main(int argc, char** argv) {
 
   ExperimentResult res = run_experiment(cfg);
 
-  std::printf("%-10s %12s %10s %8s %8s\n", "variant", "kbps", "sent", "retx",
+  std::printf("%-12s %12s %10s %8s %8s\n", "variant", "kbps", "sent", "retx",
               "timeouts");
   for (const FlowResult& f : res.flows) {
-    std::printf("%-10s %12.1f %10llu %8llu %8llu\n", variant_name(f.variant),
+    std::printf("%-12s %12.1f %10llu %8llu %8llu\n", variant_name(f.variant),
                 f.throughput.value() / 1e3,
                 static_cast<unsigned long long>(f.packets_sent),
                 static_cast<unsigned long long>(f.retransmissions),

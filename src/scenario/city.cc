@@ -73,23 +73,8 @@ std::vector<Position> field_positions(TopologyKind kind, const FieldConfig& f,
 }
 
 std::vector<NodeId> build_random_field(Network& net, const FieldConfig& f) {
-  std::vector<NodeId> ids;
-  ids.reserve(static_cast<std::size_t>(f.nodes));
-  for (Position p :
-       field_positions(TopologyKind::kRandomField, f, net.sim().rng())) {
-    ids.push_back(net.add_node(p).id());
-  }
-  return ids;
-}
-
-std::vector<NodeId> build_manhattan_field(Network& net, const FieldConfig& f) {
-  std::vector<NodeId> ids;
-  ids.reserve(static_cast<std::size_t>(f.nodes));
-  for (Position p :
-       field_positions(TopologyKind::kManhattanGrid, f, net.sim().rng())) {
-    ids.push_back(net.add_node(p).id());
-  }
-  return ids;
+  return add_nodes(
+      net, field_positions(TopologyKind::kRandomField, f, net.sim().rng()));
 }
 
 namespace {

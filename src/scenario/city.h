@@ -26,10 +26,10 @@
 
 namespace muzha {
 
-// Topology builders, called by run_experiment for the field topologies.
-// Both append `f.nodes` nodes and return their ids.
+// Appends a kRandomField of `f.nodes` nodes, placed by the network's
+// simulation RNG, and returns their ids. Experiments place nodes through
+// field_positions (below); this builder is for hand-built networks.
 std::vector<NodeId> build_random_field(Network& net, const FieldConfig& f);
-std::vector<NodeId> build_manhattan_field(Network& net, const FieldConfig& f);
 
 // Axis-aligned placement/motion rectangle of district `d` (0-based). With
 // districts == 1 this is the whole field. Districts are vertical strips of
@@ -46,12 +46,12 @@ inline int district_of(const FieldConfig& f, std::size_t i) {
   return static_cast<int>(i % static_cast<std::size_t>(f.districts));
 }
 
-// The placement draw sequence of build_random_field / build_manhattan_field
-// as a pure function of (kind, field, rng): one Position per node, drawn in
-// node order. The builders are thin wrappers over this, so a caller with a
-// fresh Rng(seed) recovers the exact coordinates a Network built from the
-// same seed will have — the sharded-run partitioner uses that to assign
-// nodes to shards before any per-shard network exists.
+// The placement draw sequence of the field topologies as a pure function of
+// (kind, field, rng): one Position per node, drawn in node order. A
+// one-core run draws it from its network's simulation RNG, so a caller with
+// a fresh Rng(seed) recovers the exact coordinates of a run with that seed.
+// The sharded-run partitioner draws it that way to assign nodes to shards
+// before any per-shard network exists.
 std::vector<Position> field_positions(TopologyKind kind, const FieldConfig& f,
                                       Rng& rng);
 

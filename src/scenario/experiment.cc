@@ -1,12 +1,17 @@
 #include "scenario/experiment.h"
 
-#include <deque>
+#include <algorithm>
+#include <cctype>
+#include <cstdint>
+#include <iterator>
+#include <numeric>
 
 #include "app/cbr.h"
 #include "core/tcp_muzha.h"
 #include "net/node.h"
 #include "phy/channel.h"
 #include "phy/error_model.h"
+#include "phy/position.h"
 #include "pkt/packet.h"
 #include "relwork/adtcp.h"
 #include "relwork/ecn.h"
@@ -18,7 +23,9 @@
 #include "scenario/mobility.h"
 #include "scenario/network.h"
 #include "scenario/sharded_experiment.h"
+#include "scenario/stack.h"
 #include "sim/assert.h"
+#include "sim/rng.h"
 #include "sim/simulator.h"
 #include "sim/units.h"
 #include "stats/time_series.h"
@@ -29,65 +36,107 @@
 
 namespace muzha {
 
-const char* variant_name(TcpVariant v) {
-  switch (v) {
-    case TcpVariant::kTahoe:
-      return "Tahoe";
-    case TcpVariant::kReno:
-      return "Reno";
-    case TcpVariant::kNewReno:
-      return "NewReno";
-    case TcpVariant::kSack:
-      return "SACK";
-    case TcpVariant::kVegas:
-      return "Vegas";
-    case TcpVariant::kMuzha:
-      return "Muzha";
-    case TcpVariant::kDoor:
-      return "DOOR";
-    case TcpVariant::kAdtcp:
-      return "ADTCP";
-    case TcpVariant::kJersey:
-      return "Jersey";
-    case TcpVariant::kRoVegas:
-      return "RoVegas";
-    case TcpVariant::kNewRenoEcn:
-      return "NewReno+ECN";
-    case TcpVariant::kWestwood:
-      return "Westwood";
+namespace {
+
+template <class T>
+std::unique_ptr<TcpAgent> make(Simulator& sim, Node& node, TcpConfig cfg) {
+  return std::make_unique<T>(sim, node, cfg);
+}
+
+constexpr VariantInfo kVariants[] = {
+    {TcpVariant::kTahoe, "Tahoe", &make<TcpTahoe>, RouterAssist::kNone, false},
+    {TcpVariant::kReno, "Reno", &make<TcpReno>, RouterAssist::kNone, false},
+    {TcpVariant::kNewReno, "NewReno", &make<TcpNewReno>, RouterAssist::kNone,
+     false},
+    {TcpVariant::kSack, "SACK", &make<TcpSack>, RouterAssist::kNone, false},
+    {TcpVariant::kVegas, "Vegas", &make<TcpVegas>, RouterAssist::kNone, false},
+    {TcpVariant::kMuzha, "Muzha", &make<TcpMuzha>, RouterAssist::kDrai, false},
+    {TcpVariant::kDoor, "DOOR", &make<TcpDoor>, RouterAssist::kNone, false},
+    {TcpVariant::kAdtcp, "ADTCP", &make<AdtcpSender>, RouterAssist::kNone,
+     true},
+    {TcpVariant::kJersey, "Jersey", &make<TcpJersey>, RouterAssist::kDrai,
+     false},
+    {TcpVariant::kRoVegas, "RoVegas", &make<TcpRoVegas>, RouterAssist::kNone,
+     false},
+    {TcpVariant::kNewRenoEcn, "NewReno+ECN", &make<TcpNewRenoEcn>,
+     RouterAssist::kRedEcn, false},
+    {TcpVariant::kWestwood, "Westwood", &make<TcpWestwood>,
+     RouterAssist::kNone, false},
+};
+
+constexpr bool rows_in_enum_order() {
+  for (std::size_t i = 0; i < std::size(kVariants); ++i) {
+    if (kVariants[i].variant != static_cast<TcpVariant>(i)) return false;
   }
-  return "?";
+  return true;
+}
+static_assert(rows_in_enum_order(), "variant_info indexes kVariants by enum");
+
+const VariantInfo& variant_info(TcpVariant v) {
+  auto i = static_cast<std::size_t>(v);
+  MUZHA_ASSERT(i < std::size(kVariants), "variant missing from the table");
+  return kVariants[i];
+}
+
+// Shortest-hop next hops over the decode-range graph of `pos`: one BFS per
+// destination, whose predecessor links become the members' table entries.
+void install_static_routes(Network& net,
+                           const std::vector<std::size_t>& members,
+                           const std::vector<Position>& pos, Meters rx_range) {
+  const std::size_t n = pos.size();
+  std::vector<std::vector<std::size_t>> adj(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (distance(pos[i], pos[j]) <= rx_range) {
+        adj[i].push_back(j);
+        adj[j].push_back(i);
+      }
+    }
+  }
+  std::vector<std::size_t> next;  // next[v]: v's next hop toward dst
+  std::vector<std::size_t> queue;
+  for (std::size_t dst = 0; dst < n; ++dst) {
+    next.assign(n, SIZE_MAX);
+    next[dst] = dst;
+    queue.assign(1, dst);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      for (std::size_t v : adj[queue[head]]) {
+        if (next[v] != SIZE_MAX) continue;
+        next[v] = queue[head];
+        queue.push_back(v);
+      }
+    }
+    for (std::size_t li = 0; li < members.size(); ++li) {
+      std::size_t gi = members[li];
+      if (gi == dst || next[gi] == SIZE_MAX) continue;
+      net.static_routing(li).add_route(static_cast<NodeId>(dst),
+                                       static_cast<NodeId>(next[gi]));
+    }
+  }
+}
+
+}  // namespace
+
+std::span<const VariantInfo> variant_table() { return kVariants; }
+
+const char* variant_name(TcpVariant v) { return variant_info(v).name; }
+
+std::optional<TcpVariant> parse_variant(std::string_view name) {
+  auto same = [](char a, char b) {
+    return std::tolower(static_cast<unsigned char>(a)) ==
+           std::tolower(static_cast<unsigned char>(b));
+  };
+  for (const VariantInfo& v : kVariants) {
+    if (std::ranges::equal(std::string_view(v.name), name, same)) {
+      return v.variant;
+    }
+  }
+  return std::nullopt;
 }
 
 std::unique_ptr<TcpAgent> make_tcp_agent(TcpVariant v, Simulator& sim,
                                          Node& node, TcpConfig cfg) {
-  switch (v) {
-    case TcpVariant::kTahoe:
-      return std::make_unique<TcpTahoe>(sim, node, cfg);
-    case TcpVariant::kReno:
-      return std::make_unique<TcpReno>(sim, node, cfg);
-    case TcpVariant::kNewReno:
-      return std::make_unique<TcpNewReno>(sim, node, cfg);
-    case TcpVariant::kSack:
-      return std::make_unique<TcpSack>(sim, node, cfg);
-    case TcpVariant::kVegas:
-      return std::make_unique<TcpVegas>(sim, node, cfg);
-    case TcpVariant::kMuzha:
-      return std::make_unique<TcpMuzha>(sim, node, cfg);
-    case TcpVariant::kDoor:
-      return std::make_unique<TcpDoor>(sim, node, cfg);
-    case TcpVariant::kAdtcp:
-      return std::make_unique<AdtcpSender>(sim, node, cfg);
-    case TcpVariant::kJersey:
-      return std::make_unique<TcpJersey>(sim, node, cfg);
-    case TcpVariant::kRoVegas:
-      return std::make_unique<TcpRoVegas>(sim, node, cfg);
-    case TcpVariant::kNewRenoEcn:
-      return std::make_unique<TcpNewRenoEcn>(sim, node, cfg);
-    case TcpVariant::kWestwood:
-      return std::make_unique<TcpWestwood>(sim, node, cfg);
-  }
-  return nullptr;
+  return variant_info(v).make(sim, node, cfg);
 }
 
 BitsPerSecond ExperimentResult::total_throughput() const {
@@ -103,85 +152,38 @@ std::vector<double> ExperimentResult::flow_throughputs() const {
   return out;
 }
 
-namespace {
-
-// Fills every node's static table with BFS shortest-path next hops over the
-// 250 m connectivity graph.
-void install_static_routes(Network& net) {
-  const std::size_t n = net.size();
-  Meters rx_range = net.channel().params().rx_range;
-  // Adjacency from positions.
-  std::vector<std::vector<std::size_t>> adj(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      Meters d = distance(net.node(i).device().phy().position(),
-                          net.node(j).device().phy().position());
-      if (d <= rx_range) {
-        adj[i].push_back(j);
-        adj[j].push_back(i);
-      }
-    }
-  }
-  // BFS from every destination; predecessor hop toward dst becomes the next
-  // hop in each node's table.
-  for (std::size_t dst = 0; dst < n; ++dst) {
-    std::vector<std::size_t> next(n, SIZE_MAX);
-    std::vector<bool> seen(n, false);
-    std::deque<std::size_t> q{dst};
-    seen[dst] = true;
-    while (!q.empty()) {
-      std::size_t u = q.front();
-      q.pop_front();
-      for (std::size_t v : adj[u]) {
-        if (seen[v]) continue;
-        seen[v] = true;
-        next[v] = u;  // v's next hop toward dst is u
-        q.push_back(v);
-      }
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i == dst || next[i] == SIZE_MAX) continue;
-      net.static_routing(i).add_route(net.node(dst).id(),
-                                      net.node(next[i]).id());
-    }
-  }
-}
-
-}  // namespace
-
-ExperimentResult run_experiment(const ExperimentConfig& cfg) {
-  if (cfg.shards != 1) return run_sharded_experiment(cfg);
-  MUZHA_ASSERT(!cfg.flows.empty(), "experiment needs at least one flow");
-  Network net(cfg.seed, {}, {},
-              cfg.brute_force_channel ? ChannelMode::kBruteForce
-                                      : ChannelMode::kSpatialIndex);
-
-  // Topology.
+std::vector<Position> node_positions(const ExperimentConfig& cfg, Rng& rng) {
   switch (cfg.topology) {
     case TopologyKind::kChain:
-      build_chain(net, cfg.hops);
-      break;
+      return chain_positions(cfg.hops);
     case TopologyKind::kCross:
-      build_cross(net, cfg.hops);
-      break;
+      return cross_positions(cfg.hops);
     case TopologyKind::kRandomField:
-      build_random_field(net, cfg.field);
-      break;
     case TopologyKind::kManhattanGrid:
-      build_manhattan_field(net, cfg.field);
       break;
+  }
+  return field_positions(cfg.topology, cfg.field, rng);
+}
+
+Stack build_stack(const ExperimentConfig& cfg, Network& net,
+                  const std::vector<Position>& positions,
+                  const std::vector<std::size_t>& members) {
+  MUZHA_ASSERT(!cfg.flows.empty(), "experiment needs at least one flow");
+  Stack st;
+  st.net = &net;
+  // Global node index -> index in `net`; SIZE_MAX for another stack's node.
+  std::vector<std::size_t> local_index(positions.size(), SIZE_MAX);
+  for (std::size_t li = 0; li < members.size(); ++li) {
+    local_index[members[li]] = li;
+    net.add_node(positions[members[li]], static_cast<NodeId>(members[li]));
   }
 
   // Random-waypoint motion over the node's district rectangle (the whole
-  // field when districts == 1 — identical config values to the pre-district
-  // code, so the draw sequence is unchanged).
-  std::vector<std::unique_ptr<RandomWaypointMobility>> mobility;
-  if ((cfg.topology == TopologyKind::kRandomField ||
-       cfg.topology == TopologyKind::kManhattanGrid) &&
-      cfg.field.mobile) {
-    mobility.reserve(net.size());
-    for (std::size_t i = 0; i < net.size(); ++i) {
-      Rect r = district_rect(cfg.field, district_of(cfg.field, i));
+  // field when districts == 1).
+  if (is_field_topology(cfg.topology) && cfg.field.mobile) {
+    st.mobility.reserve(members.size());
+    for (std::size_t li = 0; li < members.size(); ++li) {
+      Rect r = district_rect(cfg.field, district_of(cfg.field, members[li]));
       RandomWaypointMobility::Config mc;
       mc.min_x = r.x0;
       mc.max_x = r.x1;
@@ -191,146 +193,164 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
       mc.max_speed = cfg.field.max_speed;
       mc.pause = cfg.field.pause;
       mc.tick = cfg.field.mobility_tick;
-      mobility.push_back(std::make_unique<RandomWaypointMobility>(
-          net.sim(), net.node(i), mc));
-      mobility.back()->start();
+      st.mobility.push_back(std::make_unique<RandomWaypointMobility>(
+          net.sim(), net.node(li), mc));
+      st.mobility.back()->start();
     }
   }
 
-  // Routing.
   if (cfg.static_routing) {
     net.use_static_routing();
-    install_static_routes(net);
+    install_static_routes(net, members, positions,
+                          net.channel().params().rx_range);
   } else {
     net.use_aodv();
   }
 
-  // Router assistance: Muzha needs DRAI stamping; Jersey needs the router
-  // congestion-warning marks that the same estimator produces; NewReno+ECN
-  // needs RED/ECN markers instead (single-bit).
-  bool any_router_assisted = false;
-  bool any_ecn = false;
+  // Router assistance, as the variant table asks for it.
+  bool any_drai = false;
+  bool any_red_ecn = false;
   for (const FlowSpec& f : cfg.flows) {
-    if (f.variant == TcpVariant::kMuzha || f.variant == TcpVariant::kJersey) {
-      any_router_assisted = true;
-    }
-    if (f.variant == TcpVariant::kNewRenoEcn) any_ecn = true;
+    any_drai |= variant_info(f.variant).routers == RouterAssist::kDrai;
+    any_red_ecn |= variant_info(f.variant).routers == RouterAssist::kRedEcn;
   }
-  bool routers_on = cfg.muzha_routers == ExperimentConfig::Routers::kOn ||
-                    (cfg.muzha_routers == ExperimentConfig::Routers::kAuto &&
-                     any_router_assisted);
-  if (routers_on) {
+  if (cfg.muzha_routers == ExperimentConfig::Routers::kOn ||
+      (cfg.muzha_routers == ExperimentConfig::Routers::kAuto && any_drai)) {
     net.enable_muzha_routers(cfg.drai);
-  } else if (any_ecn) {
+  } else if (any_red_ecn) {
     net.enable_red_ecn_routers(cfg.red);
   }
 
-  // Random loss.
   if (cfg.uniform_error_rate > 0.0) {
     net.set_error_model(std::make_unique<UniformErrorModel>(
         Probability(cfg.uniform_error_rate)));
   }
 
-  // Flows.
-  struct FlowInstance {
-    std::unique_ptr<TcpAgent> agent;
-    std::unique_ptr<TcpSink> sink;
-    CwndTracer cwnd;
-    std::unique_ptr<ThroughputSampler> sampler;
-  };
-  std::vector<FlowInstance> instances;
-  instances.reserve(cfg.flows.size());
+  // Flows. Ports and flow ids are global indices, so the two halves of a
+  // flow split across stacks agree. The reserve keeps each FlowInstance in
+  // place once its cwnd tracer is attached.
+  st.flows.reserve(cfg.flows.size());
   for (std::size_t i = 0; i < cfg.flows.size(); ++i) {
     const FlowSpec& f = cfg.flows[i];
-    MUZHA_ASSERT(f.src < net.size() && f.dst < net.size(),
+    MUZHA_ASSERT(f.src < positions.size() && f.dst < positions.size(),
                  "flow endpoints out of range");
     MUZHA_ASSERT(f.src != f.dst, "flow endpoints must differ");
-    FlowInstance inst;
+    const VariantInfo& variant = variant_info(f.variant);
     TcpConfig tc;
-    tc.dst = net.node(f.dst).id();
+    tc.dst = static_cast<NodeId>(f.dst);
     tc.src_port = static_cast<std::uint16_t>(1000 + i);
     tc.dst_port = static_cast<std::uint16_t>(2000 + i);
     tc.flow = static_cast<FlowId>(i);
     tc.packet_size = Bytes(kSegmentBytes);
     tc.window = f.window;
-    inst.agent = make_tcp_agent(f.variant, net.sim(), net.node(f.src), tc);
-    if (auto* m = dynamic_cast<TcpMuzha*>(inst.agent.get())) {
-      m->set_loss_discrimination(cfg.muzha_loss_discrimination);
+    FlowInstance& inst = st.flows.emplace_back();
+    if (std::size_t src = local_index[f.src]; src != SIZE_MAX) {
+      inst.agent = variant.make(net.sim(), net.node(src), tc);
+      if (auto* m = dynamic_cast<TcpMuzha*>(inst.agent.get())) {
+        m->set_loss_discrimination(cfg.muzha_loss_discrimination);
+      }
     }
-
-    TcpSink::Config sc;
-    sc.port = tc.dst_port;
-    if (f.variant == TcpVariant::kAdtcp) {
-      // ADTCP is receiver-assisted: its sink measures and classifies.
-      inst.sink = std::make_unique<AdtcpSink>(net.sim(), net.node(f.dst), sc);
-    } else {
-      inst.sink = std::make_unique<TcpSink>(net.sim(), net.node(f.dst), sc);
+    if (std::size_t dst = local_index[f.dst]; dst != SIZE_MAX) {
+      TcpSink::Config sc;
+      sc.port = tc.dst_port;
+      if (variant.adtcp_sink) {
+        inst.sink = std::make_unique<AdtcpSink>(net.sim(), net.node(dst), sc);
+      } else {
+        inst.sink = std::make_unique<TcpSink>(net.sim(), net.node(dst), sc);
+      }
+      inst.sink->start();
+      inst.sampler =
+          std::make_unique<ThroughputSampler>(kThroughputBin, kPayloadBytes);
+      inst.sampler->attach(*inst.sink);
     }
-    inst.sink->start();
-    inst.sampler =
-        std::make_unique<ThroughputSampler>(cfg.throughput_bin, kPayloadBytes);
-    inst.sampler->attach(*inst.sink);
-
-    TcpAgent* agent = inst.agent.get();
-    net.sim().schedule_at(f.start_time, [agent] { agent->start(); });
-    instances.push_back(std::move(inst));
-    // Attach the tracer only once the instance has its final address (the
-    // vector was reserved above, so later pushes do not relocate it).
-    instances.back().cwnd.attach(*instances.back().agent);
+    if (inst.agent) {
+      TcpAgent* agent = inst.agent.get();
+      net.sim().schedule_at(f.start_time, [agent] { agent->start(); });
+      inst.cwnd.attach(*agent);
+    }
   }
 
-  // Background CBR load.
-  std::vector<std::unique_ptr<CbrApp>> cbr_apps;
-  cbr_apps.reserve(cfg.cbr_flows.size());
-  for (const CbrFlowSpec& c : cfg.cbr_flows) {
-    MUZHA_ASSERT(c.src < net.size() && c.dst < net.size(),
+  // Background CBR load, started by the stack that owns the source.
+  st.cbr_apps.resize(cfg.cbr_flows.size());
+  for (std::size_t i = 0; i < cfg.cbr_flows.size(); ++i) {
+    const CbrFlowSpec& c = cfg.cbr_flows[i];
+    MUZHA_ASSERT(c.src < positions.size() && c.dst < positions.size(),
                  "CBR endpoints out of range");
     MUZHA_ASSERT(c.src != c.dst, "CBR endpoints must differ");
+    std::size_t src = local_index[c.src];
+    if (src == SIZE_MAX) continue;
     CbrApp::Config cc;
-    cc.dst = net.node(c.dst).id();
+    cc.dst = static_cast<NodeId>(c.dst);
     cc.packet_size_bytes = c.packet_size_bytes;
     cc.rate = c.rate;
     cc.start_time = c.start_time;
-    cbr_apps.push_back(
-        std::make_unique<CbrApp>(net.sim(), net.node(c.src), cc));
-    cbr_apps.back()->install();
+    st.cbr_apps[i] = std::make_unique<CbrApp>(net.sim(), net.node(src), cc);
+    st.cbr_apps[i]->install();
   }
+  return st;
+}
 
-  net.run_until(cfg.duration);
-
-  // Collect.
+ExperimentResult collect(const ExperimentConfig& cfg,
+                         std::span<Stack* const> stacks) {
   ExperimentResult result;
   for (std::size_t i = 0; i < cfg.flows.size(); ++i) {
     const FlowSpec& f = cfg.flows[i];
-    FlowInstance& inst = instances[i];
+    const FlowInstance* src = nullptr;
+    const FlowInstance* dst = nullptr;
+    for (const Stack* st : stacks) {
+      if (st->flows[i].agent) src = &st->flows[i];
+      if (st->flows[i].sink) dst = &st->flows[i];
+    }
     FlowResult r;
     r.variant = f.variant;
-    r.delivered = inst.sink->delivered();
+    r.delivered = dst->sink->delivered();
     r.duration = Seconds((cfg.duration - f.start_time).to_seconds());
     r.throughput =
         r.duration > Seconds(0.0)
             ? Bits(static_cast<std::int64_t>(r.delivered) * kPayloadBytes * 8) /
                   r.duration
             : BitsPerSecond(0.0);
-    r.packets_sent = inst.agent->packets_sent();
-    r.retransmissions = inst.agent->retransmissions();
-    r.timeouts = inst.agent->timeouts();
-    r.cwnd_trace = inst.cwnd.series();
-    r.throughput_series = inst.sampler->series();
-    if (auto* m = dynamic_cast<TcpMuzha*>(inst.agent.get())) {
+    r.packets_sent = src->agent->packets_sent();
+    r.retransmissions = src->agent->retransmissions();
+    r.timeouts = src->agent->timeouts();
+    r.cwnd_trace = src->cwnd.series();
+    r.throughput_series = dst->sampler->series();
+    if (auto* m = dynamic_cast<const TcpMuzha*>(src->agent.get())) {
       r.marked_loss_events = m->marked_loss_events();
       r.unmarked_loss_events = m->unmarked_loss_events();
     }
     result.flows.push_back(std::move(r));
   }
-  for (std::size_t i = 0; i < net.size(); ++i) {
-    result.ifq_drops += net.node(i).device().queue().drops();
-    result.mac_retry_drops += net.node(i).device().mac().drops_retry_limit();
-    result.phy_collisions += net.node(i).device().phy().collisions();
+  // Integer sums, so the order of stacks and nodes does not matter.
+  for (Stack* st : stacks) {
+    Network& net = *st->net;
+    for (std::size_t li = 0; li < net.size(); ++li) {
+      result.ifq_drops += net.node(li).device().queue().drops();
+      result.mac_retry_drops += net.node(li).device().mac().drops_retry_limit();
+      result.phy_collisions += net.node(li).device().phy().collisions();
+    }
+    result.channel_error_losses += net.channel().frames_corrupted_by_error();
+    for (const auto& app : st->cbr_apps) {
+      if (app) result.cbr_packets_sent += app->packets_sent();
+    }
   }
-  result.channel_error_losses = net.channel().frames_corrupted_by_error();
-  for (const auto& app : cbr_apps) result.cbr_packets_sent += app->packets_sent();
   return result;
+}
+
+ExperimentResult run_experiment(const ExperimentConfig& cfg) {
+  if (cfg.shards != 1) return run_sharded_experiment(cfg);
+  // One core, on this thread. Placement draws from the network's own
+  // simulation RNG, as the topology builders do.
+  Network net(cfg.seed, {}, {},
+              cfg.brute_force_channel ? ChannelMode::kBruteForce
+                                      : ChannelMode::kSpatialIndex);
+  std::vector<Position> positions = node_positions(cfg, net.sim().rng());
+  std::vector<std::size_t> all(positions.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  Stack stack = build_stack(cfg, net, positions, all);
+  net.run_until(cfg.duration);
+  Stack* const stacks[] = {&stack};
+  return collect(cfg, stacks);
 }
 
 }  // namespace muzha

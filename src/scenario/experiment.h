@@ -8,7 +8,10 @@
 #pragma once
 
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/drai.h"
@@ -44,7 +47,30 @@ enum class TcpVariant {
   kWestwood,
 };
 
+// Routers a variant needs on every node of its path.
+enum class RouterAssist {
+  kNone,
+  kDrai,    // DRAI-stamping estimators; Jersey reads their warning marks
+  kRedEcn,  // RED/ECN single-bit markers
+};
+
+// One row of the variant table, the only list of variants: the experiment
+// build, the CLI and the tests all read it.
+struct VariantInfo {
+  TcpVariant variant;
+  const char* name;
+  std::unique_ptr<TcpAgent> (*make)(Simulator& sim, Node& node, TcpConfig cfg);
+  RouterAssist routers;
+  bool adtcp_sink;  // ADTCP is receiver-assisted: its sink classifies losses
+};
+
+// Every variant, in enum order.
+std::span<const VariantInfo> variant_table();
+
 const char* variant_name(TcpVariant v);
+
+// The variant whose variant_name matches `name` ignoring case, if any.
+std::optional<TcpVariant> parse_variant(std::string_view name);
 
 // Factory for a sender of the given variant (Muzha included).
 std::unique_ptr<TcpAgent> make_tcp_agent(TcpVariant v, Simulator& sim,
@@ -114,7 +140,9 @@ struct ExperimentConfig {
   // index — the oracle side of the differential tests. Results must be
   // bit-identical either way.
   bool brute_force_channel = false;
-  // Router assistance: default on iff any flow is Muzha.
+  // DRAI router assistance: by default on iff some flow's variant needs it
+  // (Muzha, Jersey). When it is off, a NewReno+ECN flow still turns on
+  // RED/ECN routers.
   enum class Routers { kAuto, kOn, kOff };
   Routers muzha_routers = Routers::kAuto;
   DraiConfig drai;
@@ -126,19 +154,15 @@ struct ExperimentConfig {
   bool muzha_loss_discrimination = true;
   // AODV by default (Table 5.1); static routing isolates transport effects.
   bool static_routing = false;
-  SimTime throughput_bin = SimTime::from_seconds(1.0);
   // Conservative parallel execution (src/scenario/sharded_experiment.h):
   // partition the field into `shards` spatial slices, one event core per
-  // shard, synchronized by a lookahead barrier. shards == 1 runs the classic
-  // single-core path. shards > 1 is deterministic run-to-run and across
+  // shard, synchronized by a lookahead barrier. shards == 1 builds and runs
+  // on the calling thread. shards > 1 is deterministic run-to-run and across
   // `shard_jobs` values, but draws per-shard RNG streams, so its results are
   // a different (equally valid) sample than shards == 1.
   int shards = 1;
   // Worker threads for the shard pool; 0 means one per shard.
   int shard_jobs = 0;
-  // Upper bound on the lookahead window; also the window used when every
-  // shard pair is farther apart than carrier-sense range (fully decoupled).
-  SimTime shard_max_epoch = SimTime::from_ms(10);
 };
 
 struct FlowResult {
@@ -176,5 +200,8 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg);
 // Paper defaults: 1460 B payload segments, 40 B ACKs (Sec. 5.3).
 inline constexpr std::uint32_t kPayloadBytes = 1460;
 inline constexpr std::uint32_t kSegmentBytes = 1500;
+
+// Bin width of FlowResult::throughput_series.
+inline constexpr SimTime kThroughputBin = SimTime::from_seconds(1.0);
 
 }  // namespace muzha

@@ -75,33 +75,47 @@ BandwidthEstimator* Network::estimator(std::size_t i) {
   return dynamic_cast<BandwidthEstimator*>(drai_sources_[i].get());
 }
 
-std::vector<NodeId> build_chain(Network& net, int hops, Meters spacing) {
-  MUZHA_ASSERT(hops >= 1, "chain needs at least one hop");
+std::vector<NodeId> add_nodes(Network& net,
+                              const std::vector<Position>& positions) {
   std::vector<NodeId> ids;
-  ids.reserve(static_cast<std::size_t>(hops) + 1);
-  for (int i = 0; i <= hops; ++i) {
-    ids.push_back(net.add_node({spacing.value() * i, 0.0}).id());
-  }
+  ids.reserve(positions.size());
+  for (Position p : positions) ids.push_back(net.add_node(p).id());
   return ids;
 }
 
-CrossTopology build_cross(Network& net, int hops, Meters spacing) {
+std::vector<Position> chain_positions(int hops, Meters spacing) {
+  MUZHA_ASSERT(hops >= 1, "chain needs at least one hop");
+  std::vector<Position> out;
+  out.reserve(static_cast<std::size_t>(hops) + 1);
+  for (int i = 0; i <= hops; ++i) out.push_back({spacing.value() * i, 0.0});
+  return out;
+}
+
+std::vector<NodeId> build_chain(Network& net, int hops, Meters spacing) {
+  return add_nodes(net, chain_positions(hops, spacing));
+}
+
+std::vector<Position> cross_positions(int hops, Meters spacing) {
   MUZHA_ASSERT(hops >= 2 && hops % 2 == 0, "cross needs an even hop count");
-  CrossTopology topo;
   int half = hops / 2;
-  // Horizontal arm: y = 0, x in [-half .. +half] * spacing.
+  std::vector<Position> out;
+  out.reserve(2 * static_cast<std::size_t>(hops) + 1);
+  for (int i = -half; i <= half; ++i) out.push_back({spacing.value() * i, 0.0});
   for (int i = -half; i <= half; ++i) {
-    topo.horizontal.push_back(net.add_node({spacing.value() * i, 0.0}).id());
+    if (i != 0) out.push_back({0.0, spacing.value() * i});
   }
-  NodeId center = topo.horizontal[static_cast<std::size_t>(half)];
-  // Vertical arm shares the centre node.
-  for (int i = -half; i <= half; ++i) {
-    if (i == 0) {
-      topo.vertical.push_back(center);
-    } else {
-      topo.vertical.push_back(net.add_node({0.0, spacing.value() * i}).id());
-    }
-  }
+  return out;
+}
+
+CrossTopology build_cross(Network& net, int hops, Meters spacing) {
+  std::vector<NodeId> ids = add_nodes(net, cross_positions(hops, spacing));
+  auto h_end = ids.begin() + hops + 1;  // end of the horizontal arm
+  auto v_mid = h_end + hops / 2;        // where the vertical arm meets it
+  CrossTopology topo;
+  topo.horizontal.assign(ids.begin(), h_end);
+  topo.vertical.assign(h_end, v_mid);
+  topo.vertical.push_back(ids[static_cast<std::size_t>(hops / 2)]);  // centre
+  topo.vertical.insert(topo.vertical.end(), v_mid, ids.end());
   return topo;
 }
 

@@ -74,15 +74,24 @@ class Network {
   std::vector<std::unique_ptr<DraiSource>> drai_sources_;
 };
 
+// Adds one node per position, in order, and returns their ids.
+std::vector<NodeId> add_nodes(Network& net,
+                              const std::vector<Position>& positions);
+
 // Chain topology (Fig 5.1): hops+1 nodes on a line, neighbours `spacing`
 // apart (250 m: exactly one-hop connectivity).
+std::vector<Position> chain_positions(int hops,
+                                      Meters spacing = Meters(250.0));
 std::vector<NodeId> build_chain(Network& net, int hops,
                                 Meters spacing = Meters(250.0));
 
 // Cross topology (Fig 5.15): a horizontal and a vertical chain of `hops`
-// hops sharing the centre node (4-hop cross = 9 nodes). Returns
-// {horizontal node ids, vertical node ids}; the vertical list reuses the
-// shared centre node id.
+// hops sharing the centre node (4-hop cross = 9 nodes). Positions list the
+// horizontal arm left to right, then the vertical arm bottom to top without
+// the centre. build_cross returns {horizontal node ids, vertical node ids};
+// the vertical list reuses the shared centre node id.
+std::vector<Position> cross_positions(int hops,
+                                      Meters spacing = Meters(250.0));
 struct CrossTopology {
   std::vector<NodeId> horizontal;
   std::vector<NodeId> vertical;

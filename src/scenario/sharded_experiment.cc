@@ -2,33 +2,26 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
+#include <cstdint>
 #include <memory>
 #include <utility>
 
-#include "app/cbr.h"
-#include "core/tcp_muzha.h"
 #include "net/node.h"
 #include "phy/channel.h"
-#include "phy/error_model.h"
 #include "phy/phy_params.h"
 #include "phy/position.h"
 #include "pkt/packet.h"
-#include "relwork/adtcp.h"
 #include "scenario/batch_runner.h"
 #include "scenario/city.h"
 #include "scenario/experiment.h"
-#include "scenario/mobility.h"
 #include "scenario/network.h"
+#include "scenario/stack.h"
 #include "sim/assert.h"
 #include "sim/rng.h"
 #include "sim/shard_exec.h"
 #include "sim/sim_time.h"
 #include "sim/simulator.h"
 #include "sim/units.h"
-#include "stats/time_series.h"
-#include "tcp/tcp_agent.h"
-#include "tcp/tcp_sink.h"
 
 namespace muzha {
 
@@ -50,7 +43,6 @@ std::vector<double> shard_cuts(std::vector<double> xs, int shards,
   MUZHA_ASSERT(xs.size() >= static_cast<std::size_t>(shards),
                "fewer nodes than shards");
   std::sort(xs.begin(), xs.end());
-  if (shards == 1) return {};
   // Rank inter-node gaps widest first; ties break toward the lower x so the
   // choice is deterministic.
   struct Gap {
@@ -103,15 +95,9 @@ SimTime conservative_lookahead(const std::vector<ShardBox>& boxes,
 
 namespace {
 
-// One flow's per-shard endpoints. A cross-shard flow has its agent (and
-// cwnd tracer) on the source's shard and its sink (and sampler) on the
-// destination's; intermediate shards relay pure physics.
-struct FlowInstance {
-  std::unique_ptr<TcpAgent> agent;
-  std::unique_ptr<TcpSink> sink;
-  CwndTracer cwnd;
-  std::unique_ptr<ThroughputSampler> sampler;
-};
+// Upper bound on the lookahead window; also the window when every shard
+// pair is farther apart than carrier-sense range (fully decoupled).
+constexpr SimTime kShardMaxEpoch = SimTime::from_ms(10);
 
 // BoundarySink recording every local transmission that could reach foreign
 // territory. Runs inside Channel::transmit on the shard's worker thread;
@@ -163,55 +149,13 @@ class ShardOutbox final : public BoundarySink {
 // thread-local arena forbids cross-thread release.
 struct ShardState {
   std::unique_ptr<Network> net;
-  std::vector<std::size_t> members;      // global node indices, ascending
-  std::vector<std::size_t> local_index;  // global index -> local (SIZE_MAX
-                                         // when the node is foreign)
-  std::vector<std::unique_ptr<RandomWaypointMobility>> mobility;
-  std::vector<FlowInstance> flows;       // one slot per global flow
-  std::vector<std::unique_ptr<CbrApp>> cbr_apps;  // slot per global CBR flow
+  Stack stack;
   ShardOutbox outbox;
   std::vector<BoundaryMessage> inbox;
 };
 
-// Global BFS next hops over the initial positions (the same algorithm, in
-// the same order, as the single-core path's install_static_routes).
-// next[dst][i] is i's next hop toward dst, SIZE_MAX when unreachable.
-std::vector<std::vector<std::size_t>> static_next_hops(
-    const std::vector<Position>& pos, Meters rx_range) {
-  const std::size_t n = pos.size();
-  std::vector<std::vector<std::size_t>> adj(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (distance(pos[i], pos[j]) <= rx_range) {
-        adj[i].push_back(j);
-        adj[j].push_back(i);
-      }
-    }
-  }
-  std::vector<std::vector<std::size_t>> next(
-      n, std::vector<std::size_t>(n, SIZE_MAX));
-  for (std::size_t dst = 0; dst < n; ++dst) {
-    std::vector<bool> seen(n, false);
-    std::deque<std::size_t> q{dst};
-    seen[dst] = true;
-    while (!q.empty()) {
-      std::size_t u = q.front();
-      q.pop_front();
-      for (std::size_t v : adj[u]) {
-        if (seen[v]) continue;
-        seen[v] = true;
-        next[dst][v] = u;
-        q.push_back(v);
-      }
-    }
-  }
-  return next;
-}
-
-std::uint64_t shard_seed(const ExperimentConfig& cfg, int shard, int shards) {
-  // One shard: the classic seed, so the build below replays run_experiment
-  // draw-for-draw. Several: disjoint per-shard streams.
-  if (shards == 1) return cfg.seed;
+// Disjoint per-shard RNG streams derived from the experiment seed.
+std::uint64_t shard_seed(const ExperimentConfig& cfg, int shard) {
   return splitmix64(splitmix64(cfg.seed) ^
                     (0x5AD5AD00ull + static_cast<std::uint64_t>(shard)));
 }
@@ -221,88 +165,75 @@ std::uint64_t shard_seed(const ExperimentConfig& cfg, int shard, int shards) {
 ExperimentResult run_sharded_experiment(const ExperimentConfig& cfg,
                                         const ShardDebugOptions& dbg) {
   const int K = cfg.shards;
-  MUZHA_ASSERT(K >= 1, "shards must be >= 1");
+  MUZHA_ASSERT(K >= 2, "run_sharded_experiment needs shards >= 2");
   MUZHA_ASSERT(K <= 64, "dst_mask holds at most 64 shards");
-  MUZHA_ASSERT(!cfg.flows.empty(), "experiment needs at least one flow");
-  const bool field_topology = cfg.topology == TopologyKind::kRandomField ||
-                              cfg.topology == TopologyKind::kManhattanGrid;
+  MUZHA_ASSERT(is_field_topology(cfg.topology),
+               "shards > 1 needs a field topology (kRandomField or "
+               "kManhattanGrid)");
+  if (cfg.field.mobile) {
+    MUZHA_ASSERT(cfg.field.districts >= K,
+                 "a mobile field needs at least one district per shard so "
+                 "node->shard ownership stays static");
+  }
   const PhyParams phy{};  // run_experiment builds with default radio params
 
-  // --- Partition: replicate the placement draws, assign nodes to shards,
-  // and bound each shard's territory. All static; no network exists yet.
-  std::vector<Position> gpos;
-  std::vector<int> shard_of;
+  // --- Partition: draw the global placement, assign nodes to shards, and
+  // bound each shard's territory. All static; no network exists yet.
+  Rng placement_rng(cfg.seed);
+  const std::vector<Position> gpos = node_positions(cfg, placement_rng);
+  std::vector<std::vector<std::size_t>> members(static_cast<std::size_t>(K));
   std::vector<ShardBox> boxes(static_cast<std::size_t>(K));
-  if (K > 1) {
-    MUZHA_ASSERT(field_topology,
-                 "shards > 1 needs a field topology (kRandomField or "
-                 "kManhattanGrid)");
-    if (cfg.field.mobile) {
-      MUZHA_ASSERT(cfg.field.districts >= K,
-                   "a mobile field needs at least one district per shard so "
-                   "node->shard ownership stays static");
-    }
-    {
-      Rng rng(cfg.seed);
-      gpos = field_positions(cfg.topology, cfg.field, rng);
-    }
-    const std::size_t n = gpos.size();
-    shard_of.resize(n);
-    std::vector<bool> armed(static_cast<std::size_t>(K), false);
-    auto grow = [&](int s, double x0, double x1, double y0, double y1) {
-      ShardBox& b = boxes[static_cast<std::size_t>(s)];
-      if (!armed[static_cast<std::size_t>(s)]) {
-        b = ShardBox{x0, x1, y0, y1};
-        armed[static_cast<std::size_t>(s)] = true;
-        return;
-      }
-      b.x0 = std::min(b.x0, x0);
-      b.x1 = std::max(b.x1, x1);
-      b.y0 = std::min(b.y0, y0);
-      b.y1 = std::max(b.y1, y1);
-    };
-    if (cfg.field.mobile) {
-      // Districts are x-ordered strips; deal them out contiguously so each
-      // shard's territory is one run of strips. A node's motion never
-      // leaves its district rectangle, so the territory is exact.
-      const int d_total = cfg.field.districts;
-      for (std::size_t i = 0; i < n; ++i) {
-        int d = district_of(cfg.field, i);
-        int s = d * K / d_total;
-        shard_of[i] = s;
-        Rect r = district_rect(cfg.field, d);
-        grow(s, r.x0, r.x1, r.y0, r.y1);
-      }
+  auto assign = [&](std::size_t i, int s, ShardBox extent) {
+    std::vector<std::size_t>& m = members[static_cast<std::size_t>(s)];
+    ShardBox& b = boxes[static_cast<std::size_t>(s)];
+    if (m.empty()) {
+      b = extent;
     } else {
-      // Static field: cut at the widest x gaps; territory is the bounding
-      // box of the member positions.
-      std::vector<double> xs;
-      xs.reserve(n);
-      for (const Position& p : gpos) xs.push_back(p.x);
-      std::vector<double> cuts = shard_cuts(xs, K, phy.cs_range);
-      for (std::size_t i = 0; i < n; ++i) {
-        int s = 0;
-        for (double c : cuts) {
-          if (gpos[i].x >= c) ++s;
-        }
-        shard_of[i] = s;
-        grow(s, gpos[i].x, gpos[i].x, gpos[i].y, gpos[i].y);
+      b.x0 = std::min(b.x0, extent.x0);
+      b.x1 = std::max(b.x1, extent.x1);
+      b.y0 = std::min(b.y0, extent.y0);
+      b.y1 = std::max(b.y1, extent.y1);
+    }
+    m.push_back(i);
+  };
+  if (cfg.field.mobile) {
+    // Districts are x-ordered strips; deal them out contiguously so each
+    // shard's territory is one run of strips. A node's motion never leaves
+    // its district rectangle, so the territory is exact.
+    const int d_total = cfg.field.districts;
+    for (std::size_t i = 0; i < gpos.size(); ++i) {
+      int d = district_of(cfg.field, i);
+      Rect r = district_rect(cfg.field, d);
+      assign(i, d * K / d_total, ShardBox{r.x0, r.x1, r.y0, r.y1});
+    }
+  } else {
+    // Static field: cut at the widest x gaps; territory is the bounding box
+    // of the member positions.
+    std::vector<double> xs;
+    xs.reserve(gpos.size());
+    for (const Position& p : gpos) xs.push_back(p.x);
+    std::vector<double> cuts = shard_cuts(xs, K, phy.cs_range);
+    for (std::size_t i = 0; i < gpos.size(); ++i) {
+      int s = 0;
+      for (double c : cuts) {
+        if (gpos[i].x >= c) ++s;
       }
+      assign(i, s, ShardBox{gpos[i].x, gpos[i].x, gpos[i].y, gpos[i].y});
     }
-    for (int s = 0; s < K; ++s) {
-      MUZHA_ASSERT(armed[static_cast<std::size_t>(s)],
-                   "a shard ended up with no nodes");
-    }
+  }
+  for (const std::vector<std::size_t>& m : members) {
+    MUZHA_ASSERT(!m.empty(), "a shard ended up with no nodes");
   }
 
   SimTime lookahead =
       dbg.force_lookahead > SimTime::zero()
           ? dbg.force_lookahead
           : conservative_lookahead(boxes, phy.cs_range, phy.propagation,
-                                   cfg.shard_max_epoch);
+                                   kShardMaxEpoch);
   MUZHA_ASSERT(lookahead > SimTime::zero(), "lookahead must be positive");
 
-  // --- Per-shard build, on each shard's sticky owner thread.
+  // --- Per-shard build, on each shard's sticky owner thread. Node ids are
+  // GLOBAL indices, so frames crossing shards stay addressable.
   const int jobs = cfg.shard_jobs > 0 ? cfg.shard_jobs : K;
   ShardExecutor exec(K, jobs);
   std::vector<std::unique_ptr<ShardState>> states(
@@ -311,191 +242,14 @@ ExperimentResult run_sharded_experiment(const ExperimentConfig& cfg,
   exec.run_phase([&](int s) {
     auto st = std::make_unique<ShardState>();
     st->net = std::make_unique<Network>(
-        shard_seed(cfg, s, K), phy, NodeConfig{},
+        shard_seed(cfg, s), phy, NodeConfig{},
         cfg.brute_force_channel ? ChannelMode::kBruteForce
                                 : ChannelMode::kSpatialIndex);
-    Network& net = *st->net;
-
-    // Topology. One shard replays the classic builders (identical RNG
-    // sequence to run_experiment); several install the pre-partitioned
-    // positions under their GLOBAL node ids.
-    if (K == 1) {
-      switch (cfg.topology) {
-        case TopologyKind::kChain:
-          build_chain(net, cfg.hops);
-          break;
-        case TopologyKind::kCross:
-          build_cross(net, cfg.hops);
-          break;
-        case TopologyKind::kRandomField:
-          build_random_field(net, cfg.field);
-          break;
-        case TopologyKind::kManhattanGrid:
-          build_manhattan_field(net, cfg.field);
-          break;
-      }
-      st->members.resize(net.size());
-      st->local_index.resize(net.size());
-      for (std::size_t i = 0; i < net.size(); ++i) {
-        st->members[i] = i;
-        st->local_index[i] = i;
-      }
-    } else {
-      st->local_index.assign(gpos.size(), SIZE_MAX);
-      for (std::size_t i = 0; i < gpos.size(); ++i) {
-        if (shard_of[i] != s) continue;
-        st->local_index[i] = st->members.size();
-        st->members.push_back(i);
-        net.add_node(gpos[i], static_cast<NodeId>(i));
-      }
-    }
-
-    // Random-waypoint motion over each node's district rectangle, exactly
-    // as the single-core path does, restricted to owned nodes.
-    if (field_topology && cfg.field.mobile) {
-      st->mobility.reserve(st->members.size());
-      for (std::size_t li = 0; li < st->members.size(); ++li) {
-        std::size_t gi = st->members[li];
-        Rect r = district_rect(cfg.field, district_of(cfg.field, gi));
-        RandomWaypointMobility::Config mc;
-        mc.min_x = r.x0;
-        mc.max_x = r.x1;
-        mc.min_y = r.y0;
-        mc.max_y = r.y1;
-        mc.min_speed = cfg.field.min_speed;
-        mc.max_speed = cfg.field.max_speed;
-        mc.pause = cfg.field.pause;
-        mc.tick = cfg.field.mobility_tick;
-        st->mobility.push_back(std::make_unique<RandomWaypointMobility>(
-            net.sim(), net.node(li), mc));
-        st->mobility.back()->start();
-      }
-    }
-
-    // Routing. Static tables are computed from the GLOBAL initial
-    // positions; a next hop may live on another shard (frames to it relay
-    // through boundary exchange).
-    if (cfg.static_routing) {
-      net.use_static_routing();
-      std::vector<Position> all = gpos;
-      if (K == 1) {
-        all.reserve(net.size());
-        for (std::size_t i = 0; i < net.size(); ++i) {
-          all.push_back(net.node(i).device().phy().position());
-        }
-      }
-      std::vector<std::vector<std::size_t>> next =
-          static_next_hops(all, phy.rx_range);
-      for (std::size_t dst = 0; dst < all.size(); ++dst) {
-        for (std::size_t li = 0; li < st->members.size(); ++li) {
-          std::size_t gi = st->members[li];
-          if (gi == dst || next[dst][gi] == SIZE_MAX) continue;
-          net.static_routing(li).add_route(static_cast<NodeId>(dst),
-                                           static_cast<NodeId>(next[dst][gi]));
-        }
-      }
-    } else {
-      net.use_aodv();
-    }
-
-    // Router assistance, mirroring run_experiment's auto rule.
-    bool any_router_assisted = false;
-    bool any_ecn = false;
-    for (const FlowSpec& f : cfg.flows) {
-      if (f.variant == TcpVariant::kMuzha ||
-          f.variant == TcpVariant::kJersey) {
-        any_router_assisted = true;
-      }
-      if (f.variant == TcpVariant::kNewRenoEcn) any_ecn = true;
-    }
-    bool routers_on = cfg.muzha_routers == ExperimentConfig::Routers::kOn ||
-                      (cfg.muzha_routers == ExperimentConfig::Routers::kAuto &&
-                       any_router_assisted);
-    if (routers_on) {
-      net.enable_muzha_routers(cfg.drai);
-    } else if (any_ecn) {
-      net.enable_red_ecn_routers(cfg.red);
-    }
-
-    if (cfg.uniform_error_rate > 0.0) {
-      net.set_error_model(std::make_unique<UniformErrorModel>(
-          Probability(cfg.uniform_error_rate)));
-    }
-
-    // Flows: the agent lives with the source node, the sink with the
-    // destination. Ports and flow ids are GLOBAL indices, so a cross-shard
-    // flow's two halves agree.
-    st->flows.reserve(cfg.flows.size());
-    for (std::size_t i = 0; i < cfg.flows.size(); ++i) {
-      const FlowSpec& f = cfg.flows[i];
-      MUZHA_ASSERT(f.src < st->local_index.size() &&
-                       f.dst < st->local_index.size(),
-                   "flow endpoints out of range");
-      MUZHA_ASSERT(f.src != f.dst, "flow endpoints must differ");
-      FlowInstance inst;
-      TcpConfig tc;
-      tc.dst = static_cast<NodeId>(f.dst);
-      tc.src_port = static_cast<std::uint16_t>(1000 + i);
-      tc.dst_port = static_cast<std::uint16_t>(2000 + i);
-      tc.flow = static_cast<FlowId>(i);
-      tc.packet_size = Bytes(kSegmentBytes);
-      tc.window = f.window;
-      if (st->local_index[f.src] != SIZE_MAX) {
-        inst.agent = make_tcp_agent(f.variant, net.sim(),
-                                    net.node(st->local_index[f.src]), tc);
-        if (auto* m = dynamic_cast<TcpMuzha*>(inst.agent.get())) {
-          m->set_loss_discrimination(cfg.muzha_loss_discrimination);
-        }
-      }
-      if (st->local_index[f.dst] != SIZE_MAX) {
-        TcpSink::Config sc;
-        sc.port = tc.dst_port;
-        if (f.variant == TcpVariant::kAdtcp) {
-          inst.sink = std::make_unique<AdtcpSink>(
-              net.sim(), net.node(st->local_index[f.dst]), sc);
-        } else {
-          inst.sink = std::make_unique<TcpSink>(
-              net.sim(), net.node(st->local_index[f.dst]), sc);
-        }
-        inst.sink->start();
-        inst.sampler = std::make_unique<ThroughputSampler>(
-            cfg.throughput_bin, kPayloadBytes);
-        inst.sampler->attach(*inst.sink);
-      }
-      if (inst.agent) {
-        TcpAgent* agent = inst.agent.get();
-        net.sim().schedule_at(f.start_time, [agent] { agent->start(); });
-      }
-      st->flows.push_back(std::move(inst));
-      if (st->flows.back().agent) {
-        st->flows.back().cwnd.attach(*st->flows.back().agent);
-      }
-    }
-
-    // Background CBR load for owned sources.
-    st->cbr_apps.resize(cfg.cbr_flows.size());
-    for (std::size_t i = 0; i < cfg.cbr_flows.size(); ++i) {
-      const CbrFlowSpec& c = cfg.cbr_flows[i];
-      MUZHA_ASSERT(c.src < st->local_index.size() &&
-                       c.dst < st->local_index.size(),
-                   "CBR endpoints out of range");
-      MUZHA_ASSERT(c.src != c.dst, "CBR endpoints must differ");
-      if (st->local_index[c.src] == SIZE_MAX) continue;
-      CbrApp::Config cc;
-      cc.dst = static_cast<NodeId>(c.dst);
-      cc.packet_size_bytes = c.packet_size_bytes;
-      cc.rate = c.rate;
-      cc.start_time = c.start_time;
-      st->cbr_apps[i] = std::make_unique<CbrApp>(
-          net.sim(), net.node(st->local_index[c.src]), cc);
-      st->cbr_apps[i]->install();
-    }
-
-    if (K > 1) {
-      st->outbox.init(&net.sim(), static_cast<std::uint32_t>(s),
-                      phy.cs_range, &boxes);
-      net.channel().set_boundary_sink(&st->outbox);
-    }
+    st->stack = build_stack(cfg, *st->net, gpos,
+                            members[static_cast<std::size_t>(s)]);
+    st->outbox.init(&st->net->sim(), static_cast<std::uint32_t>(s),
+                    phy.cs_range, &boxes);
+    st->net->channel().set_boundary_sink(&st->outbox);
     states[static_cast<std::size_t>(s)] = std::move(st);
   });
 
@@ -551,8 +305,8 @@ ExperimentResult run_sharded_experiment(const ExperimentConfig& cfg,
       window_start = std::max(window_end, std::min(min_next, cfg.duration));
     }
   }
-  // run_until is inclusive of its target, so the single-core path executes
-  // events scheduled at exactly cfg.duration. The loop above may stop short
+  // run_until is inclusive of its target, so a one-core run executes events
+  // scheduled at exactly cfg.duration. The loop above may stop short
   // of that (a quiet barrier can jump window_start straight to the
   // horizon); one final inclusive run makes the schedules match. A frame
   // transmitted at the horizon arrives strictly later everywhere and is
@@ -561,54 +315,12 @@ ExperimentResult run_sharded_experiment(const ExperimentConfig& cfg,
     states[static_cast<std::size_t>(s)]->net->run_until(cfg.duration);
   });
 
-  // --- Collect, in the single-core path's global order. Pure reads; the
-  // workers are quiescent between phases, so the orchestrator may touch
-  // everything except packet memory.
-  ExperimentResult result;
-  for (std::size_t i = 0; i < cfg.flows.size(); ++i) {
-    const FlowSpec& f = cfg.flows[i];
-    int ss = K == 1 ? 0 : shard_of[f.src];
-    int ds = K == 1 ? 0 : shard_of[f.dst];
-    FlowInstance& src_inst = states[static_cast<std::size_t>(ss)]->flows[i];
-    FlowInstance& dst_inst = states[static_cast<std::size_t>(ds)]->flows[i];
-    FlowResult r;
-    r.variant = f.variant;
-    r.delivered = dst_inst.sink->delivered();
-    r.duration = Seconds((cfg.duration - f.start_time).to_seconds());
-    r.throughput =
-        r.duration > Seconds(0.0)
-            ? Bits(static_cast<std::int64_t>(r.delivered) * kPayloadBytes * 8) /
-                  r.duration
-            : BitsPerSecond(0.0);
-    r.packets_sent = src_inst.agent->packets_sent();
-    r.retransmissions = src_inst.agent->retransmissions();
-    r.timeouts = src_inst.agent->timeouts();
-    r.cwnd_trace = src_inst.cwnd.series();
-    r.throughput_series = dst_inst.sampler->series();
-    if (auto* m = dynamic_cast<TcpMuzha*>(src_inst.agent.get())) {
-      r.marked_loss_events = m->marked_loss_events();
-      r.unmarked_loss_events = m->unmarked_loss_events();
-    }
-    result.flows.push_back(std::move(r));
-  }
-  const std::size_t total_nodes =
-      K == 1 ? states[0]->net->size() : gpos.size();
-  for (std::size_t i = 0; i < total_nodes; ++i) {
-    int s = K == 1 ? 0 : shard_of[i];
-    ShardState& st = *states[static_cast<std::size_t>(s)];
-    Node& node = st.net->node(st.local_index[i]);
-    result.ifq_drops += node.device().queue().drops();
-    result.mac_retry_drops += node.device().mac().drops_retry_limit();
-    result.phy_collisions += node.device().phy().collisions();
-  }
-  for (const auto& st : states) {
-    result.channel_error_losses += st->net->channel().frames_corrupted_by_error();
-  }
-  for (std::size_t i = 0; i < cfg.cbr_flows.size(); ++i) {
-    int s = K == 1 ? 0 : shard_of[cfg.cbr_flows[i].src];
-    const auto& app = states[static_cast<std::size_t>(s)]->cbr_apps[i];
-    result.cbr_packets_sent += app->packets_sent();
-  }
+  // --- Collect. Pure reads; the workers are quiescent between phases, so
+  // the orchestrator may touch everything except packet memory.
+  std::vector<Stack*> stacks;
+  stacks.reserve(states.size());
+  for (auto& st : states) stacks.push_back(&st->stack);
+  ExperimentResult result = collect(cfg, stacks);
 
   // --- Teardown, back on the owner threads: nodes, agents and apps hold
   // arena packets, and the thread-local arena insists on same-thread

@@ -21,15 +21,19 @@
 // district strip (FieldConfig::districts), so node->shard ownership never
 // changes and the gap between territories never shrinks.
 //
+// Every shard builds its nodes, flows and routers through the same
+// build_stack() as a one-core run (scenario/stack.h), and the results are
+// read back through the same collect(); this file adds only the partition,
+// the window loop and the boundary exchange. shards == 1 never comes here:
+// run_experiment() builds and runs it on the calling thread.
+//
 // Determinism: every shard's event core is sequential and seeded; the only
 // cross-shard channel is the barrier exchange, and inboxes are injected in
 // (tx_time, src_shard, seq) order — a total order independent of thread
 // scheduling. Results are therefore bit-identical run-to-run and for every
-// `shard_jobs` value. shards == 1 runs the whole experiment through the
-// same window loop with the classic single-network build and is
-// bit-identical to run_experiment(); shards > 1 partitions the RNG into
-// per-shard streams, so it is a different — equally valid, equally pinned —
-// sample of the same scenario distribution.
+// `shard_jobs` value. Placement is drawn from Rng(cfg.seed) and each shard
+// runs on its own RNG stream, so a K-shard run is a different — equally
+// valid, equally pinned — sample of the scenario than the one-core run.
 #pragma once
 
 #include <cstdint>
@@ -105,9 +109,9 @@ struct ShardDebugOptions {
   SimTime force_lookahead;  // 0 = use conservative_lookahead()
 };
 
-// Runs cfg on cfg.shards event cores (cfg.shards == 1 allowed: same window
-// machinery, classic single-network build, bit-identical to
-// run_experiment). Requirements for shards > 1:
+// Runs cfg on cfg.shards event cores; run_experiment() calls it whenever
+// cfg.shards != 1. Requirements:
+//  - 2 <= shards <= 64;
 //  - topology kRandomField or kManhattanGrid;
 //  - mobile fields need field.districts >= shards (ownership stays static);
 //  - at least one node per shard.

@@ -56,9 +56,7 @@ inline std::uint64_t hash_result(const ExperimentResult& r) {
 }
 
 // The 200-node mobile random-waypoint city of the golden pin
-// Determinism.GoldenCityFieldPinned (hash 0x87CCB22252A3ED43). The shard
-// suite replays it through the sharded engine at shards == 1, which must
-// reproduce the same hash bit-for-bit.
+// Determinism.GoldenCityFieldPinned (hash 0x87CCB22252A3ED43).
 inline ExperimentConfig city_golden_config() {
   CityConfig city;
   city.field.nodes = 200;

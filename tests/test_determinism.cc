@@ -6,7 +6,9 @@
 
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "scenario/batch_runner.h"
@@ -109,9 +111,8 @@ TEST(Determinism, InterleavedDifferentConfigsDoNotContaminate) {
 // same floating-point metric stream. If an intentional protocol change
 // shifts them, re-capture and update the constants in the same commit.
 
-// fnv1a_u64 / hash_series / hash_result now live in
-// tests/experiment_hash.h, shared with the shard suite (test_shard.cc),
-// which must reproduce the same hashes through the sharded engine.
+// fnv1a_u64 / hash_series / hash_result live in tests/experiment_hash.h,
+// shared with the shard suite (test_shard.cc) and its K=2/K=4 pins.
 
 TEST(Determinism, GoldenThreeHopMuzhaChainPinned) {
   ExperimentConfig cfg;
@@ -188,6 +189,126 @@ TEST(Determinism, GoldenCityFieldIdenticalUnderBruteForceChannel) {
   cfg.brute_force_channel = true;
   ExperimentResult brute = run_experiment(cfg);
   expect_results_identical(indexed, brute);
+}
+
+// ---------------------------------------------------------------------------
+// Golden pins over every topology kind: the chain, the cross, a static-
+// routing chain, and twelve randomized fields (dense static under AODV and
+// under static routing, sparse mobile and Manhattan mobile, each at seeds
+// 1, 23 and 4242). Captured before the one-core run and the shard engine
+// came to share one build-and-collect path, so they pin that the sharing
+// changed nothing. The static-routing field rows pin the BFS next-hop
+// tie-breaks, which a chain cannot. Flows in the mobile fields never find a
+// route within 3 s; their pins freeze placement, motion and the AODV floods
+// that fail to find one. One table holds every row; each test below checks
+// one group of it.
+
+enum class PinGroup { kChainAndCross, kStaticRoutingChain, kRandomizedFields };
+
+struct PinCase {
+  PinGroup group;
+  std::string label;
+  ExperimentConfig cfg;
+  std::uint64_t hash;
+};
+
+std::vector<PinCase> topology_pin_cases() {
+  std::vector<PinCase> cases;
+  ExperimentConfig chain;
+  chain.topology = TopologyKind::kChain;
+  chain.hops = 3;
+  chain.duration = SimTime::from_seconds(4.0);
+  chain.seed = 42;
+  chain.flows.push_back({TcpVariant::kMuzha, 0, 3, SimTime::zero(), 8});
+  cases.push_back(
+      {PinGroup::kChainAndCross, "chain", chain, 0x9AE5248A615A8695ull});
+
+  ExperimentConfig cross = chain;
+  cross.topology = TopologyKind::kCross;
+  cross.hops = 4;
+  cross.flows.push_back({TcpVariant::kNewReno, 5, 8, SimTime::zero(), 16});
+  cases.push_back(
+      {PinGroup::kChainAndCross, "cross", cross, 0x59D1C4D8568F7E73ull});
+
+  ExperimentConfig routed;
+  routed.topology = TopologyKind::kChain;
+  routed.hops = 4;
+  routed.static_routing = true;
+  routed.duration = SimTime::from_seconds(4.0);
+  routed.seed = 9;
+  routed.flows.push_back({TcpVariant::kNewReno, 0, 4, SimTime::zero(), 16});
+  cases.push_back({PinGroup::kStaticRoutingChain, "static-routing chain",
+                   routed, 0xBBE7BA0C413C8385ull});
+
+  struct FieldCase {
+    const char* label;
+    int nodes;
+    Meters side;
+    bool mobile;
+    bool static_routing;
+    TopologyKind kind;
+    std::uint64_t hash[3];  // one per seed below
+  };
+  const FieldCase fields[] = {
+      {"dense static field", 48, Meters(1200.0), false, false,
+       TopologyKind::kRandomField,
+       {0x52C469107B848E8Full, 0xC11B7122951F9546ull, 0x269A1CA30E0887E5ull}},
+      {"static-routing dense field", 48, Meters(1200.0), false, true,
+       TopologyKind::kRandomField,
+       {0x439BF0CDA161BDF2ull, 0x37BA63690C06B08Full, 0x2F54FD28DC1C6E99ull}},
+      {"sparse mobile field", 30, Meters(2500.0), true, false,
+       TopologyKind::kRandomField,
+       {0xB1CC2175F0F11F95ull, 0xB1CC2175F0F11F95ull, 0xB1CC2175F0F11F95ull}},
+      {"manhattan mobile field", 36, Meters(1400.0), true, false,
+       TopologyKind::kManhattanGrid,
+       {0xB1CC2175F0F11F95ull, 0xFF1B73ED6BC4F457ull, 0x8B24783A33873534ull}},
+  };
+  const std::uint64_t seeds[] = {1, 23, 4242};
+  for (const FieldCase& fc : fields) {
+    for (std::size_t k = 0; k < std::size(seeds); ++k) {
+      ExperimentConfig cfg;
+      cfg.topology = fc.kind;
+      cfg.field.nodes = fc.nodes;
+      cfg.field.width = fc.side;
+      cfg.field.height = fc.side;
+      cfg.field.mobile = fc.mobile;
+      cfg.static_routing = fc.static_routing;
+      cfg.duration = SimTime::from_seconds(3.0);
+      cfg.seed = seeds[k];
+      cfg.flows = make_random_flows(2, fc.nodes, TcpVariant::kMuzha,
+                                    seeds[k] * 31 + 7,
+                                    SimTime::from_seconds(1.0));
+      cases.push_back({PinGroup::kRandomizedFields,
+                       std::string(fc.label) + " seed " +
+                           std::to_string(seeds[k]),
+                       cfg, fc.hash[k]});
+    }
+  }
+  return cases;
+}
+
+// Runs every row of `group` and returns how many there were.
+int expect_pins(PinGroup group) {
+  int rows = 0;
+  for (const PinCase& c : topology_pin_cases()) {
+    if (c.group != group) continue;
+    SCOPED_TRACE(c.label);
+    EXPECT_EQ(hash_result(run_experiment(c.cfg)), c.hash);
+    ++rows;
+  }
+  return rows;
+}
+
+TEST(Determinism, GoldenChainAndCrossTopologiesPinned) {
+  EXPECT_EQ(expect_pins(PinGroup::kChainAndCross), 2);
+}
+
+TEST(Determinism, GoldenStaticRoutingChainPinned) {
+  EXPECT_EQ(expect_pins(PinGroup::kStaticRoutingChain), 1);
+}
+
+TEST(Determinism, GoldenRandomizedFieldsPinned) {
+  EXPECT_EQ(expect_pins(PinGroup::kRandomizedFields), 12);
 }
 
 TEST(Determinism, CityBatchIsJobsInvariant) {

@@ -2,6 +2,8 @@
 // the Table 5.1 simulation parameters.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "scenario/experiment.h"
 #include "scenario/network.h"
 
@@ -88,14 +90,24 @@ TEST(ExperimentApi, FactoryBuildsEveryVariant) {
   Network net(1);
   build_chain(net, 1);
   net.use_static_routing();
-  for (TcpVariant v :
-       {TcpVariant::kTahoe, TcpVariant::kReno, TcpVariant::kNewReno,
-        TcpVariant::kSack, TcpVariant::kVegas, TcpVariant::kMuzha}) {
+  for (const VariantInfo& v : variant_table()) {
     TcpConfig cfg;
     cfg.dst = 1;
-    auto agent = make_tcp_agent(v, net.sim(), net.node(0), cfg);
-    ASSERT_NE(agent, nullptr) << variant_name(v);
+    auto agent = make_tcp_agent(v.variant, net.sim(), net.node(0), cfg);
+    ASSERT_NE(agent, nullptr) << v.name;
   }
+}
+
+TEST(ExperimentApi, VariantNamesParseBackAndUnknownNamesAreRejected) {
+  for (const VariantInfo& v : variant_table()) {
+    EXPECT_EQ(parse_variant(variant_name(v.variant)), v.variant) << v.name;
+  }
+  // Case-insensitive, so the CLI takes lower-case names.
+  EXPECT_EQ(parse_variant("newreno+ecn"), TcpVariant::kNewRenoEcn);
+  EXPECT_EQ(parse_variant("westwood"), TcpVariant::kWestwood);
+  EXPECT_EQ(parse_variant("cubic"), std::nullopt);
+  EXPECT_EQ(parse_variant(""), std::nullopt);
+  EXPECT_EQ(parse_variant("newreno+"), std::nullopt);
 }
 
 TEST(ExperimentApi, MuzhaRoutersEnabledAutomatically) {

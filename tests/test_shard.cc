@@ -1,27 +1,27 @@
-// Differential and property battery for the sharded event cores
+// Property battery for the sharded event cores
 // (src/scenario/sharded_experiment.h).
 //
-// Three layers of evidence that sharding never changes the physics:
+// A one-core run never enters the sharded engine: run_experiment() builds
+// it on the calling thread through the same build_stack()/collect() every
+// shard uses (src/scenario/stack.h), and its results are pinned in
+// test_determinism.cc. This suite covers what only shards > 1 add:
 //
-//  1. Differential: the engine at shards == 1 must be BIT-IDENTICAL to the
-//     classic single-core run_experiment() — on the 200-node city golden
-//     pin and on randomized dense/sparse/mobile/manhattan fields. The
-//     window loop slices run_until() into lookahead epochs; slicing a
-//     sequential schedule cannot reorder it.
-//
-//  2. Determinism: shards > 1 draws per-shard RNG streams (a different,
+//  1. Determinism: shards > 1 draws per-shard RNG streams (a different,
 //     equally valid sample), so it is pinned by its own golden hashes and
 //     must reproduce them run-to-run and for every shard_jobs value — the
 //     (tx_time, src_shard, seq) merge order is the only cross-shard channel
 //     and is independent of thread scheduling.
 //
-//  3. Causality: the conservative lookahead keeps every boundary frame in
+//  2. Causality: the conservative lookahead keeps every boundary frame in
 //     the receiving shard's future. Channel::deliver MUZHA_DCHECKs the
 //     invariant (and the scheduler MUZHA_ASSERTs it unconditionally); the
 //     property test runs randomized boundary traffic between tightly
 //     coupled shards under those checks, and the death test proves the trap
 //     actually fires when the lookahead is forced past the propagation
 //     bound.
+//
+// Plus unit tests of the merge order, the territory geometry and the
+// lookahead bound.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -35,10 +35,8 @@
 namespace muzha {
 namespace {
 
-using muzha::testing::city_golden_config;
 using muzha::testing::expect_results_identical;
 using muzha::testing::hash_result;
-using muzha::testing::kGoldenCityHash;
 
 // ---------------------------------------------------------------------------
 // Deterministic merge order: (tx_time, src_shard, seq), a strict total order.
@@ -177,82 +175,6 @@ TEST(ShardLookahead, MinimumOverCoupledPairsOnly) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: engine at shards == 1 vs the classic single-core path.
-// run_experiment() dispatches to the engine only when cfg.shards != 1, so
-// calling run_sharded_experiment() directly pits the window loop against
-// the plain run_until() on identical configs.
-
-TEST(ShardK1Differential, CityGoldenPinReproducedThroughTheEngine) {
-  ExperimentResult r = run_sharded_experiment(city_golden_config());
-  ASSERT_EQ(r.flows.size(), 4u);
-  EXPECT_EQ(hash_result(r), kGoldenCityHash);
-}
-
-TEST(ShardK1Differential, ChainAndCrossTopologies) {
-  ExperimentConfig cfg;
-  cfg.topology = TopologyKind::kChain;
-  cfg.hops = 3;
-  cfg.duration = SimTime::from_seconds(4.0);
-  cfg.seed = 42;
-  cfg.flows.push_back({TcpVariant::kMuzha, 0, 3, SimTime::zero(), 8});
-  expect_results_identical(run_experiment(cfg), run_sharded_experiment(cfg));
-
-  cfg.topology = TopologyKind::kCross;
-  cfg.hops = 4;
-  cfg.flows.push_back({TcpVariant::kNewReno, 5, 8, SimTime::zero(), 16});
-  expect_results_identical(run_experiment(cfg), run_sharded_experiment(cfg));
-}
-
-TEST(ShardK1Differential, StaticRoutingChain) {
-  // Covers the engine's global-BFS static-route rebuild (positions read
-  // back from the built network on the K == 1 path).
-  ExperimentConfig cfg;
-  cfg.topology = TopologyKind::kChain;
-  cfg.hops = 4;
-  cfg.static_routing = true;
-  cfg.duration = SimTime::from_seconds(4.0);
-  cfg.seed = 9;
-  cfg.flows.push_back({TcpVariant::kNewReno, 0, 4, SimTime::zero(), 16});
-  expect_results_identical(run_experiment(cfg), run_sharded_experiment(cfg));
-}
-
-TEST(ShardK1Differential, RandomizedFields) {
-  // Dense static, sparse mobile, and manhattan mobile fields over several
-  // seeds: every combination must be bit-identical through the engine.
-  struct FieldCase {
-    int nodes;
-    double side;
-    bool mobile;
-    TopologyKind kind;
-  };
-  const FieldCase cases[] = {
-      {48, 1200.0, false, TopologyKind::kRandomField},   // dense static
-      {30, 2500.0, true, TopologyKind::kRandomField},    // sparse mobile
-      {36, 1400.0, true, TopologyKind::kManhattanGrid},  // manhattan mobile
-  };
-  const std::uint64_t seeds[] = {1, 23, 4242};
-  for (const FieldCase& fc : cases) {
-    for (std::uint64_t seed : seeds) {
-      ExperimentConfig cfg;
-      cfg.topology = fc.kind;
-      cfg.field.nodes = fc.nodes;
-      cfg.field.width = Meters(fc.side);
-      cfg.field.height = Meters(fc.side);
-      cfg.field.mobile = fc.mobile;
-      cfg.duration = SimTime::from_seconds(3.0);
-      cfg.seed = seed;
-      cfg.flows = make_random_flows(2, fc.nodes, TcpVariant::kMuzha,
-                                    seed * 31 + 7, SimTime::from_seconds(1.0));
-      SCOPED_TRACE(::testing::Message()
-                   << "nodes=" << fc.nodes << " side=" << fc.side
-                   << " mobile=" << fc.mobile << " seed=" << seed);
-      expect_results_identical(run_experiment(cfg),
-                               run_sharded_experiment(cfg));
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // shards > 1: golden pins plus run-to-run and thread-count invariance.
 
 // Four-district mobile city: strips 1000 m wide separated by 1100 m of
@@ -275,7 +197,7 @@ ExperimentConfig district_city() {
 }
 
 // Golden hashes for the district city at shards == 2 and 4, captured at pin
-// time. The per-shard RNG streams make these distinct from the shards == 1
+// time. The per-shard RNG streams make these distinct from the one-core
 // hash of the same config — each is its own frozen sample. A shift means
 // the sharded schedule changed; re-capture only with an intentional change.
 constexpr std::uint64_t kGoldenDistrictCityShards2 = 0x6213A00032998930ull;

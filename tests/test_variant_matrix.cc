@@ -4,17 +4,18 @@
 // Westwood) against regressions that break basic delivery.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "scenario/experiment.h"
 
 namespace muzha {
 namespace {
 
-constexpr TcpVariant kAllVariants[] = {
-    TcpVariant::kTahoe,   TcpVariant::kReno,    TcpVariant::kNewReno,
-    TcpVariant::kSack,    TcpVariant::kVegas,   TcpVariant::kMuzha,
-    TcpVariant::kDoor,    TcpVariant::kAdtcp,   TcpVariant::kJersey,
-    TcpVariant::kRoVegas, TcpVariant::kNewRenoEcn, TcpVariant::kWestwood,
-};
+std::vector<TcpVariant> all_variants() {
+  std::vector<TcpVariant> out;
+  for (const VariantInfo& v : variant_table()) out.push_back(v.variant);
+  return out;
+}
 
 class VariantMatrix : public ::testing::TestWithParam<TcpVariant> {};
 
@@ -33,7 +34,7 @@ TEST_P(VariantMatrix, DeliversOverThreeHopChain) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllVariants, VariantMatrix,
-                         ::testing::ValuesIn(kAllVariants),
+                         ::testing::ValuesIn(all_variants()),
                          [](const ::testing::TestParamInfo<TcpVariant>& info) {
                            std::string n = variant_name(info.param);
                            // Sanitise for gtest names ("NewReno+ECN").
