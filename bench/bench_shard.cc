@@ -13,10 +13,10 @@
 //
 // Scenario model: a four-district mobile city. Districts are 2.5 km-wide
 // random-waypoint strips separated by 1.1 km of empty ground — wider than
-// carrier-sense range, so the shard territories are decoupled and the
-// lookahead barrier runs at its 10 ms maximum epoch (the cheap regime
-// sharding targets; tightly coupled shards are exercised by
-// tests/test_shard.cc, not measured here). Density is ~25 nodes/km² (≈5
+// carrier-sense range, so the shard territories are decoupled, the
+// lookahead has no bound, and each shard runs to the horizon in one window
+// (the cheap regime sharding targets; tightly coupled shards are exercised
+// by tests/test_shard.cc, not measured here). Density is ~25 nodes/km² (≈5
 // rx-range neighbors, so AODV actually finds multi-hop routes); Muzha flows
 // with router assistance give each core a production event mix.
 //

@@ -89,7 +89,6 @@ void Mac80211::resume_contention() {
     });
     return;
   }
-  in_backoff_phase_ = false;
   SimTime ifs = params_.difs;
   if (next_ifs_is_eifs_) {
     // EIFS = SIFS + ACK airtime + DIFS (802.11-1999 9.2.10).
@@ -111,7 +110,6 @@ void Mac80211::on_ifs_elapsed() {
     resume_contention();
     return;
   }
-  in_backoff_phase_ = true;
   if (backoff_slots_ == 0) {
     start_attempt();
   } else {
@@ -135,7 +133,6 @@ void Mac80211::on_slot_elapsed() {
 }
 
 void Mac80211::start_attempt() {
-  in_backoff_phase_ = false;
   MUZHA_ASSERT(pending_ != nullptr, "attempt with no pending packet");
   if (pending_dest_ != kBroadcastId && pending_uses_rts_) {
     send_rts();

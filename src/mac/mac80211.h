@@ -116,7 +116,6 @@ class Mac80211 {
 
   // Contention progress.
   EventId contention_event_ = kInvalidEventId;
-  bool in_backoff_phase_ = false;  // IFS passed, counting slots
   bool next_ifs_is_eifs_ = false;
   SimTime nav_until_;
 

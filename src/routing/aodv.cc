@@ -36,9 +36,8 @@ PacketPtr Aodv::make_control(std::uint32_t size_bytes) {
 void Aodv::broadcast_jittered(PacketPtr pkt) {
   SimTime jitter = SimTime::from_ns(
       sim_.rng().uniform_int(0, params_.broadcast_jitter.ns()));
-  auto shared = std::make_shared<PacketPtr>(std::move(pkt));
-  sim_.schedule_in(jitter, [this, shared] {
-    node_.device_send(std::move(*shared), kBroadcastId);
+  sim_.schedule_in(jitter, [this, pkt = std::move(pkt)]() mutable {
+    node_.device_send(std::move(pkt), kBroadcastId);
   });
 }
 

@@ -4,12 +4,13 @@
 // routes, destination and intermediate RREP, RERR propagation on MAC
 // link-layer failure (the paper's nodes are static, so link failures come
 // from retry exhaustion under contention), RREQ retries with binary
-// exponential backoff, destination sequence numbers, route lifetimes, and
-// buffering of data packets during discovery.
+// exponential backoff, destination sequence numbers, route lifetimes,
+// buffering of data packets during discovery, and optional expanding-ring
+// search (AodvParams::expanding_ring, off by default).
 //
 // Omitted relative to the RFC (not exercised by the paper's scenarios):
-// HELLO messages (link failure comes from the MAC), expanding-ring search,
-// local repair, gratuitous RREP.
+// HELLO messages (link failure comes from the MAC), local repair,
+// gratuitous RREP.
 #pragma once
 
 #include <cstdint>

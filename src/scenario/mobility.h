@@ -25,15 +25,9 @@
 
 namespace muzha {
 
-class MobilityModel {
- public:
-  virtual ~MobilityModel() = default;
-  virtual void start() = 0;
-};
-
 // Moves one node along a fixed velocity vector, optionally bouncing between
 // two endpoints.
-class LinearMobility final : public MobilityModel {
+class LinearMobility {
  public:
   struct Config {
     MetersPerSecond vx;
@@ -45,7 +39,7 @@ class LinearMobility final : public MobilityModel {
   LinearMobility(Simulator& sim, Node& node, Config cfg)
       : sim_(sim), node_(node), cfg_(cfg) {}
 
-  void start() override { schedule(); }
+  void start() { schedule(); }
 
   void set_velocity(MetersPerSecond vx, MetersPerSecond vy) {
     cfg_.vx = vx;
@@ -72,7 +66,7 @@ class LinearMobility final : public MobilityModel {
 };
 
 // Random waypoint over a rectangle.
-class RandomWaypointMobility final : public MobilityModel {
+class RandomWaypointMobility {
  public:
   struct Config {
     double min_x = 0.0, max_x = 1000.0;
@@ -86,7 +80,7 @@ class RandomWaypointMobility final : public MobilityModel {
   RandomWaypointMobility(Simulator& sim, Node& node, Config cfg)
       : sim_(sim), node_(node), cfg_(cfg) {}
 
-  void start() override;
+  void start();
 
   Position waypoint() const { return waypoint_; }
   MetersPerSecond speed() const { return speed_; }

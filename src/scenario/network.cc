@@ -70,11 +70,6 @@ void Network::enable_red_ecn_routers(RedParams params) {
   }
 }
 
-BandwidthEstimator* Network::estimator(std::size_t i) {
-  if (i >= drai_sources_.size()) return nullptr;
-  return dynamic_cast<BandwidthEstimator*>(drai_sources_[i].get());
-}
-
 std::vector<NodeId> add_nodes(Network& net,
                               const std::vector<Position>& positions) {
   std::vector<NodeId> ids;

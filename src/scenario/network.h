@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/bandwidth_estimator.h"
 #include "core/drai.h"
 #include "net/agent.h"
 #include "net/node.h"
@@ -54,7 +53,6 @@ class Network {
   // Attaches a Muzha bandwidth estimator / DRAI source to every node
   // (routers assist all passing Muzha flows).
   void enable_muzha_routers(DraiConfig cfg = {});
-  BandwidthEstimator* estimator(std::size_t i);
 
   // Attaches RED/ECN single-bit markers instead (the paper's Sec. 3.2
   // comparison point). Mutually exclusive with enable_muzha_routers.

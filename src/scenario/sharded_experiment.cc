@@ -25,60 +25,24 @@
 
 namespace muzha {
 
-double shard_box_gap(const ShardBox& a, const ShardBox& b) {
+double rect_gap(const Rect& a, const Rect& b) {
   double dx = std::max({0.0, b.x0 - a.x1, a.x0 - b.x1});
   double dy = std::max({0.0, b.y0 - a.y1, a.y0 - b.y1});
   return std::sqrt(dx * dx + dy * dy);
 }
 
-double shard_box_distance(Position p, const ShardBox& box) {
-  double dx = std::max({0.0, box.x0 - p.x, p.x - box.x1});
-  double dy = std::max({0.0, box.y0 - p.y, p.y - box.y1});
+double rect_distance(Position p, const Rect& r) {
+  double dx = std::max({0.0, r.x0 - p.x, p.x - r.x1});
+  double dy = std::max({0.0, r.y0 - p.y, p.y - r.y1});
   return std::sqrt(dx * dx + dy * dy);
 }
 
-std::vector<double> shard_cuts(std::vector<double> xs, int shards,
-                               Meters cell_size) {
-  MUZHA_ASSERT(shards >= 1, "need at least one shard");
-  MUZHA_ASSERT(xs.size() >= static_cast<std::size_t>(shards),
-               "fewer nodes than shards");
-  std::sort(xs.begin(), xs.end());
-  // Rank inter-node gaps widest first; ties break toward the lower x so the
-  // choice is deterministic.
-  struct Gap {
-    double width;
-    double lo, hi;
-  };
-  std::vector<Gap> gaps;
-  gaps.reserve(xs.size() - 1);
-  for (std::size_t i = 0; i + 1 < xs.size(); ++i) {
-    gaps.push_back(Gap{xs[i + 1] - xs[i], xs[i], xs[i + 1]});
-  }
-  std::sort(gaps.begin(), gaps.end(), [](const Gap& a, const Gap& b) {
-    if (a.width != b.width) return a.width > b.width;
-    return a.lo < b.lo;
-  });
-  std::vector<double> cuts;
-  cuts.reserve(static_cast<std::size_t>(shards) - 1);
-  for (int c = 0; c < shards - 1; ++c) {
-    const Gap& g = gaps[static_cast<std::size_t>(c)];
-    double mid = 0.5 * (g.lo + g.hi);
-    // Align with a spatial-grid cell boundary when one falls strictly
-    // inside the gap; cell-aligned cuts keep each shard's grid cells whole.
-    double snapped = std::round(mid / cell_size.value()) * cell_size.value();
-    cuts.push_back(snapped > g.lo && snapped < g.hi ? snapped : mid);
-  }
-  std::sort(cuts.begin(), cuts.end());
-  return cuts;
-}
-
-SimTime conservative_lookahead(const std::vector<ShardBox>& boxes,
-                               Meters cs_range, MetersPerSecond propagation,
-                               SimTime max_epoch) {
-  SimTime lookahead = max_epoch;
-  for (std::size_t i = 0; i < boxes.size(); ++i) {
-    for (std::size_t j = i + 1; j < boxes.size(); ++j) {
-      double gap = shard_box_gap(boxes[i], boxes[j]);
+SimTime conservative_lookahead(const std::vector<Rect>& territories,
+                               Meters cs_range, MetersPerSecond propagation) {
+  SimTime lookahead = SimTime::max();
+  for (std::size_t i = 0; i < territories.size(); ++i) {
+    for (std::size_t j = i + 1; j < territories.size(); ++j) {
+      double gap = rect_gap(territories[i], territories[j]);
       // Pairs farther apart than carrier-sense range never exchange frames
       // (the outbox filter drops them), so they do not constrain the window.
       if (gap > cs_range.value()) continue;
@@ -95,29 +59,25 @@ SimTime conservative_lookahead(const std::vector<ShardBox>& boxes,
 
 namespace {
 
-// Upper bound on the lookahead window; also the window when every shard
-// pair is farther apart than carrier-sense range (fully decoupled).
-constexpr SimTime kShardMaxEpoch = SimTime::from_ms(10);
-
 // BoundarySink recording every local transmission that could reach foreign
 // territory. Runs inside Channel::transmit on the shard's worker thread;
 // drained by the orchestrator at the barrier.
 class ShardOutbox final : public BoundarySink {
  public:
   void init(Simulator* sim, std::uint32_t shard, Meters cs_range,
-            const std::vector<ShardBox>* boxes) {
+            const std::vector<Rect>* territories) {
     sim_ = sim;
     shard_ = shard;
     cs_range_ = cs_range;
-    boxes_ = boxes;
+    territories_ = territories;
   }
 
   void on_transmit(Position src_pos, const Packet& pkt,
                    SimTime duration) override {
     std::uint64_t mask = 0;
-    for (std::size_t t = 0; t < boxes_->size(); ++t) {
+    for (std::size_t t = 0; t < territories_->size(); ++t) {
       if (t == shard_) continue;
-      if (shard_box_distance(src_pos, (*boxes_)[t]) <= cs_range_.value()) {
+      if (rect_distance(src_pos, (*territories_)[t]) <= cs_range_.value()) {
         mask |= std::uint64_t{1} << t;
       }
     }
@@ -139,7 +99,7 @@ class ShardOutbox final : public BoundarySink {
   Simulator* sim_ = nullptr;
   std::uint32_t shard_ = 0;
   Meters cs_range_ = Meters(0.0);
-  const std::vector<ShardBox>* boxes_ = nullptr;
+  const std::vector<Rect>* territories_ = nullptr;
   std::uint64_t next_seq_ = 0;
   std::vector<BoundaryMessage> msgs_;
 };
@@ -170,56 +130,33 @@ ExperimentResult run_sharded_experiment(const ExperimentConfig& cfg,
   MUZHA_ASSERT(is_field_topology(cfg.topology),
                "shards > 1 needs a field topology (kRandomField or "
                "kManhattanGrid)");
-  if (cfg.field.mobile) {
-    MUZHA_ASSERT(cfg.field.districts >= K,
-                 "a mobile field needs at least one district per shard so "
-                 "node->shard ownership stays static");
-  }
+  MUZHA_ASSERT(cfg.field.districts >= K,
+               "a sharded field needs at least one district per shard: "
+               "territories are runs of whole district strips");
   const PhyParams phy{};  // run_experiment builds with default radio params
 
-  // --- Partition: draw the global placement, assign nodes to shards, and
-  // bound each shard's territory. All static; no network exists yet.
+  // --- Partition: draw the global placement and deal the x-ordered
+  // district strips to shards contiguously. A node is placed in its strip
+  // and never moves out of it, so a territory — the Rect spanning its
+  // shard's strips — is exact. All static; no network exists yet.
   Rng placement_rng(cfg.seed);
   const std::vector<Position> gpos = node_positions(cfg, placement_rng);
-  std::vector<std::vector<std::size_t>> members(static_cast<std::size_t>(K));
-  std::vector<ShardBox> boxes(static_cast<std::size_t>(K));
-  auto assign = [&](std::size_t i, int s, ShardBox extent) {
-    std::vector<std::size_t>& m = members[static_cast<std::size_t>(s)];
-    ShardBox& b = boxes[static_cast<std::size_t>(s)];
-    if (m.empty()) {
-      b = extent;
-    } else {
-      b.x0 = std::min(b.x0, extent.x0);
-      b.x1 = std::max(b.x1, extent.x1);
-      b.y0 = std::min(b.y0, extent.y0);
-      b.y1 = std::max(b.y1, extent.y1);
-    }
-    m.push_back(i);
+  const int D = cfg.field.districts;
+  auto shard_of = [K, D](int district) {
+    return static_cast<std::size_t>(district * K / D);
   };
-  if (cfg.field.mobile) {
-    // Districts are x-ordered strips; deal them out contiguously so each
-    // shard's territory is one run of strips. A node's motion never leaves
-    // its district rectangle, so the territory is exact.
-    const int d_total = cfg.field.districts;
-    for (std::size_t i = 0; i < gpos.size(); ++i) {
-      int d = district_of(cfg.field, i);
-      Rect r = district_rect(cfg.field, d);
-      assign(i, d * K / d_total, ShardBox{r.x0, r.x1, r.y0, r.y1});
-    }
-  } else {
-    // Static field: cut at the widest x gaps; territory is the bounding box
-    // of the member positions.
-    std::vector<double> xs;
-    xs.reserve(gpos.size());
-    for (const Position& p : gpos) xs.push_back(p.x);
-    std::vector<double> cuts = shard_cuts(xs, K, phy.cs_range);
-    for (std::size_t i = 0; i < gpos.size(); ++i) {
-      int s = 0;
-      for (double c : cuts) {
-        if (gpos[i].x >= c) ++s;
-      }
-      assign(i, s, ShardBox{gpos[i].x, gpos[i].x, gpos[i].y, gpos[i].y});
-    }
+  std::vector<Rect> territories(static_cast<std::size_t>(K));
+  for (int d = 0; d < D; ++d) {
+    // Strips are x-ordered and full height: a run of them spans from its
+    // first strip's x0 to its last strip's x1.
+    const Rect strip = district_rect(cfg.field, d);
+    Rect& t = territories[shard_of(d)];
+    if (d == 0 || shard_of(d - 1) != shard_of(d)) t = strip;
+    t.x1 = strip.x1;
+  }
+  std::vector<std::vector<std::size_t>> members(static_cast<std::size_t>(K));
+  for (std::size_t i = 0; i < gpos.size(); ++i) {
+    members[shard_of(district_of(cfg.field, i))].push_back(i);
   }
   for (const std::vector<std::size_t>& m : members) {
     MUZHA_ASSERT(!m.empty(), "a shard ended up with no nodes");
@@ -228,8 +165,7 @@ ExperimentResult run_sharded_experiment(const ExperimentConfig& cfg,
   SimTime lookahead =
       dbg.force_lookahead > SimTime::zero()
           ? dbg.force_lookahead
-          : conservative_lookahead(boxes, phy.cs_range, phy.propagation,
-                                   kShardMaxEpoch);
+          : conservative_lookahead(territories, phy.cs_range, phy.propagation);
   MUZHA_ASSERT(lookahead > SimTime::zero(), "lookahead must be positive");
 
   // --- Per-shard build, on each shard's sticky owner thread. Node ids are
@@ -248,7 +184,7 @@ ExperimentResult run_sharded_experiment(const ExperimentConfig& cfg,
     st->stack = build_stack(cfg, *st->net, gpos,
                             members[static_cast<std::size_t>(s)]);
     st->outbox.init(&st->net->sim(), static_cast<std::uint32_t>(s),
-                    phy.cs_range, &boxes);
+                    phy.cs_range, &territories);
     st->net->channel().set_boundary_sink(&st->outbox);
     states[static_cast<std::size_t>(s)] = std::move(st);
   });
@@ -266,7 +202,9 @@ ExperimentResult run_sharded_experiment(const ExperimentConfig& cfg,
       if (!st->inbox.empty()) pending_inbox = true;
     }
     if (window_start >= cfg.duration && !pending_inbox) break;
-    const SimTime window_end = window_start + lookahead;
+    // Saturating add: with no bound, one window runs to the horizon.
+    const SimTime window_end =
+        window_start + std::min(lookahead, SimTime::max() - window_start);
     const SimTime target = std::min(window_end - one_ns, cfg.duration);
     exec.run_phase([&states, target](int s) {
       ShardState& st = *states[static_cast<std::size_t>(s)];
@@ -297,7 +235,7 @@ ExperimentResult run_sharded_experiment(const ExperimentConfig& cfg,
     } else {
       // Quiet barrier: no frame is in flight between shards, so the next
       // window may open at the earliest pending event anywhere instead of
-      // grinding through empty lookahead epochs.
+      // grinding through empty lookahead windows.
       SimTime min_next = SimTime::max();
       for (const auto& st : states) {
         min_next = std::min(min_next, st->net->sim().next_event_time());

@@ -1,11 +1,13 @@
 // Conservative parallel execution of one experiment: spatial shards, one
 // event core per shard, synchronized by a lookahead barrier.
 //
-// The field is partitioned into `cfg.shards` slices along the x axis. Each
-// shard owns a disjoint subset of the nodes and runs them on a private
-// Simulator (scheduler + RNG) — a full per-shard Network — on a sticky
-// worker thread (sim/shard_exec.h). Time advances in globally agreed
-// windows [T, T+L): every shard executes its local events inside the
+// The field's district strips (FieldConfig::districts, x-ordered) are dealt
+// to the `cfg.shards` shards contiguously — shard = district * K / D — for
+// static and mobile fields alike, and a shard's territory is the Rect
+// spanning its strips. Each shard owns the nodes of its districts and runs
+// them on a private Simulator (scheduler + RNG) — a full per-shard Network —
+// on a sticky worker thread (sim/shard_exec.h). Time advances in globally
+// agreed windows [T, T+L): every shard executes its local events inside the
 // window, records each local transmission that could reach another shard's
 // territory (phy/channel.h BoundarySink), and stops. At the barrier the
 // orchestrator routes the recorded frames to their destination shards,
@@ -13,12 +15,14 @@
 // opens.
 //
 // Correctness rests on the conservative lookahead: L never exceeds the
-// propagation delay across the smallest gap between two coupled shards'
+// propagation delay across the smallest gap between two coupled
 // territories, so a frame transmitted anywhere in window [T, T+L) arrives
 // at a foreign shard no earlier than T+L — always in the receiver's future.
 // Channel::deliver MUZHA_DCHECKs exactly that (the causality invariant).
-// Territories are static: a mobile node's random-waypoint rectangle is its
-// district strip (FieldConfig::districts), so node->shard ownership never
+// When no pair of territories is within carrier-sense range no frame ever
+// crosses, nothing bounds L, and the run reaches its horizon in one window.
+// Territories are static: a node is placed in its district strip and its
+// random-waypoint motion stays inside it, so node->shard ownership never
 // changes and the gap between territories never shrinks.
 //
 // Every shard builds its nodes, flows and routers through the same
@@ -41,6 +45,7 @@
 
 #include "phy/position.h"
 #include "pkt/packet.h"
+#include "scenario/city.h"
 #include "scenario/experiment.h"
 #include "sim/sim_time.h"
 #include "sim/units.h"
@@ -70,42 +75,25 @@ inline bool boundary_message_order(const BoundaryMessage& a,
   return a.seq < b.seq;
 }
 
-// Per-shard static territory: the union of the motion bounds of its nodes
-// (the node position itself when static, its district rectangle when
-// mobile). Nothing a shard owns ever leaves its box.
-struct ShardBox {
-  double x0 = 0.0, x1 = 0.0;
-  double y0 = 0.0, y1 = 0.0;
-};
-
 // Minimum distance between two territories (0 when they touch or overlap).
-double shard_box_gap(const ShardBox& a, const ShardBox& b);
+double rect_gap(const Rect& a, const Rect& b);
 
 // Minimum distance from a point to a territory (0 when inside).
-double shard_box_distance(Position p, const ShardBox& box);
+double rect_distance(Position p, const Rect& r);
 
-// Cut lines for partitioning a STATIC field: the shards-1 widest gaps of
-// the sorted x coordinates, each cut placed at the cell_size multiple
-// nearest the gap midpoint when one lies strictly inside the gap (so cuts
-// align with spatial-grid cell boundaries), else at the raw midpoint.
-// Returned ascending. Node -> shard is then "number of cuts <= x".
-// Asserts xs.size() >= shards.
-std::vector<double> shard_cuts(std::vector<double> xs, int shards,
-                               Meters cell_size);
-
-// The conservative window width: min over coupled shard pairs (gap at most
-// cs_range — only those ever exchange frames) of the propagation delay
-// across the pair's territory gap, floored at 1 ns; max_epoch when every
-// pair is decoupled. Never exceeds max_epoch.
-SimTime conservative_lookahead(const std::vector<ShardBox>& boxes,
-                               Meters cs_range, MetersPerSecond propagation,
-                               SimTime max_epoch);
+// The conservative window width: min over coupled territory pairs (gap at
+// most cs_range — only those ever exchange frames) of the propagation delay
+// across the pair's gap, floored at 1 ns. SimTime::max() — no bound — when
+// no pair is coupled.
+SimTime conservative_lookahead(const std::vector<Rect>& territories,
+                               Meters cs_range, MetersPerSecond propagation);
 
 // Testing hooks.
 struct ShardDebugOptions {
-  // Overrides the computed lookahead window. Used by the causality death
-  // test: a window wider than the minimum cross-shard propagation delay
-  // must trip the MUZHA_DCHECK in Channel::deliver.
+  // Overrides the computed lookahead window. Used by the tests: a window
+  // wider than the minimum cross-shard propagation delay must trip the
+  // MUZHA_DCHECK in Channel::deliver, and a decoupled city must give the
+  // same results whatever the window.
   SimTime force_lookahead;  // 0 = use conservative_lookahead()
 };
 
@@ -113,7 +101,7 @@ struct ShardDebugOptions {
 // cfg.shards != 1. Requirements:
 //  - 2 <= shards <= 64;
 //  - topology kRandomField or kManhattanGrid;
-//  - mobile fields need field.districts >= shards (ownership stays static);
+//  - field.districts >= shards (each shard gets at least one strip);
 //  - at least one node per shard.
 ExperimentResult run_sharded_experiment(const ExperimentConfig& cfg,
                                         const ShardDebugOptions& dbg = {});

@@ -47,11 +47,6 @@ class ShardExecutor {
   // via run_phase — the destructor runs no user code.
   ~ShardExecutor();
 
-  int shards() const { return shards_; }
-  int workers() const { return static_cast<int>(threads_.size()); }
-  // The worker index that owns shard s (sticky for the executor lifetime).
-  int owner_of(int shard) const { return shard % workers(); }
-
   // Runs fn(shard) for every shard on that shard's owner worker; returns
   // when all K calls have completed. Must be called from the orchestrator
   // thread (never from inside a phase). Exceptions must not escape fn —

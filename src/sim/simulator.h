@@ -1,4 +1,4 @@
-// Simulator context: owns the scheduler, RNG and logger.
+// Simulator context: owns the scheduler and RNG.
 //
 // There is deliberately no global simulator instance; every component takes a
 // Simulator& so multiple independent simulations can coexist in one process
@@ -6,8 +6,8 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
-#include "sim/log.h"
 #include "sim/rng.h"
 #include "sim/scheduler.h"
 #include "sim/sim_time.h"
@@ -24,7 +24,6 @@ class Simulator {
   SimTime next_event_time() const { return scheduler_.next_event_time(); }
   Scheduler& scheduler() { return scheduler_; }
   Rng& rng() { return rng_; }
-  Logger& logger() { return logger_; }
 
   template <typename F>
   EventId schedule_at(SimTime t, F&& cb) {
@@ -43,7 +42,6 @@ class Simulator {
  private:
   Scheduler scheduler_;
   Rng rng_;
-  Logger logger_;
 };
 
 }  // namespace muzha

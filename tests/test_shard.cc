@@ -73,104 +73,62 @@ TEST(ShardMergeOrder, IsStrict) {
 // Territory geometry and the lookahead bound.
 
 TEST(ShardGeometry, BoxGapIsZeroWhenTouchingOrOverlapping) {
-  ShardBox a{0.0, 100.0, 0.0, 100.0};
-  EXPECT_EQ(shard_box_gap(a, ShardBox{50.0, 150.0, 50.0, 150.0}), 0.0);
-  EXPECT_EQ(shard_box_gap(a, ShardBox{100.0, 200.0, 0.0, 100.0}), 0.0);
+  Rect a{0.0, 100.0, 0.0, 100.0};
+  EXPECT_EQ(rect_gap(a, Rect{50.0, 150.0, 50.0, 150.0}), 0.0);
+  EXPECT_EQ(rect_gap(a, Rect{100.0, 200.0, 0.0, 100.0}), 0.0);
 }
 
 TEST(ShardGeometry, BoxGapAxisAndDiagonal) {
-  ShardBox a{0.0, 100.0, 0.0, 100.0};
-  EXPECT_DOUBLE_EQ(shard_box_gap(a, ShardBox{400.0, 500.0, 0.0, 100.0}),
-                   300.0);
+  Rect a{0.0, 100.0, 0.0, 100.0};
+  EXPECT_DOUBLE_EQ(rect_gap(a, Rect{400.0, 500.0, 0.0, 100.0}), 300.0);
   // Diagonal separation: dx = 300, dy = 400 -> 500.
-  EXPECT_DOUBLE_EQ(shard_box_gap(a, ShardBox{400.0, 500.0, 500.0, 600.0}),
-                   500.0);
+  EXPECT_DOUBLE_EQ(rect_gap(a, Rect{400.0, 500.0, 500.0, 600.0}), 500.0);
   // Symmetric.
-  EXPECT_DOUBLE_EQ(shard_box_gap(ShardBox{400.0, 500.0, 0.0, 100.0}, a),
-                   300.0);
+  EXPECT_DOUBLE_EQ(rect_gap(Rect{400.0, 500.0, 0.0, 100.0}, a), 300.0);
 }
 
 TEST(ShardGeometry, PointToBoxDistance) {
-  ShardBox b{100.0, 200.0, 100.0, 200.0};
-  EXPECT_EQ(shard_box_distance({150.0, 150.0}, b), 0.0);  // inside
-  EXPECT_DOUBLE_EQ(shard_box_distance({0.0, 150.0}, b), 100.0);
-  EXPECT_DOUBLE_EQ(shard_box_distance({70.0, 60.0}, b), 50.0);  // 30-40-50
-}
-
-TEST(ShardCuts, CutsWidestGapsAndSnapsToCells) {
-  // Two clusters with a wide gap; the raw midpoint is 6 and no multiple of
-  // 550 lies strictly inside (2, 10), so the cut stays at the midpoint.
-  std::vector<double> cuts =
-      shard_cuts({0.0, 1.0, 2.0, 10.0, 11.0, 12.0}, 2, Meters(550.0));
-  ASSERT_EQ(cuts.size(), 1u);
-  EXPECT_DOUBLE_EQ(cuts[0], 6.0);
-
-  // With 5 m cells the multiple 5 falls inside (2, 10): the cut aligns with
-  // the cell boundary instead of the raw midpoint.
-  cuts = shard_cuts({0.0, 1.0, 2.0, 10.0, 11.0, 12.0}, 2, Meters(5.0));
-  ASSERT_EQ(cuts.size(), 1u);
-  EXPECT_DOUBLE_EQ(cuts[0], 5.0);
-}
-
-TEST(ShardCuts, ReturnsSortedCutsForThreeShards) {
-  // Gaps: (2,10) width 8 and (12,17) width 5 are the two widest.
-  std::vector<double> cuts =
-      shard_cuts({0.0, 2.0, 10.0, 12.0, 17.0, 18.0}, 3, Meters(550.0));
-  ASSERT_EQ(cuts.size(), 2u);
-  EXPECT_DOUBLE_EQ(cuts[0], 6.0);
-  EXPECT_DOUBLE_EQ(cuts[1], 14.5);
+  Rect b{100.0, 200.0, 100.0, 200.0};
+  EXPECT_EQ(rect_distance({150.0, 150.0}, b), 0.0);  // inside
+  EXPECT_DOUBLE_EQ(rect_distance({0.0, 150.0}, b), 100.0);
+  EXPECT_DOUBLE_EQ(rect_distance({70.0, 60.0}, b), 50.0);  // 30-40-50
 }
 
 TEST(ShardLookahead, PropagationAcrossTheGap) {
   // 300 m at 3e8 m/s is exactly 1000 ns.
-  std::vector<ShardBox> boxes{{0.0, 100.0, 0.0, 100.0},
-                              {400.0, 500.0, 0.0, 100.0}};
-  SimTime l = conservative_lookahead(boxes, Meters(550.0),
-                                     MetersPerSecond(3.0e8),
-                                     SimTime::from_ms(10));
+  std::vector<Rect> territories{{0.0, 100.0, 0.0, 100.0},
+                                {400.0, 500.0, 0.0, 100.0}};
+  SimTime l = conservative_lookahead(territories, Meters(550.0),
+                                     MetersPerSecond(3.0e8));
   EXPECT_EQ(l, SimTime::from_ns(1000));
 }
 
 TEST(ShardLookahead, TouchingTerritoriesFloorAtOneNanosecond) {
-  std::vector<ShardBox> boxes{{0.0, 100.0, 0.0, 100.0},
-                              {100.0, 200.0, 0.0, 100.0}};
-  SimTime l = conservative_lookahead(boxes, Meters(550.0),
-                                     MetersPerSecond(3.0e8),
-                                     SimTime::from_ms(10));
+  std::vector<Rect> territories{{0.0, 100.0, 0.0, 100.0},
+                                {100.0, 200.0, 0.0, 100.0}};
+  SimTime l = conservative_lookahead(territories, Meters(550.0),
+                                     MetersPerSecond(3.0e8));
   EXPECT_EQ(l, SimTime::from_ns(1));
 }
 
-TEST(ShardLookahead, DecoupledShardsUseMaxEpoch) {
-  // Gap 600 m > carrier-sense range 550 m: no frame ever crosses, the
-  // window is bounded only by max_epoch.
-  std::vector<ShardBox> boxes{{0.0, 100.0, 0.0, 100.0},
-                              {700.0, 800.0, 0.0, 100.0}};
-  SimTime l = conservative_lookahead(boxes, Meters(550.0),
-                                     MetersPerSecond(3.0e8),
-                                     SimTime::from_ms(10));
-  EXPECT_EQ(l, SimTime::from_ms(10));
-}
-
-TEST(ShardLookahead, ClampedByMaxEpoch) {
-  // A coupled pair whose propagation delay exceeds max_epoch still honours
-  // the epoch bound.
-  std::vector<ShardBox> boxes{{0.0, 100.0, 0.0, 100.0},
-                              {400.0, 500.0, 0.0, 100.0}};
-  SimTime l = conservative_lookahead(boxes, Meters(550.0),
-                                     MetersPerSecond(3.0e8),
-                                     SimTime::from_ns(400));
-  EXPECT_EQ(l, SimTime::from_ns(400));
+TEST(ShardLookahead, DecoupledShardsHaveNoBound) {
+  // Gap 600 m > carrier-sense range 550 m: no frame ever crosses, so
+  // nothing bounds the window and the run goes to its horizon in one.
+  std::vector<Rect> territories{{0.0, 100.0, 0.0, 100.0},
+                                {700.0, 800.0, 0.0, 100.0}};
+  SimTime l = conservative_lookahead(territories, Meters(550.0),
+                                     MetersPerSecond(3.0e8));
+  EXPECT_EQ(l, SimTime::max());
 }
 
 TEST(ShardLookahead, MinimumOverCoupledPairsOnly) {
   // Three territories: (0,1) gap 300 -> 1000 ns, (1,2) gap 600 decoupled,
   // (0,2) gap 1200 decoupled. The minimum is over coupled pairs only.
-  std::vector<ShardBox> boxes{{0.0, 100.0, 0.0, 100.0},
-                              {400.0, 500.0, 0.0, 100.0},
-                              {1100.0, 1200.0, 0.0, 100.0}};
-  SimTime l = conservative_lookahead(boxes, Meters(550.0),
-                                     MetersPerSecond(3.0e8),
-                                     SimTime::from_ms(10));
+  std::vector<Rect> territories{{0.0, 100.0, 0.0, 100.0},
+                                {400.0, 500.0, 0.0, 100.0},
+                                {1100.0, 1200.0, 0.0, 100.0}};
+  SimTime l = conservative_lookahead(territories, Meters(550.0),
+                                     MetersPerSecond(3.0e8));
   EXPECT_EQ(l, SimTime::from_ns(1000));
 }
 
@@ -178,8 +136,8 @@ TEST(ShardLookahead, MinimumOverCoupledPairsOnly) {
 // shards > 1: golden pins plus run-to-run and thread-count invariance.
 
 // Four-district mobile city: strips 1000 m wide separated by 1100 m of
-// empty ground (decoupled at carrier-sense range, so the barrier runs at
-// max_epoch), one Muzha flow per district.
+// empty ground (decoupled at carrier-sense range, so the lookahead has no
+// bound and each run is one window), one Muzha flow per district.
 ExperimentConfig district_city() {
   ExperimentConfig cfg;
   cfg.topology = TopologyKind::kRandomField;
@@ -248,13 +206,28 @@ TEST(ShardDeterminism, FourShardsJobsInvariant) {
   expect_results_identical(a, run_experiment(cfg));
 }
 
+TEST(ShardDeterminism, DecoupledCityIsWindowInvariant) {
+  // Decoupled territories exchange no frame, so cutting the run into 1 ms
+  // windows must change nothing: the one-window default and 3000 barriers
+  // give bitwise identical results at K = 2 and K = 4.
+  ShardDebugOptions one_ms;
+  one_ms.force_lookahead = SimTime::from_ms(1);
+  for (int shards : {2, 4}) {
+    SCOPED_TRACE(::testing::Message() << "shards=" << shards);
+    ExperimentConfig cfg = district_city();
+    cfg.shards = shards;
+    expect_results_identical(run_experiment(cfg),
+                             run_sharded_experiment(cfg, one_ms));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Coupled shards: cross-boundary physics and the causality property.
 
 // Two dense static clusters `gap` metres apart (both within carrier-sense
-// coupling for gap < 550), one flow inside each cluster. The static-field
-// partitioner cuts in the gap; every transmission near the boundary ships
-// to the other shard and interferes there.
+// coupling for gap < 550), one flow inside each cluster. At two shards each
+// district strip is one territory; every transmission near the boundary
+// ships to the other shard and interferes there.
 // muzha-lint: allow(raw-unit-double): test-matrix convenience parameter, converted to Meters below
 ExperimentConfig coupled_clusters(std::uint64_t seed, double gap_m,
                                   SimTime duration) {
@@ -296,7 +269,7 @@ TEST(ShardCausality, RandomBoundaryTrafficHoldsTheInvariant) {
 TEST(ShardCausality, CrossShardTrafficReachesTheOtherShard) {
   // A flow whose source and destination land in different shards: frames
   // relay through the boundary exchange (the 200 m gap is within the 250 m
-  // decode range, so BFS routes straight across the cut). Delivery > 0
+  // decode range, so BFS routes straight across the gap). Delivery > 0
   // proves boundary messages carry real traffic, not just interference.
   ExperimentConfig cfg = coupled_clusters(5, 200.0, SimTime::from_ms(400));
   cfg.flows.clear();
@@ -341,6 +314,11 @@ TEST(ShardGuardDeath, RejectsShardedChainTopology) {
 TEST(ShardGuardDeath, RejectsMobileFieldWithFewerDistrictsThanShards) {
   ExperimentConfig cfg = district_city();  // 4 districts
   cfg.shards = 8;
+  EXPECT_DEATH(run_experiment(cfg), "district");
+  // Static fields follow the same rule: territories are district strips.
+  cfg.field.mobile = false;
+  cfg.field.districts = 1;
+  cfg.shards = 2;
   EXPECT_DEATH(run_experiment(cfg), "district");
 }
 
