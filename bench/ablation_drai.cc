@@ -4,8 +4,9 @@
 // empirical research is needed"). This bench sweeps the two dominant knobs —
 // the utilization level below which routers still recommend acceleration,
 // and the queue-occupancy band mapped to deceleration — over an 8-hop chain.
+// Runs are parallelised by run_batch (--jobs N).
 #include <cstdio>
-#include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 
@@ -13,8 +14,8 @@ int main(int argc, char** argv) {
   using namespace muzha;
   using namespace muzha::bench;
 
-  bool quick = argc > 1 && std::string(argv[1]) == "--quick";
-  const int seeds = quick ? 1 : 3;
+  BenchArgs args = parse_bench_args(argc, argv);
+  const int seeds = args.quick ? 1 : 3;
   const int hops = 8;
   const Seconds duration(30.0);
 
@@ -37,8 +38,8 @@ int main(int argc, char** argv) {
       {0.50, 0.80, 0.96, 0.05, 0.25, 0.55, 0.85, true},   // + queue gradient
   };
 
+  std::vector<ExperimentConfig> configs;
   for (const Knobs& k : sweeps) {
-    double thr = 0, retx = 0, to = 0;
     for (int s = 0; s < seeds; ++s) {
       ExperimentConfig cfg =
           chain_single_flow(TcpVariant::kMuzha, hops, 32, duration, 1 + s);
@@ -50,7 +51,16 @@ int main(int argc, char** argv) {
       cfg.drai.q_stabilize = k.q3;
       cfg.drai.q_moderate_decel = k.q2;
       cfg.drai.use_queue_gradient = k.gradient;
-      auto res = run_experiment(cfg);
+      configs.push_back(cfg);
+    }
+  }
+  std::vector<ExperimentResult> results = run_batch(configs, args.jobs);
+
+  std::size_t run = 0;
+  for (const Knobs& k : sweeps) {
+    double thr = 0, retx = 0, to = 0;
+    for (int s = 0; s < seeds; ++s) {
+      const ExperimentResult& res = results[run++];
       thr += res.flows[0].throughput.value() / 1e3;
       retx += static_cast<double>(res.flows[0].retransmissions);
       to += static_cast<double>(res.flows[0].timeouts);

@@ -4,8 +4,9 @@
 // compares (a) Muzha with discrimination, (b) Muzha treating every triple
 // dup-ACK as congestion, and (c) NewReno. The gap between (a) and (b)
 // isolates what the router-assisted marking buys under random loss.
+// Runs are parallelised by run_batch (--jobs N).
 #include <cstdio>
-#include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 
@@ -13,9 +14,9 @@ int main(int argc, char** argv) {
   using namespace muzha;
   using namespace muzha::bench;
 
-  bool quick = argc > 1 && std::string(argv[1]) == "--quick";
+  BenchArgs args = parse_bench_args(argc, argv);
   const double error_rates[] = {0.0, 0.01, 0.03, 0.05};
-  const int seeds = quick ? 1 : 3;
+  const int seeds = args.quick ? 1 : 3;
   const int hops = 8;
   const Seconds duration(30.0);
 
@@ -23,9 +24,8 @@ int main(int argc, char** argv) {
               hops);
   std::printf("%-10s %18s %18s %14s   (kbps; halvings = marked-loss events)\n",
               "loss rate", "Muzha", "Muzha(no-disc)", "NewReno");
+  std::vector<ExperimentConfig> configs;
   for (double er : error_rates) {
-    double thr[3] = {0, 0, 0};
-    double halvings[2] = {0, 0};
     for (int s = 0; s < seeds; ++s) {
       for (int mode = 0; mode < 3; ++mode) {
         ExperimentConfig cfg = chain_single_flow(
@@ -33,7 +33,19 @@ int main(int argc, char** argv) {
             duration, 1 + s);
         cfg.uniform_error_rate = er;
         cfg.muzha_loss_discrimination = (mode == 0);
-        auto res = run_experiment(cfg);
+        configs.push_back(cfg);
+      }
+    }
+  }
+  std::vector<ExperimentResult> results = run_batch(configs, args.jobs);
+
+  std::size_t run = 0;
+  for (double er : error_rates) {
+    double thr[3] = {0, 0, 0};
+    double halvings[2] = {0, 0};
+    for (int s = 0; s < seeds; ++s) {
+      for (int mode = 0; mode < 3; ++mode) {
+        const ExperimentResult& res = results[run++];
         thr[mode] += res.flows[0].throughput.value() / 1e3;
         if (mode < 2) {
           halvings[mode] +=

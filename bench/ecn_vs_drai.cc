@@ -5,8 +5,9 @@
 //
 // Compares, over chains of growing length: plain NewReno (no router help),
 // NewReno + RED/ECN (single-bit marks), and TCP Muzha (5-level DRAI).
+// Runs are parallelised by run_batch (--jobs N).
 #include <cstdio>
-#include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 
@@ -14,25 +15,35 @@ int main(int argc, char** argv) {
   using namespace muzha;
   using namespace muzha::bench;
 
-  bool quick = argc > 1 && std::string(argv[1]) == "--quick";
-  const int seeds = quick ? 1 : 3;
-  std::vector<int> hop_counts = quick ? std::vector<int>{4}
-                                      : std::vector<int>{4, 8, 16};
+  BenchArgs args = parse_bench_args(argc, argv);
+  const int seeds = args.quick ? 1 : 3;
+  std::vector<int> hop_counts = args.quick ? std::vector<int>{4}
+                                           : std::vector<int>{4, 8, 16};
   const TcpVariant contenders[] = {
       TcpVariant::kNewReno, TcpVariant::kNewRenoEcn, TcpVariant::kMuzha};
+
+  std::vector<ExperimentConfig> configs;
+  for (int hops : hop_counts) {
+    for (TcpVariant v : contenders) {
+      for (int s = 0; s < seeds; ++s) {
+        configs.push_back(chain_single_flow(v, hops, 32, Seconds(30.0), 1 + s));
+      }
+    }
+  }
+  std::vector<ExperimentResult> results = run_batch(configs, args.jobs);
 
   std::printf("=== Feedback granularity: none vs 1-bit ECN vs 5-level DRAI "
               "(kbps / retx) ===\n%-8s", "hops");
   for (TcpVariant v : contenders) std::printf("%22s", variant_name(v));
   std::printf("\n");
 
+  std::size_t run = 0;
   for (int hops : hop_counts) {
     std::printf("%-8d", hops);
-    for (TcpVariant v : contenders) {
+    for (std::size_t i = 0; i < std::size(contenders); ++i) {
       double thr = 0, retx = 0;
       for (int s = 0; s < seeds; ++s) {
-        auto res =
-            run_experiment(chain_single_flow(v, hops, 32, Seconds(30.0), 1 + s));
+        const ExperimentResult& res = results[run++];
         thr += res.flows[0].throughput.value() / 1e3 / seeds;
         retx += static_cast<double>(res.flows[0].retransmissions) / seeds;
       }

@@ -5,9 +5,10 @@
 //
 // Paper shape to reproduce: Muzha rises promptly and stabilizes (with some
 // vibration) and holds its window through random loss; Vegas sits flat and
-// low; NewReno/SACK saw-tooth hard and collapse repeatedly.
+// low; NewReno/SACK saw-tooth hard and collapse repeatedly. Runs are
+// parallelised by run_batch (--jobs N).
 #include <cstdio>
-#include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 
@@ -16,8 +17,6 @@ namespace {
 void print_trace(const char* label, const muzha::TimeSeries& trace,
                  muzha::Seconds t_end, muzha::Seconds step) {
   std::printf("%s t_s:", label);
-  muzha::CwndTracer stepper;  // reuse step interpolation via a local copy
-  (void)stepper;
   // Step-interpolate the change-event series onto a regular grid.
   std::size_t idx = 0;
   double v = 0.0;
@@ -37,20 +36,28 @@ int main(int argc, char** argv) {
   using namespace muzha;
   using namespace muzha::bench;
 
-  bool quick = argc > 1 && std::string(argv[1]) == "--quick";
-  std::vector<int> hop_counts = quick ? std::vector<int>{4}
-                                      : std::vector<int>{4, 8, 16};
+  BenchArgs args = parse_bench_args(argc, argv);
+  std::vector<int> hop_counts = args.quick ? std::vector<int>{4}
+                                           : std::vector<int>{4, 8, 16};
   const int window = 32;  // let the variants show their window dynamics
   const Seconds duration(10.0);
 
+  std::vector<ExperimentConfig> configs;
+  for (int hops : hop_counts) {
+    for (TcpVariant v : kPaperVariants) {
+      configs.push_back(
+          chain_single_flow(v, hops, window, duration, /*seed=*/1));
+    }
+  }
+  std::vector<ExperimentResult> results = run_batch(configs, args.jobs);
+
+  std::size_t run = 0;
   for (int hops : hop_counts) {
     int fig = hops == 4 ? 2 : (hops == 8 ? 4 : 6);
     std::printf("\n=== Fig 5.%d/5.%d: CWND vs time, %d-hop chain ===\n", fig,
                 fig + 1, hops);
     for (TcpVariant v : kPaperVariants) {
-      auto res = run_experiment(
-          chain_single_flow(v, hops, window, duration, /*seed=*/1));
-      const FlowResult& f = res.flows[0];
+      const FlowResult& f = results[run++].flows[0];
       char label[64];
       std::snprintf(label, sizeof(label), "%-8s [0-10s]", variant_name(v));
       print_trace(label, f.cwnd_trace, duration, Seconds(0.1));

@@ -3,9 +3,9 @@
 //
 // Paper shape to reproduce: the three Muzha flows converge quickly and
 // smoothly to a fair share; NewReno/SACK/Vegas converge slowly and
-// oscillate.
+// oscillate. The four runs are parallelised by run_batch (--jobs N).
 #include <cstdio>
-#include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "stats/fairness.h"
@@ -14,17 +14,12 @@ int main(int argc, char** argv) {
   using namespace muzha;
   using namespace muzha::bench;
 
-  bool quick = argc > 1 && std::string(argv[1]) == "--quick";
-  const Seconds duration = quick ? Seconds(30.0) : Seconds(60.0);
+  BenchArgs args = parse_bench_args(argc, argv);
+  const Seconds duration = args.quick ? Seconds(30.0) : Seconds(60.0);
   const Seconds starts[] = {Seconds(0.0), Seconds(10.0), Seconds(20.0)};
 
+  std::vector<ExperimentConfig> configs;
   for (TcpVariant v : kPaperVariants) {
-    int fig = v == TcpVariant::kMuzha ? 19
-              : v == TcpVariant::kNewReno ? 20
-              : v == TcpVariant::kSack ? 21
-                                        : 22;
-    std::printf("\n=== Fig 5.%d: throughput dynamics, three %s flows ===\n",
-                fig, variant_name(v));
     ExperimentConfig cfg;
     cfg.topology = TopologyKind::kChain;
     cfg.hops = 4;
@@ -33,7 +28,19 @@ int main(int argc, char** argv) {
     for (Seconds st : starts) {
       cfg.flows.push_back({v, 0, 4, to_sim_time(st), 32});
     }
-    auto res = run_experiment(cfg);
+    configs.push_back(cfg);
+  }
+  std::vector<ExperimentResult> results = run_batch(configs, args.jobs);
+
+  std::size_t run = 0;
+  for (TcpVariant v : kPaperVariants) {
+    int fig = v == TcpVariant::kMuzha ? 19
+              : v == TcpVariant::kNewReno ? 20
+              : v == TcpVariant::kSack ? 21
+                                        : 22;
+    std::printf("\n=== Fig 5.%d: throughput dynamics, three %s flows ===\n",
+                fig, variant_name(v));
+    const ExperimentResult& res = results[run++];
 
     // Print per-second throughput rows: t, flow1, flow2, flow3 (kbps).
     std::size_t bins = 0;
@@ -58,7 +65,6 @@ int main(int argc, char** argv) {
 
     // Steady-state fairness over the final third of the run (all flows on).
     double share[3] = {0, 0, 0};
-    int n = 0;
     for (std::size_t fi = 0; fi < res.flows.size(); ++fi) {
       const TimeSeries& ts = res.flows[fi].throughput_series;
       int cnt = 0;
@@ -69,9 +75,7 @@ int main(int argc, char** argv) {
         }
       }
       if (cnt > 0) share[fi] /= cnt;
-      n = cnt;
     }
-    (void)n;
     std::printf("steady-state shares (kbps): %.1f / %.1f / %.1f, Jain=%.3f\n",
                 share[0] / 1e3, share[1] / 1e3, share[2] / 1e3,
                 jain_fairness_index(share));

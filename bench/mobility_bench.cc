@@ -1,7 +1,8 @@
 // Mobility stress (the paper's stated future work): an 8-hop chain whose
 // interior relays wander with random-waypoint motion inside a corridor,
 // producing genuine route failures. Compares how each variant's throughput
-// degrades from the static baseline.
+// degrades from the static baseline. The networks are built by hand, not
+// through run_experiment, so the only flag is --quick.
 #include <cstdio>
 #include <string>
 
@@ -64,7 +65,14 @@ double run_once(TcpVariant v, bool mobile, double max_speed,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = argc > 1 && std::string(argv[1]) == "--quick";
+  bool quick = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::string(argv[i]) != "--quick") {
+      std::fprintf(stderr, "usage: %s [--quick]\n", argv[0]);
+      return 2;
+    }
+    quick = true;
+  }
   const int seeds = quick ? 1 : 3;
   const double speeds[] = {0.0, 5.0, 15.0};
 

@@ -56,7 +56,7 @@ void TcpMuzha::on_dup_ack(const TcpHeader& h) {
     send_much();
     return;
   }
-  if (dupacks() != config().dupack_threshold) return;
+  if (dupacks() != kDupAckThreshold) return;
   if (h.marked || !loss_discrimination_) {
     // Router-marked duplicate ACKs: congestion loss. Halve and recover.
     ++marked_loss_events_;

@@ -40,18 +40,9 @@ SimTime Mac80211::cumulative_busy_time() const {
 
 SimTime Mac80211::frame_airtime(MacFrameType type,
                                 std::uint32_t payload_bytes) const {
-  switch (type) {
-    case MacFrameType::kRts:
-      return phy_.tx_duration(Bytes(kMacRtsBytes), /*basic_rate=*/true);
-    case MacFrameType::kCts:
-      return phy_.tx_duration(Bytes(kMacCtsBytes), true);
-    case MacFrameType::kAck:
-      return phy_.tx_duration(Bytes(kMacAckBytes), true);
-    case MacFrameType::kData:
-      return phy_.tx_duration(Bytes(payload_bytes + kMacDataOverheadBytes),
-                              /*basic_rate=*/false);
-  }
-  return SimTime::zero();
+  // Control frames go at the basic rate; data at the data rate.
+  return phy_.tx_duration(Bytes(mac_frame_bytes(type, payload_bytes)),
+                          /*basic_rate=*/type != MacFrameType::kData);
 }
 
 void Mac80211::transmit(PacketPtr pkt, NodeId next_hop) {

@@ -5,26 +5,6 @@
 
 namespace muzha {
 
-const char* trace_event_name(TraceEventKind k) {
-  switch (k) {
-    case TraceEventKind::kLocalSend:
-      return "send";
-    case TraceEventKind::kForward:
-      return "fwd";
-    case TraceEventKind::kDeliver:
-      return "recv";
-    case TraceEventKind::kDropTtl:
-      return "drop-ttl";
-    case TraceEventKind::kDropNoAgent:
-      return "drop-port";
-    case TraceEventKind::kDropIfq:
-      return "drop-ifq";
-    case TraceEventKind::kDropMac:
-      return "drop-mac";
-  }
-  return "?";
-}
-
 TraceEvent make_trace_event(SimTime now, NodeId node, TraceEventKind kind,
                             const Packet& pkt) {
   TraceEvent ev;

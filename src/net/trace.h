@@ -1,8 +1,8 @@
 // Packet-event tracing (the NS-2 trace-file idea).
 //
 // Nodes emit one event per packet milestone — local send, forward, deliver,
-// and the three drop causes. Sinks are pluggable: tests collect events in a
-// vector; tools write NS-2-style text lines.
+// and the drop causes. Sinks are pluggable: tests and the step harness
+// collect events in memory (VectorTraceSink, stats/trace_sinks.h).
 #pragma once
 
 #include <cstdint>
@@ -21,8 +21,6 @@ enum class TraceEventKind : std::uint8_t {
   kDropIfq,      // drop-tail interface queue overflow
   kDropMac,      // MAC retry limit exhausted (link failure)
 };
-
-const char* trace_event_name(TraceEventKind k);
 
 struct TraceEvent {
   SimTime time;

@@ -146,11 +146,4 @@ void SpatialGrid::gather(Position center, std::vector<Entry>& out) const {
   }
 }
 
-void SpatialGrid::clear() {
-  cells_.clear();
-  cells_.resize(kInitialBuckets);
-  used_cells_ = 0;
-  entries_ = 0;
-}
-
 }  // namespace muzha

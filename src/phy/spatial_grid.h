@@ -115,10 +115,6 @@ class SpatialGrid {
   // (which is not cleared). Order is unspecified — sort by Entry::order.
   void gather(Position center, std::vector<Entry>& out) const;
 
-  // Drops every entry and cell. Outstanding Items are NOT invalidated; the
-  // caller (the channel, on a mode rebuild) owns that bookkeeping.
-  void clear();
-
   std::size_t size() const { return entries_; }
 
  private:

@@ -37,22 +37,8 @@ void WirelessPhy::start_tx(PacketPtr pkt, bool basic_rate) {
     decoding_corrupted_ = true;
     ++collisions_;
   }
-  std::uint32_t overhead = 0;
-  switch (pkt->mac.type) {
-    case MacFrameType::kData:
-      overhead = kMacDataOverheadBytes;
-      break;
-    case MacFrameType::kRts:
-      overhead = kMacRtsBytes;
-      break;
-    case MacFrameType::kCts:
-      overhead = kMacCtsBytes;
-      break;
-    case MacFrameType::kAck:
-      overhead = kMacAckBytes;
-      break;
-  }
-  SimTime dur = tx_duration(Bytes(pkt->size_bytes + overhead), basic_rate);
+  SimTime dur = tx_duration(
+      Bytes(mac_frame_bytes(pkt->mac.type, pkt->size_bytes)), basic_rate);
   tx_active_ = true;
   ++frames_sent_;
   update_carrier(was_busy);

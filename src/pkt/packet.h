@@ -46,6 +46,23 @@ inline constexpr std::uint32_t kMacRtsBytes = 20;
 inline constexpr std::uint32_t kMacCtsBytes = 14;
 inline constexpr std::uint32_t kMacAckBytes = 14;
 
+// On-air bytes of a MAC frame of `type` carrying an `ip_bytes` datagram
+// (control frames carry none): the one size table of the MAC and the PHY.
+constexpr std::uint32_t mac_frame_bytes(MacFrameType type,
+                                        std::uint32_t ip_bytes) {
+  switch (type) {
+    case MacFrameType::kRts:
+      return ip_bytes + kMacRtsBytes;
+    case MacFrameType::kCts:
+      return ip_bytes + kMacCtsBytes;
+    case MacFrameType::kAck:
+      return ip_bytes + kMacAckBytes;
+    case MacFrameType::kData:
+      break;
+  }
+  return ip_bytes + kMacDataOverheadBytes;
+}
+
 // ---------------------------------------------------------------------------
 // IP header, including TCP Muzha's AVBW-S option
 // ---------------------------------------------------------------------------
@@ -89,7 +106,7 @@ struct SackBlock {
 // (RFC 2018); storing them inline keeps TcpHeader — and therefore Packet —
 // free of heap-owning members, which is what lets the packet arena clone and
 // recycle packets without touching the allocator. push_back saturates at
-// capacity (the sink already honours TcpSink::Config::max_sack_blocks).
+// capacity (the sink sends at most 3, kSackBlocksPerAck in tcp_sink.cc).
 inline constexpr int kMaxSackBlocks = 4;
 
 class SackList {

@@ -3,18 +3,27 @@
 #include <algorithm>
 #include <cmath>
 
-#include "net/node.h"
 #include "pkt/packet.h"
 #include "sim/sim_time.h"
-#include "sim/simulator.h"
 #include "tcp/tcp_sink.h"
 #include "tcp/tcp_variants.h"
 
 namespace muzha {
 
-AdtcpSink::AdtcpSink(Simulator& sim, Node& node, Config cfg,
-                     AdtcpConfig acfg)
-    : TcpSink(sim, node, cfg), acfg_(acfg) {}
+namespace {
+
+// Sliding sample window of the receiver metrics.
+constexpr SimTime kWindow = SimTime::from_seconds(1.0);
+// EWMA gain of the long-term IDD and STT baselines.
+constexpr double kEwmaAlpha = 0.1;
+// Classification thresholds: IDD and STT against their baselines, POR and
+// PLR as fractions.
+constexpr double kIddHighFactor = 2.0;
+constexpr double kSttLowFactor = 0.5;
+constexpr double kPorHigh = 0.15;
+constexpr double kPlrHigh = 0.10;
+
+}  // namespace
 
 void AdtcpSink::receive(PacketPtr pkt) {
   if (pkt->has_tcp() && !pkt->tcp().is_ack) {
@@ -30,8 +39,7 @@ void AdtcpSink::update_metrics(const Packet& data) {
   max_seq_seen_ = std::max(max_seq_seen_, data.tcp().seqno);
 
   // Evict samples outside the sliding window.
-  while (!samples_.empty() &&
-         now - samples_.front().arrival > acfg_.window) {
+  while (!samples_.empty() && now - samples_.front().arrival > kWindow) {
     samples_.pop_front();
   }
   if (samples_.size() < 2) return;
@@ -70,18 +78,18 @@ void AdtcpSink::update_metrics(const Packet& data) {
   // Long-term baselines.
   if (idd_long_ == 0.0) idd_long_ = idd_short_;
   if (stt_long_ == 0.0) stt_long_ = stt_short_;
-  idd_long_ = acfg_.ewma_alpha * idd_short_ + (1 - acfg_.ewma_alpha) * idd_long_;
-  stt_long_ = acfg_.ewma_alpha * stt_short_ + (1 - acfg_.ewma_alpha) * stt_long_;
+  idd_long_ = kEwmaAlpha * idd_short_ + (1 - kEwmaAlpha) * idd_long_;
+  stt_long_ = kEwmaAlpha * stt_short_ + (1 - kEwmaAlpha) * stt_long_;
 }
 
 void AdtcpSink::classify() {
-  bool idd_high = idd_long_ > 0 && idd_short_ > acfg_.idd_high_factor * idd_long_;
-  bool stt_low = stt_long_ > 0 && stt_short_ < acfg_.stt_low_factor * stt_long_;
+  bool idd_high = idd_long_ > 0 && idd_short_ > kIddHighFactor * idd_long_;
+  bool stt_low = stt_long_ > 0 && stt_short_ < kSttLowFactor * stt_long_;
   if (idd_high && stt_low) {
     state_ = AdtcpState::kCongestion;
-  } else if (por_ > acfg_.por_high) {
+  } else if (por_ > kPorHigh) {
     state_ = AdtcpState::kRouteChange;
-  } else if (plr_ > acfg_.plr_high) {
+  } else if (plr_ > kPlrHigh) {
     state_ = AdtcpState::kChannelError;
   } else {
     state_ = AdtcpState::kNormal;
@@ -101,15 +109,16 @@ void AdtcpSender::on_new_ack(const TcpHeader& h, std::int64_t newly_acked) {
 
 void AdtcpSender::on_dup_ack(const TcpHeader& h) {
   last_state_ = h.net_state;
-  if (!in_recovery() && dupacks() == config().dupack_threshold &&
-      h.net_state != AdtcpState::kCongestion) {
+  TcpNewReno::on_dup_ack(h);
+}
+
+void AdtcpSender::on_loss(const TcpHeader& h) {
+  if (h.net_state != AdtcpState::kCongestion) {
     // Loss without congestion evidence: retransmit at the current rate.
     ++non_congestion_losses_;
-    enter_recovery_bookkeeping();
-    retransmit(highest_ack() + 1);
     return;
   }
-  TcpNewReno::on_dup_ack(h);
+  TcpNewReno::on_loss(h);
 }
 
 void AdtcpSender::on_timeout() {

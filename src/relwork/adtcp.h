@@ -10,11 +10,12 @@
 //   POR — packet out-of-order ratio: rises across route changes.
 //   PLR — packet loss ratio (sequence gaps): rises with channel error.
 //
-// Joint identification (high/low judged against long-term EWMAs):
-//   IDD high AND STT low           -> CONGESTION
-//   else POR high                  -> ROUTE_CHANGE
-//   else PLR high                  -> CHANNEL_ERROR
-//   else                           -> NORMAL
+// Joint identification over a 1 s sample window (high/low judged against
+// long-term EWMAs with gain 0.1):
+//   IDD > 2 x long AND STT < 0.5 x long -> CONGESTION
+//   else POR > 0.15                     -> ROUTE_CHANGE
+//   else PLR > 0.10                     -> CHANNEL_ERROR
+//   else                                -> NORMAL
 //
 // The AdtcpSender reacts: congestion -> Reno-style decrease; channel error
 // -> retransmit at the same rate; route change -> freeze (no decrease, no
@@ -23,28 +24,16 @@
 
 #include <deque>
 
-#include "net/node.h"
 #include "pkt/packet.h"
 #include "sim/sim_time.h"
-#include "sim/simulator.h"
 #include "tcp/tcp_sink.h"
 #include "tcp/tcp_variants.h"
 
 namespace muzha {
 
-struct AdtcpConfig {
-  // Sliding sample window for the receiver metrics.
-  SimTime window = SimTime::from_seconds(1.0);
-  double ewma_alpha = 0.1;   // long-term baselines
-  double idd_high_factor = 2.0;
-  double stt_low_factor = 0.5;
-  double por_high = 0.15;
-  double plr_high = 0.10;
-};
-
 class AdtcpSink final : public TcpSink {
  public:
-  AdtcpSink(Simulator& sim, Node& node, Config cfg, AdtcpConfig acfg = {});
+  using TcpSink::TcpSink;
 
   AdtcpState state() const { return state_; }
   double idd() const { return idd_short_; }
@@ -60,8 +49,6 @@ class AdtcpSink final : public TcpSink {
  private:
   void update_metrics(const Packet& data);
   void classify();
-
-  AdtcpConfig acfg_;
 
   // Arrival history within the sliding window: (arrival time, seqno,
   // sender timestamp).
@@ -90,6 +77,7 @@ class AdtcpSender : public TcpNewReno {
  protected:
   void on_new_ack(const TcpHeader& h, std::int64_t newly_acked) override;
   void on_dup_ack(const TcpHeader& h) override;
+  void on_loss(const TcpHeader& h) override;
   void on_timeout() override;
 
  private:

@@ -4,7 +4,6 @@
 
 #include "net/wireless_device.h"
 #include "pkt/packet.h"
-#include "sim/sim_time.h"
 #include "sim/simulator.h"
 #include "sim/units.h"
 #include "tcp/tcp_variants.h"
@@ -50,10 +49,7 @@ void TcpNewRenoEcn::on_new_ack(const TcpHeader& h, std::int64_t newly_acked) {
     ++ecn_reductions_;
     set_ssthresh(std::max(cwnd() / 2.0, Segments(2.0)));
     set_cwnd(ssthresh());
-    double rtt = rto_estimator().has_sample()
-                     ? rto_estimator().srtt().to_seconds()
-                     : 0.1;
-    next_reaction_allowed_ = sim().now() + SimTime::from_seconds(rtt);
+    next_reaction_allowed_ = sim().now() + to_sim_time(srtt_or_default());
     return;
   }
   TcpNewReno::on_new_ack(h, newly_acked);

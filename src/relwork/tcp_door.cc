@@ -2,26 +2,30 @@
 
 #include <algorithm>
 
-#include "net/node.h"
 #include "pkt/packet.h"
-#include "sim/simulator.h"
-#include "tcp/tcp_agent.h"
+#include "sim/sim_time.h"
 #include "tcp/tcp_variants.h"
 
 namespace muzha {
 
-TcpDoor::TcpDoor(Simulator& sim, Node& node, TcpConfig cfg, DoorConfig door)
-    : TcpNewReno(sim, node, cfg), door_(door) {}
+namespace {
+
+// T1: how long an out-of-order event suppresses congestion decreases.
+constexpr SimTime kDisableCc = SimTime::from_seconds(1.0);
+// T2: how recent a decrease must be for an out-of-order event to undo it.
+constexpr SimTime kInstantRecovery = SimTime::from_seconds(2.0);
+
+}  // namespace
 
 bool TcpDoor::cc_disabled() { return sim().now() < cc_disabled_until_; }
 
 void TcpDoor::on_ooo_detected() {
   ++ooo_events_;
-  cc_disabled_until_ = sim().now() + door_.t1_disable_cc;
+  cc_disabled_until_ = sim().now() + kDisableCc;
   // Instant recovery: undo a recent congestion response that the
   // (now-evident) route change most likely caused.
   if (have_snapshot_ &&
-      sim().now() - snap_time_ <= door_.t2_instant_recovery) {
+      sim().now() - snap_time_ <= kInstantRecovery) {
     ++instant_recoveries_;
     set_ssthresh(snap_ssthresh_);
     set_cwnd(snap_cwnd_);
@@ -46,23 +50,19 @@ void TcpDoor::on_dup_ack(const TcpHeader& h) {
     on_ooo_detected();
   }
   if (h.dup_seq != 0) last_dup_seq_ = std::max(last_dup_seq_, h.dup_seq);
-
-  if (cc_disabled() && !in_recovery() &&
-      dupacks() == config().dupack_threshold) {
-    // Congestion response suppressed: retransmit, keep the window.
-    enter_recovery_bookkeeping();
-    retransmit(highest_ack() + 1);
-    return;
-  }
-  if (!in_recovery() && dupacks() == config().dupack_threshold) {
-    // About to take a congestion action: snapshot so a subsequent OOO event
-    // can undo it.
-    have_snapshot_ = true;
-    snap_cwnd_ = cwnd();
-    snap_ssthresh_ = ssthresh();
-    snap_time_ = sim().now();
-  }
   TcpNewReno::on_dup_ack(h);
+}
+
+void TcpDoor::on_loss(const TcpHeader& h) {
+  // Congestion response suppressed: the base retransmits, the window stays.
+  if (cc_disabled()) return;
+  // About to take a congestion action: snapshot so a subsequent OOO event
+  // can undo it.
+  have_snapshot_ = true;
+  snap_cwnd_ = cwnd();
+  snap_ssthresh_ = ssthresh();
+  snap_time_ = sim().now();
+  TcpNewReno::on_loss(h);
 }
 
 }  // namespace muzha

@@ -7,30 +7,22 @@
 //   * Dup-ACK stream reordering, via the one-byte option the receiver
 //     increments on each duplicate ACK (TcpHeader::dup_seq).
 // Response:
-//   * Temporarily disable congestion-control decreases for `t1` after an
+//   * Temporarily disable congestion-control decreases for T1 = 1 s after an
 //     out-of-order event (losses during a route change are not congestion).
-//   * Instant recovery: if a congestion decrease happened within `t2`
+//   * Instant recovery: if a congestion decrease happened within T2 = 2 s
 //     before the event, restore the pre-decrease window state.
 #pragma once
 
-#include "net/node.h"
 #include "pkt/packet.h"
 #include "sim/sim_time.h"
-#include "sim/simulator.h"
 #include "sim/units.h"
-#include "tcp/tcp_agent.h"
 #include "tcp/tcp_variants.h"
 
 namespace muzha {
 
-struct DoorConfig {
-  SimTime t1_disable_cc = SimTime::from_seconds(1.0);
-  SimTime t2_instant_recovery = SimTime::from_seconds(2.0);
-};
-
 class TcpDoor : public TcpNewReno {
  public:
-  TcpDoor(Simulator& sim, Node& node, TcpConfig cfg, DoorConfig door = {});
+  using TcpNewReno::TcpNewReno;
 
   std::uint64_t ooo_events() const { return ooo_events_; }
   std::uint64_t instant_recoveries() const { return instant_recoveries_; }
@@ -39,12 +31,12 @@ class TcpDoor : public TcpNewReno {
  protected:
   void on_new_ack(const TcpHeader& h, std::int64_t newly_acked) override;
   void on_dup_ack(const TcpHeader& h) override;
+  void on_loss(const TcpHeader& h) override;
   void on_old_ack(const TcpHeader& h) override;
 
  private:
   void on_ooo_detected();
 
-  DoorConfig door_;
   std::uint32_t last_dup_seq_ = 0;
   SimTime cc_disabled_until_;
 

@@ -2,18 +2,12 @@
 
 #include <algorithm>
 
-#include "net/node.h"
 #include "pkt/packet.h"
 #include "sim/sim_time.h"
-#include "sim/simulator.h"
 #include "sim/units.h"
-#include "tcp/tcp_agent.h"
 #include "tcp/tcp_variants.h"
 
 namespace muzha {
-
-TcpJersey::TcpJersey(Simulator& sim, Node& node, TcpConfig cfg)
-    : TcpNewReno(sim, node, cfg) {}
 
 Segments TcpJersey::abe_window() const {
   if (re_ <= SegmentsPerSecond(0.0) || min_rtt_ <= Seconds(0.0)) {
@@ -24,9 +18,7 @@ Segments TcpJersey::abe_window() const {
 
 void TcpJersey::update_rate_estimate(std::int64_t newly_acked) {
   SimTime now = sim().now();
-  double rtt = rto_estimator().has_sample()
-                   ? rto_estimator().srtt().to_seconds()
-                   : 0.1;
+  double rtt = srtt_or_default().value();
   if (last_ack_time_ > SimTime::zero()) {
     double dt = (now - last_ack_time_).to_seconds();
     re_ = SegmentsPerSecond(
@@ -52,34 +44,20 @@ void TcpJersey::on_new_ack(const TcpHeader& h, std::int64_t newly_acked) {
       set_ssthresh(ownd);
       set_cwnd(ownd);
     }
-    double rtt = rto_estimator().has_sample()
-                     ? rto_estimator().srtt().to_seconds()
-                     : 0.1;
-    next_clamp_allowed_ = sim().now() + SimTime::from_seconds(rtt);
+    next_clamp_allowed_ = sim().now() + to_sim_time(srtt_or_default());
     return;
   }
   TcpNewReno::on_new_ack(h, newly_acked);
 }
 
-void TcpJersey::on_dup_ack(const TcpHeader& h) {
-  if (!in_recovery() && dupacks() == config().dupack_threshold) {
-    // Rate-based fast recovery: window jumps to the ABE estimate instead of
-    // blindly halving.
-    Segments ownd = abe_window();
-    set_ssthresh(ownd);
-    enter_recovery_bookkeeping();
-    set_cwnd(ownd);
-    retransmit(highest_ack() + 1);
-    return;
-  }
-  TcpNewReno::on_dup_ack(h);
+void TcpJersey::on_loss(const TcpHeader&) {
+  // Rate-based fast recovery: window jumps to the ABE estimate instead of
+  // blindly halving.
+  Segments ownd = abe_window();
+  set_ssthresh(ownd);
+  set_cwnd(ownd);
 }
 
-void TcpJersey::on_timeout() {
-  set_ssthresh(abe_window());
-  set_cwnd(Segments(1.0));
-  exit_recovery_bookkeeping();
-  go_back_n();
-}
+void TcpJersey::on_timeout() { restart_after_timeout(abe_window()); }
 
 }  // namespace muzha

@@ -20,19 +20,16 @@
 // threshold" semantics.
 #pragma once
 
-#include "net/node.h"
 #include "pkt/packet.h"
 #include "sim/sim_time.h"
-#include "sim/simulator.h"
 #include "sim/units.h"
-#include "tcp/tcp_agent.h"
 #include "tcp/tcp_variants.h"
 
 namespace muzha {
 
 class TcpJersey : public TcpNewReno {
  public:
-  TcpJersey(Simulator& sim, Node& node, TcpConfig cfg);
+  using TcpNewReno::TcpNewReno;
 
   SegmentsPerSecond rate_estimate() const { return re_; }
   Segments abe_window() const;
@@ -40,7 +37,7 @@ class TcpJersey : public TcpNewReno {
 
  protected:
   void on_new_ack(const TcpHeader& h, std::int64_t newly_acked) override;
-  void on_dup_ack(const TcpHeader& h) override;
+  void on_loss(const TcpHeader& h) override;
   void on_timeout() override;
 
  private:

@@ -1,17 +1,10 @@
 #include "relwork/tcp_rovegas.h"
 
-#include "net/node.h"
 #include "pkt/packet.h"
-#include "sim/simulator.h"
 #include "sim/units.h"
-#include "tcp/tcp_agent.h"
 #include "tcp/tcp_vegas.h"
 
 namespace muzha {
-
-TcpRoVegas::TcpRoVegas(Simulator& sim, Node& node, TcpConfig cfg,
-                       VegasConfig vcfg)
-    : TcpVegas(sim, node, cfg, vcfg) {}
 
 void TcpRoVegas::note_ack(const TcpHeader& h) {
   Seconds q = to_seconds(h.qdelay_echo);

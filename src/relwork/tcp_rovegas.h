@@ -13,19 +13,15 @@
 // which is immune to ACK-path queueing and delayed ACKs.
 #pragma once
 
-#include "net/node.h"
 #include "pkt/packet.h"
-#include "sim/simulator.h"
 #include "sim/units.h"
-#include "tcp/tcp_agent.h"
 #include "tcp/tcp_vegas.h"
 
 namespace muzha {
 
 class TcpRoVegas : public TcpVegas {
  public:
-  TcpRoVegas(Simulator& sim, Node& node, TcpConfig cfg,
-             VegasConfig vcfg = {});
+  using TcpVegas::TcpVegas;
 
   Seconds epoch_forward_qdelay() const { return epoch_qdelay_; }
 

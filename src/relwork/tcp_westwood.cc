@@ -2,19 +2,19 @@
 
 #include <algorithm>
 
-#include "net/node.h"
 #include "pkt/packet.h"
 #include "sim/sim_time.h"
-#include "sim/simulator.h"
 #include "sim/units.h"
-#include "tcp/tcp_agent.h"
 #include "tcp/tcp_variants.h"
 
 namespace muzha {
 
-TcpWestwood::TcpWestwood(Simulator& sim, Node& node, TcpConfig cfg,
-                         double filter_alpha)
-    : TcpNewReno(sim, node, cfg), filter_alpha_(filter_alpha) {}
+namespace {
+
+// Gain of the Tustin low-pass filter over the bandwidth samples.
+constexpr double kFilterAlpha = 0.9;
+
+}  // namespace
 
 Segments TcpWestwood::eligible_window() const {
   if (bwe_ <= SegmentsPerSecond(0.0) || min_rtt_ <= Seconds(0.0)) {
@@ -30,8 +30,8 @@ void TcpWestwood::update_bwe(std::int64_t newly_acked) {
     if (dt > Seconds(0.0)) {
       SegmentsPerSecond sample =
           Segments(static_cast<double>(newly_acked)) / dt;
-      bwe_ = filter_alpha_ * bwe_ +
-             (1.0 - filter_alpha_) * 0.5 * (sample + prev_sample_);
+      bwe_ = kFilterAlpha * bwe_ +
+             (1.0 - kFilterAlpha) * 0.5 * (sample + prev_sample_);
       prev_sample_ = sample;
     }
   }
@@ -47,24 +47,13 @@ void TcpWestwood::on_new_ack(const TcpHeader& h, std::int64_t newly_acked) {
   TcpNewReno::on_new_ack(h, newly_acked);
 }
 
-void TcpWestwood::on_dup_ack(const TcpHeader& h) {
-  if (!in_recovery() && dupacks() == config().dupack_threshold) {
-    // Faster recovery: set the window from the measured rate, not half.
-    Segments eligible = eligible_window();
-    set_ssthresh(eligible);
-    enter_recovery_bookkeeping();
-    set_cwnd(std::min(cwnd(), eligible));
-    retransmit(highest_ack() + 1);
-    return;
-  }
-  TcpNewReno::on_dup_ack(h);
+void TcpWestwood::on_loss(const TcpHeader&) {
+  // Faster recovery: set the window from the measured rate, not half.
+  Segments eligible = eligible_window();
+  set_ssthresh(eligible);
+  set_cwnd(std::min(cwnd(), eligible));
 }
 
-void TcpWestwood::on_timeout() {
-  set_ssthresh(eligible_window());
-  set_cwnd(Segments(1.0));
-  exit_recovery_bookkeeping();
-  go_back_n();
-}
+void TcpWestwood::on_timeout() { restart_after_timeout(eligible_window()); }
 
 }  // namespace muzha

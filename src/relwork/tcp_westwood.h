@@ -3,7 +3,8 @@
 // ssthresh after loss ("faster recovery") instead of blind halving.
 //
 //   per ACK:  b_k = acked_segments / (t_k - t_{k-1})
-//   BWE      low-pass (Tustin) filtered: bwe = a*bwe + (1-a)/2*(b_k + b_{k-1})
+//   BWE      low-pass (Tustin) filtered: bwe = a*bwe + (1-a)/2*(b_k + b_{k-1}),
+//            a = 0.9
 //   on 3 dup ACKs:  ssthresh = BWE * RTT_min;  cwnd = min(cwnd, ssthresh)
 //   on timeout:     ssthresh = BWE * RTT_min;  cwnd = 1
 //
@@ -11,33 +12,28 @@
 // router support at all.
 #pragma once
 
-#include "net/node.h"
 #include "pkt/packet.h"
 #include "sim/sim_time.h"
-#include "sim/simulator.h"
 #include "sim/units.h"
-#include "tcp/tcp_agent.h"
 #include "tcp/tcp_variants.h"
 
 namespace muzha {
 
 class TcpWestwood : public TcpNewReno {
  public:
-  TcpWestwood(Simulator& sim, Node& node, TcpConfig cfg,
-              double filter_alpha = 0.9);
+  using TcpNewReno::TcpNewReno;
 
   SegmentsPerSecond bandwidth_estimate() const { return bwe_; }
   Segments eligible_window() const;
 
  protected:
   void on_new_ack(const TcpHeader& h, std::int64_t newly_acked) override;
-  void on_dup_ack(const TcpHeader& h) override;
+  void on_loss(const TcpHeader& h) override;
   void on_timeout() override;
 
  private:
   void update_bwe(std::int64_t newly_acked);
 
-  double filter_alpha_;
   SegmentsPerSecond bwe_;
   SegmentsPerSecond prev_sample_;
   SimTime last_ack_time_;

@@ -214,11 +214,10 @@ Stack build_stack(const ExperimentConfig& cfg, Network& net,
     any_drai |= variant_info(f.variant).routers == RouterAssist::kDrai;
     any_red_ecn |= variant_info(f.variant).routers == RouterAssist::kRedEcn;
   }
-  if (cfg.muzha_routers == ExperimentConfig::Routers::kOn ||
-      (cfg.muzha_routers == ExperimentConfig::Routers::kAuto && any_drai)) {
+  if (any_drai) {
     net.enable_muzha_routers(cfg.drai);
   } else if (any_red_ecn) {
-    net.enable_red_ecn_routers(cfg.red);
+    net.enable_red_ecn_routers(RedParams{});
   }
 
   if (cfg.uniform_error_rate > 0.0) {

@@ -16,7 +16,6 @@
 
 #include "core/drai.h"
 #include "net/node.h"
-#include "relwork/ecn.h"
 #include "scenario/network.h"
 #include "sim/sim_time.h"
 #include "sim/simulator.h"
@@ -140,14 +139,10 @@ struct ExperimentConfig {
   // index — the oracle side of the differential tests. Results must be
   // bit-identical either way.
   bool brute_force_channel = false;
-  // DRAI router assistance: by default on iff some flow's variant needs it
-  // (Muzha, Jersey). When it is off, a NewReno+ECN flow still turns on
-  // RED/ECN routers.
-  enum class Routers { kAuto, kOn, kOff };
-  Routers muzha_routers = Routers::kAuto;
+  // DRAI estimator thresholds of the routers, which are on iff some flow's
+  // variant needs them (Muzha, Jersey). Otherwise a NewReno+ECN flow turns
+  // on RED/ECN routers with the default RedParams.
   DraiConfig drai;
-  // RED parameters used when a kNewRenoEcn flow enables RED/ECN routers.
-  RedParams red;
   // Random per-packet channel loss (0 = none).
   double uniform_error_rate = 0.0;
   // Ablation: disable Muzha's marked/unmarked loss discrimination.

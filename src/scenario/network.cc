@@ -11,7 +11,6 @@
 #include "routing/aodv.h"
 #include "routing/static_routing.h"
 #include "sim/assert.h"
-#include "sim/rng.h"
 #include "sim/units.h"
 
 namespace muzha {
@@ -125,69 +124,6 @@ std::vector<NodeId> build_grid(Network& net, int rows, int cols,
           net.add_node({spacing.value() * c, spacing.value() * r}).id());
     }
   }
-  return ids;
-}
-
-ParallelChains build_parallel_chains(Network& net, int hops, Meters spacing,
-                                     Meters gap) {
-  ParallelChains out;
-  for (int i = 0; i <= hops; ++i) {
-    out.top.push_back(net.add_node({spacing.value() * i, 0.0}).id());
-  }
-  for (int i = 0; i <= hops; ++i) {
-    out.bottom.push_back(net.add_node({spacing.value() * i, gap.value()}).id());
-  }
-  return out;
-}
-
-namespace {
-bool is_connected(Network& net, std::size_t first, std::size_t count,
-                  Meters range) {
-  std::vector<bool> seen(count, false);
-  std::vector<std::size_t> stack{0};
-  seen[0] = true;
-  std::size_t reached = 1;
-  while (!stack.empty()) {
-    std::size_t u = stack.back();
-    stack.pop_back();
-    Position pu = net.node(first + u).device().phy().position();
-    for (std::size_t v = 0; v < count; ++v) {
-      if (seen[v]) continue;
-      Position pv = net.node(first + v).device().phy().position();
-      if (distance(pu, pv) <= range) {
-        seen[v] = true;
-        ++reached;
-        stack.push_back(v);
-      }
-    }
-  }
-  return reached == count;
-}
-}  // namespace
-
-std::vector<NodeId> build_random_connected(Network& net, int n, Meters width,
-                                           Meters height, int max_attempts) {
-  MUZHA_ASSERT(n >= 1, "need at least one node");
-  std::size_t first = net.size();
-  std::vector<NodeId> ids;
-  ids.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    ids.push_back(net.add_node({0, 0}).id());
-  }
-  Meters range = net.channel().params().rx_range;
-  Rng& rng = net.sim().rng();
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    for (int i = 0; i < n; ++i) {
-      net.node(first + i).device().phy().set_position(
-          {rng.uniform(0, width.value()), rng.uniform(0, height.value())});
-    }
-    if (is_connected(net, first, static_cast<std::size_t>(n), range)) {
-      return ids;
-    }
-  }
-  MUZHA_ASSERT(false,
-               "could not draw a connected random topology; "
-               "increase density or attempts");
   return ids;
 }
 

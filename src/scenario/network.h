@@ -103,21 +103,4 @@ CrossTopology build_cross(Network& net, int hops,
 std::vector<NodeId> build_grid(Network& net, int rows, int cols,
                                Meters spacing = Meters(200.0));
 
-// Two parallel chains of `hops` hops, `gap` apart vertically — close
-// enough to interfere, far enough not to forward for each other when
-// `gap` > decode range. Returns {top chain ids, bottom chain ids}.
-struct ParallelChains {
-  std::vector<NodeId> top;
-  std::vector<NodeId> bottom;
-};
-ParallelChains build_parallel_chains(Network& net, int hops,
-                                     Meters spacing = Meters(250.0),
-                                     Meters gap = Meters(300.0));
-
-// Uniform random placement in a rectangle, rejected and resampled until the
-// connectivity graph (decode-range links) is connected. Returns node ids.
-std::vector<NodeId> build_random_connected(Network& net, int n, Meters width,
-                                           Meters height,
-                                           int max_attempts = 100);
-
 }  // namespace muzha

@@ -1,7 +1,6 @@
 #include "stats/trace_sinks.h"
 
 #include "net/trace.h"
-#include "pkt/packet.h"
 
 namespace muzha {
 
@@ -12,30 +11,6 @@ std::size_t VectorTraceSink::count(TraceEventKind kind,
     if (ev.kind == kind && (uid == 0 || ev.uid == uid)) ++n;
   }
   return n;
-}
-
-FileTraceSink::FileTraceSink(const std::string& path)
-    : f_(std::fopen(path.c_str(), "w")) {}
-
-FileTraceSink::~FileTraceSink() {
-  if (f_ != nullptr) std::fclose(f_);
-}
-
-void FileTraceSink::on_event(const TraceEvent& ev) {
-  if (f_ == nullptr) return;
-  const char* proto = ev.proto == IpProto::kTcp    ? "tcp"
-                      : ev.proto == IpProto::kAodv ? "aodv"
-                                                   : "raw";
-  std::fprintf(f_, "%.6f %-9s node=%u uid=%llu %u->%u proto=%s size=%u",
-               ev.time.to_seconds(), trace_event_name(ev.kind), ev.node,
-               static_cast<unsigned long long>(ev.uid), ev.src, ev.dst, proto,
-               ev.size_bytes);
-  if (ev.proto == IpProto::kTcp) {
-    std::fprintf(f_, " %s seq=%lld", ev.is_ack ? "ack" : "data",
-                 static_cast<long long>(ev.seqno));
-  }
-  std::fputc('\n', f_);
-  ++lines_;
 }
 
 }  // namespace muzha

@@ -1,9 +1,6 @@
-// Ready-made TraceSink implementations: in-memory (tests/analysis) and
-// NS-2-style text file.
+// Ready-made TraceSink implementation: in-memory (tests/analysis).
 #pragma once
 
-#include <cstdio>
-#include <string>
 #include <vector>
 
 #include "net/trace.h"
@@ -23,24 +20,6 @@ class VectorTraceSink final : public TraceSink {
 
  private:
   std::vector<TraceEvent> events_;
-};
-
-// Writes one line per event:
-//   <time> <event> node=<n> uid=<u> <src>-><dst> proto=<p> size=<b> [tcp ...]
-class FileTraceSink final : public TraceSink {
- public:
-  explicit FileTraceSink(const std::string& path);
-  ~FileTraceSink() override;
-  FileTraceSink(const FileTraceSink&) = delete;
-  FileTraceSink& operator=(const FileTraceSink&) = delete;
-
-  bool ok() const { return f_ != nullptr; }
-  void on_event(const TraceEvent& ev) override;
-  std::uint64_t lines_written() const { return lines_; }
-
- private:
-  std::FILE* f_ = nullptr;
-  std::uint64_t lines_ = 0;
 };
 
 }  // namespace muzha

@@ -162,13 +162,15 @@ void TcpAgent::go_back_n() {
   ++t_seqno_;
 }
 
-void TcpAgent::on_timeout() {
-  // Classic Tahoe-style restart: halve ssthresh, collapse to one segment and
-  // go back to the first unacknowledged segment.
-  ssthresh_ = std::max(cwnd_ / 2.0, Segments(2.0));
+void TcpAgent::restart_after_timeout(Segments ssthresh) {
+  ssthresh_ = ssthresh;
   set_cwnd(Segments(1.0));
   exit_recovery_bookkeeping();
   go_back_n();
+}
+
+void TcpAgent::on_timeout() {
+  restart_after_timeout(std::max(cwnd_ / 2.0, Segments(2.0)));
 }
 
 }  // namespace muzha

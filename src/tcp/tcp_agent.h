@@ -5,8 +5,10 @@
 // (Jacobson estimation, Karn's rule, exponential backoff), duplicate-ACK
 // detection and retransmission machinery; variants override the three hooks
 // (on_new_ack / on_dup_ack / on_timeout) to implement their congestion
-// control. The `window` config field is NS-2's `window_` — the advertised
-// window cap the paper sweeps in Simulation 2.
+// control; the Reno family (tcp_variants.h, src/relwork) shares TcpReno's
+// fast retransmit and overrides only its loss response. The `window` config
+// field is NS-2's `window_` — the advertised window cap the paper sweeps in
+// Simulation 2.
 #pragma once
 
 #include <cstdint>
@@ -31,15 +33,16 @@ struct TcpConfig {
   FlowId flow = 0;
   // IP datagram size of a data segment: 1460 B payload + 40 B TCP/IP header.
   Bytes packet_size = Bytes(1500);
-  Bytes ack_size = Bytes(40);
   // Advertised window cap in segments (NS-2 `window_`).
   int window = 32;
   // -1 = unbounded source (FTP); otherwise stop after this many segments.
   std::int64_t max_packets = -1;
   RtoConfig rto;
   Segments initial_cwnd = Segments(1.0);
-  int dupack_threshold = 3;
 };
+
+// Duplicate ACKs that trigger fast retransmit (RFC 5681).
+inline constexpr int kDupAckThreshold = 3;
 
 // Coarse congestion-control phase, derived from (in_recovery, cwnd vs
 // ssthresh). Variants without a slow-start phase (Muzha parks ssthresh at 0)
@@ -94,7 +97,7 @@ class TcpAgent : public Agent {
   // Default: ignore. TCP-DOOR uses this to detect out-of-order delivery.
   virtual void on_old_ack(const TcpHeader& h) { (void)h; }
   // Retransmission timeout; base already backed off the RTO and counted the
-  // timeout. Default: classic go-back-N slow-start restart.
+  // timeout. Default: restart_after_timeout(max(cwnd / 2, 2)).
   virtual void on_timeout();
 
   // --- Services for variants ----------------------------------------------
@@ -125,6 +128,16 @@ class TcpAgent : public Agent {
   // Rolls the send sequence back to the first unacknowledged segment and
   // retransmits it (go-back-N after a timeout).
   void go_back_n();
+
+  // Classic timeout restart: the given ssthresh, a one-segment window, out
+  // of recovery, go-back-N.
+  void restart_after_timeout(Segments ssthresh);
+
+  // Smoothed RTT, or 100 ms before the first sample: paces the once-per-RTT
+  // reactions to router marks and seeds Jersey's rate estimate.
+  Seconds srtt_or_default() const {
+    return rto_.has_sample() ? to_seconds(rto_.srtt()) : Seconds(0.1);
+  }
 
  private:
   void output(std::int64_t seq, bool is_retx);

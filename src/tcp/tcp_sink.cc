@@ -7,6 +7,16 @@
 
 namespace muzha {
 
+namespace {
+
+// IP datagram size of an ACK: a bare 40 B TCP/IP header.
+constexpr std::uint32_t kAckBytes = 40;
+// SACK blocks per ACK: what fits in the TCP option space next to a
+// timestamp option (RFC 2018).
+constexpr std::size_t kSackBlocksPerAck = 3;
+
+}  // namespace
+
 TcpSink::TcpSink(Simulator& sim, Node& node, Config cfg)
     : sim_(sim),
       node_(node),
@@ -106,7 +116,7 @@ void TcpSink::fill_sacks(TcpHeader& ack, std::int64_t trigger_seq) const {
     if (r.has_trigger) ack.sacks.push_back({r.begin, r.end});
   }
   for (auto rit = runs.rbegin(); rit != runs.rend(); ++rit) {
-    if (static_cast<int>(ack.sacks.size()) >= cfg_.max_sack_blocks) break;
+    if (ack.sacks.size() >= kSackBlocksPerAck) break;
     if (rit->has_trigger) continue;
     ack.sacks.push_back({rit->begin, rit->end});
   }
@@ -115,9 +125,7 @@ void TcpSink::fill_sacks(TcpHeader& ack, std::int64_t trigger_seq) const {
 void TcpSink::customize_ack(TcpHeader&, const Packet&, bool) {}
 
 void TcpSink::send_ack(const Packet& data, bool is_dup) {
-  PacketPtr ack =
-      node_.new_packet(data.ip.src, IpProto::kTcp,
-                       static_cast<std::uint32_t>(cfg_.ack_size.value()));
+  PacketPtr ack = node_.new_packet(data.ip.src, IpProto::kTcp, kAckBytes);
   TcpHeader h;
   h.flow = data.tcp().flow;
   h.src_port = cfg_.port;

@@ -20,7 +20,6 @@
 #include "sim/sim_time.h"
 #include "sim/simulator.h"
 #include "sim/timer.h"
-#include "sim/units.h"
 
 namespace muzha {
 
@@ -28,8 +27,6 @@ class TcpSink : public Agent {
  public:
   struct Config {
     std::uint16_t port = 0;
-    Bytes ack_size = Bytes(40);
-    int max_sack_blocks = 3;
     // RFC 1122 delayed ACKs: acknowledge every second in-order segment, or
     // after `delack_timeout`, whichever comes first. Out-of-order and
     // duplicate arrivals are always acknowledged immediately (RFC 5681).

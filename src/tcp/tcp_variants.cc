@@ -18,7 +18,7 @@ void TcpTahoe::on_new_ack(const TcpHeader&, std::int64_t) {
 }
 
 void TcpTahoe::on_dup_ack(const TcpHeader&) {
-  if (in_recovery() || dupacks() != config().dupack_threshold) return;
+  if (in_recovery() || dupacks() != kDupAckThreshold) return;
   // Fast retransmit, then restart from slow start (no fast recovery).
   set_ssthresh(std::max(cwnd() / 2.0, Segments(2.0)));
   set_cwnd(Segments(1.0));
@@ -40,19 +40,22 @@ void TcpReno::on_new_ack(const TcpHeader&, std::int64_t) {
   open_cwnd();
 }
 
-void TcpReno::on_dup_ack(const TcpHeader&) {
+void TcpReno::on_dup_ack(const TcpHeader& h) {
   if (in_recovery()) {
     // Window inflation: each dup ACK signals a segment left the network.
     set_cwnd(cwnd() + Segments(1.0));
     send_much();
     return;
   }
-  if (dupacks() != config().dupack_threshold) return;
-  set_ssthresh(std::max(cwnd() / 2.0, Segments(2.0)));
+  if (dupacks() != kDupAckThreshold) return;
+  on_loss(h);
   enter_recovery_bookkeeping();
-  set_cwnd(ssthresh() +
-           Segments(static_cast<double>(config().dupack_threshold)));
   retransmit(highest_ack() + 1);
+}
+
+void TcpReno::on_loss(const TcpHeader&) {
+  set_ssthresh(std::max(cwnd() / 2.0, Segments(2.0)));
+  set_cwnd(ssthresh() + Segments(static_cast<double>(kDupAckThreshold)));
 }
 
 // ---------------------------------------------------------------------------
@@ -76,20 +79,6 @@ void TcpNewReno::on_new_ack(const TcpHeader& h, std::int64_t newly_acked) {
     return;
   }
   open_cwnd();
-}
-
-void TcpNewReno::on_dup_ack(const TcpHeader&) {
-  if (in_recovery()) {
-    set_cwnd(cwnd() + Segments(1.0));
-    send_much();
-    return;
-  }
-  if (dupacks() != config().dupack_threshold) return;
-  set_ssthresh(std::max(cwnd() / 2.0, Segments(2.0)));
-  enter_recovery_bookkeeping();
-  set_cwnd(ssthresh() +
-           Segments(static_cast<double>(config().dupack_threshold)));
-  retransmit(highest_ack() + 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -161,7 +150,7 @@ void TcpSack::on_dup_ack(const TcpHeader& h) {
     try_to_send();
     return;
   }
-  if (dupacks() != config().dupack_threshold) return;
+  if (dupacks() != kDupAckThreshold) return;
   set_ssthresh(std::max(cwnd() / 2.0, Segments(2.0)));
   enter_recovery_bookkeeping();
   set_cwnd(ssthresh());

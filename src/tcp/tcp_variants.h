@@ -22,6 +22,10 @@ class TcpTahoe : public TcpAgent {
 
 // TCP Reno: fast retransmit + fast recovery (window inflation during
 // recovery, deflation to ssthresh on the recovery-exiting ACK).
+//
+// on_dup_ack is the one fast-retransmit path of the Reno family: at the
+// threshold it asks on_loss for the window, then enters recovery and
+// resends the first unacknowledged segment.
 class TcpReno : public TcpAgent {
  public:
   using TcpAgent::TcpAgent;
@@ -29,18 +33,20 @@ class TcpReno : public TcpAgent {
  protected:
   void on_new_ack(const TcpHeader& h, std::int64_t newly_acked) override;
   void on_dup_ack(const TcpHeader& h) override;
+  // Window response to the loss signalled by the threshold dup ACK `h`.
+  // Default: halve ssthresh, cwnd = ssthresh + threshold.
+  virtual void on_loss(const TcpHeader& h);
 };
 
 // TCP NewReno (RFC 3782): stays in fast recovery across partial ACKs,
 // retransmitting one hole per partial ACK, until the recovery point is
 // cumulatively acknowledged.
-class TcpNewReno : public TcpAgent {
+class TcpNewReno : public TcpReno {
  public:
-  using TcpAgent::TcpAgent;
+  using TcpReno::TcpReno;
 
  protected:
   void on_new_ack(const TcpHeader& h, std::int64_t newly_acked) override;
-  void on_dup_ack(const TcpHeader& h) override;
 };
 
 // TCP SACK: scoreboard of selectively-acknowledged segments; during recovery

@@ -2,18 +2,22 @@
 
 #include <algorithm>
 
-#include "net/node.h"
 #include "pkt/packet.h"
 #include "sim/sim_time.h"
-#include "sim/simulator.h"
 #include "sim/units.h"
 #include "tcp/tcp_agent.h"
 
 namespace muzha {
 
-TcpVegas::TcpVegas(Simulator& sim, Node& node, TcpConfig cfg,
-                   VegasConfig vcfg)
-    : TcpAgent(sim, node, cfg), vcfg_(vcfg) {}
+namespace {
+
+// Backlog bounds in segments: grow below alpha, shrink above beta, leave
+// slow start above gamma.
+constexpr double kAlpha = 1.0;
+constexpr double kBeta = 3.0;
+constexpr double kGamma = 1.0;
+
+}  // namespace
 
 void TcpVegas::on_new_ack(const TcpHeader& h, std::int64_t) {
   if (in_recovery()) {
@@ -48,7 +52,7 @@ void TcpVegas::end_of_epoch() {
     last_diff_ = compute_diff();
     if (cwnd() < ssthresh()) {
       // Slow start: terminate as soon as the network starts queueing.
-      if (last_diff_ > vcfg_.gamma) {
+      if (last_diff_ > kGamma) {
         set_cwnd(std::max(cwnd() - cwnd() / 8.0, Segments(2.0)));
         set_ssthresh(Segments(2.0));  // switch to congestion avoidance
       } else if (ss_grow_this_epoch_) {
@@ -56,9 +60,9 @@ void TcpVegas::end_of_epoch() {
       }
       ss_grow_this_epoch_ = !ss_grow_this_epoch_;
     } else {
-      if (last_diff_ < vcfg_.alpha) {
+      if (last_diff_ < kAlpha) {
         set_cwnd(cwnd() + Segments(1.0));
-      } else if (last_diff_ > vcfg_.beta) {
+      } else if (last_diff_ > kBeta) {
         set_cwnd(std::max(cwnd() - Segments(1.0), Segments(2.0)));
       }
       // else: within [alpha, beta] — hold.
@@ -74,7 +78,7 @@ void TcpVegas::on_dup_ack(const TcpHeader&) {
     send_much();
     return;
   }
-  if (dupacks() != config().dupack_threshold) return;
+  if (dupacks() != kDupAckThreshold) return;
   // Vegas reduces less aggressively than Reno on loss (3/4 rather than 1/2).
   set_ssthresh(std::max(cwnd() * 0.75, Segments(2.0)));
   enter_recovery_bookkeeping();

@@ -2,35 +2,26 @@
 //
 // Estimates the number of segments queued in the network as
 //   diff = cwnd * (1 - baseRTT / RTT)
-// once per RTT and nudges the window to keep alpha <= diff <= beta. Slow
-// start doubles every *other* RTT and terminates as soon as diff exceeds
-// gamma, before losses occur — the conservative behaviour behind both its
-// low retransmission counts and its small steady-state window in the
-// paper's long-chain results.
+// once per RTT and nudges the window to keep alpha <= diff <= beta (1 and 3
+// segments). Slow start doubles every *other* RTT and terminates as soon as
+// diff exceeds gamma (1 segment), before losses occur — the conservative
+// behaviour behind both its low retransmission counts and its small
+// steady-state window in the paper's long-chain results.
 #pragma once
 
-#include "net/node.h"
 #include "pkt/packet.h"
-#include "sim/simulator.h"
 #include "sim/units.h"
 #include "tcp/tcp_agent.h"
 
 namespace muzha {
 
-struct VegasConfig {
-  double alpha = 1.0;
-  double beta = 3.0;
-  double gamma = 1.0;
-};
-
 class TcpVegas : public TcpAgent {
  public:
-  TcpVegas(Simulator& sim, Node& node, TcpConfig cfg, VegasConfig vcfg = {});
+  using TcpAgent::TcpAgent;
 
   Seconds base_rtt() const { return base_rtt_; }
   // Estimated backlog, in segments (dimensionless diff of the Vegas paper).
   double last_diff() const { return last_diff_; }
-  const VegasConfig& vegas_config() const { return vcfg_; }
   // Whether the *next* slow-start epoch boundary doubles the window (slow
   // start grows every other RTT).
   bool slow_start_grow_epoch() const { return ss_grow_this_epoch_; }
@@ -53,7 +44,6 @@ class TcpVegas : public TcpAgent {
  private:
   void end_of_epoch();
 
-  VegasConfig vcfg_;
   Seconds base_rtt_;   // minimum RTT ever observed; zero = no sample yet
   Seconds epoch_rtt_;  // minimum RTT within the current epoch
   std::int64_t epoch_end_seq_ = 0;

@@ -27,11 +27,7 @@ namespace harness {
 template <class AgentT>
 class SenderFixture {
  public:
-  // Extra arguments beyond TcpConfig are forwarded to the agent constructor
-  // (e.g. VegasConfig, DoorConfig, a Westwood gain).
-  template <class... Extra>
-  explicit SenderFixture(TcpConfig cfg = {}, Extra&&... extra)
-      : channel_(sim_, PhyParams{}) {
+  explicit SenderFixture(TcpConfig cfg = {}) : channel_(sim_, PhyParams{}) {
     src_ = std::make_unique<Node>(sim_, channel_, 0, Position{0, 0});
     dst_ = std::make_unique<Node>(sim_, channel_, 1, Position{200, 0});
     auto rs = std::make_unique<StaticRouting>(*src_);
@@ -44,8 +40,7 @@ class SenderFixture {
     cfg.dst = 1;
     cfg.src_port = 1000;
     cfg.dst_port = 2000;
-    agent_ = std::make_unique<AgentT>(sim_, *src_, cfg,
-                                      std::forward<Extra>(extra)...);
+    agent_ = std::make_unique<AgentT>(sim_, *src_, cfg);
   }
 
   AgentT& agent() { return *agent_; }

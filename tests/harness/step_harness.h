@@ -27,7 +27,6 @@
 #include <set>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/tcp_muzha.h"
@@ -101,9 +100,7 @@ class SegmentTap : public TraceSink {
 template <class AgentT>
 class StepHarness : public SenderFixture<AgentT> {
  public:
-  template <class... Extra>
-  explicit StepHarness(TcpConfig cfg = {}, Extra&&... extra)
-      : SenderFixture<AgentT>(cfg, std::forward<Extra>(extra)...) {
+  explicit StepHarness(TcpConfig cfg = {}) : SenderFixture<AgentT>(cfg) {
     this->src().set_trace_sink(&tap_);
   }
 

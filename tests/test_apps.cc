@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "app/cbr.h"
-#include "app/ftp.h"
 #include "routing/static_routing.h"
 #include "scenario/network.h"
 #include "tcp/tcp_sink.h"
@@ -47,34 +46,6 @@ TEST(CbrApp, StopsAtStopTime) {
   std::uint64_t at_stop = cbr.packets_sent();
   EXPECT_GT(at_stop, 50u);
   EXPECT_LT(at_stop, 150u);  // nothing after t = 1 s
-}
-
-TEST(FtpApp, StartsAgentAtConfiguredTime) {
-  Network net(1);
-  build_chain(net, 1, Meters(200.0));
-  net.use_static_routing();
-  net.static_routing(0).add_route(1, 1);
-  net.static_routing(1).add_route(0, 0);
-
-  TcpConfig tc;
-  tc.dst = net.node(1).id();
-  tc.src_port = 1000;
-  tc.dst_port = 2000;
-  TcpNewReno agent(net.sim(), net.node(0), tc);
-  TcpSink::Config sc;
-  sc.port = 2000;
-  TcpSink sink(net.sim(), net.node(1), sc);
-  sink.start();
-
-  FtpApp ftp(net.sim(), agent, SimTime::from_seconds(2.0));
-  ftp.install();
-  EXPECT_EQ(ftp.start_time(), SimTime::from_seconds(2.0));
-
-  net.run_until(SimTime::from_seconds(1.9));
-  EXPECT_EQ(agent.packets_sent(), 0u);  // not started yet
-  net.run_until(SimTime::from_seconds(5.0));
-  EXPECT_GT(agent.packets_sent(), 50u);
-  EXPECT_GT(sink.delivered(), 50);
 }
 
 TEST(CbrBackgroundTraffic, DegradesTcpThroughput) {

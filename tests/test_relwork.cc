@@ -19,7 +19,7 @@ namespace {
 
 class DoorHarness : public TcpHarness<TcpDoor> {
  public:
-  DoorHarness() : TcpHarness<TcpDoor>(make_cfg(), DoorConfig{}) {}
+  DoorHarness() : TcpHarness<TcpDoor>(make_cfg()) {}
   static TcpConfig make_cfg() {
     TcpConfig cfg;
     cfg.window = 32;
@@ -342,7 +342,7 @@ TEST(TcpJerseyTest, TimeoutUsesAbeAsSsthresh) {
 
 class RoVegasHarness : public TcpHarness<TcpRoVegas> {
  public:
-  RoVegasHarness() : TcpHarness<TcpRoVegas>(make_cfg(), VegasConfig{}) {}
+  RoVegasHarness() : TcpHarness<TcpRoVegas>(make_cfg()) {}
   static TcpConfig make_cfg() {
     TcpConfig cfg;
     cfg.window = 64;
@@ -399,7 +399,7 @@ TEST(TcpRoVegasTest, ReactsToForwardPathQueueing) {
 
 class WestwoodHarness : public TcpHarness<TcpWestwood> {
  public:
-  WestwoodHarness() : TcpHarness<TcpWestwood>(make_cfg(), 0.9) {}
+  WestwoodHarness() : TcpHarness<TcpWestwood>(make_cfg()) {}
   static TcpConfig make_cfg() {
     TcpConfig cfg;
     cfg.window = 32;

@@ -121,18 +121,6 @@ TEST(ExperimentApi, MuzhaRoutersEnabledAutomatically) {
   EXPECT_GT(res.flows[0].cwnd_trace.size(), 0u);
 }
 
-TEST(ExperimentApi, RoutersOffDegradesMuzhaToBlindAccel) {
-  ExperimentConfig cfg;
-  cfg.hops = 2;
-  cfg.duration = SimTime::from_seconds(5.0);
-  cfg.muzha_routers = ExperimentConfig::Routers::kOff;
-  cfg.flows.push_back({TcpVariant::kMuzha, 0, 2, SimTime::zero(), 8});
-  auto res = run_experiment(cfg);
-  // Without routers every ACK echoes MRAI 5: Muzha doubles every RTT until
-  // the advertised window cap; it still delivers (the cap saves it).
-  EXPECT_GT(res.flows[0].delivered, 50);
-}
-
 TEST(ExperimentApi, ThroughputComputedOverFlowLifetime) {
   ExperimentConfig cfg;
   cfg.hops = 1;

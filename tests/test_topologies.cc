@@ -31,60 +31,5 @@ TEST(GridTopology, SingleRowIsAChain) {
   EXPECT_DOUBLE_EQ(dist(net, 0, 4).value(), 1000.0);
 }
 
-TEST(ParallelChainsTopology, ChainsInterfereButDoNotConnect) {
-  Network net(1);
-  auto pc = build_parallel_chains(net, 4, Meters(250.0), Meters(300.0));
-  ASSERT_EQ(pc.top.size(), 5u);
-  ASSERT_EQ(pc.bottom.size(), 5u);
-  // Vertically opposite nodes: 300 m apart — outside decode range (250),
-  // inside carrier-sense range (550): pure interference coupling.
-  Meters d = dist(net, 0, 5);
-  EXPECT_GT(d, net.channel().params().rx_range);
-  EXPECT_LT(d, net.channel().params().cs_range);
-}
-
-TEST(RandomTopology, ProducesConnectedGraph) {
-  Network net(3);
-  auto ids = build_random_connected(net, 12, Meters(800), Meters(800));
-  ASSERT_EQ(ids.size(), 12u);
-  // Verify connectivity with a BFS over decode-range links.
-  Meters range = net.channel().params().rx_range;
-  std::vector<bool> seen(12, false);
-  std::vector<std::size_t> stack{0};
-  seen[0] = true;
-  std::size_t reached = 1;
-  while (!stack.empty()) {
-    std::size_t u = stack.back();
-    stack.pop_back();
-    for (std::size_t v = 0; v < 12; ++v) {
-      if (!seen[v] && dist(net, u, v) <= range) {
-        seen[v] = true;
-        ++reached;
-        stack.push_back(v);
-      }
-    }
-  }
-  EXPECT_EQ(reached, 12u);
-}
-
-TEST(RandomTopology, DeterministicPerSeed) {
-  Network a(9), b(9);
-  build_random_connected(a, 8, Meters(600), Meters(600));
-  build_random_connected(b, 8, Meters(600), Meters(600));
-  for (std::size_t i = 0; i < 8; ++i) {
-    Position pa = a.node(i).device().phy().position();
-    Position pb = b.node(i).device().phy().position();
-    EXPECT_DOUBLE_EQ(pa.x, pb.x);
-    EXPECT_DOUBLE_EQ(pa.y, pb.y);
-  }
-}
-
-TEST(RandomTopologyDeath, ImpossibleDensityAborts) {
-  Network net(1);
-  // 2 nodes in a 100 km arena: essentially never connected.
-  EXPECT_DEATH(build_random_connected(net, 2, Meters(100000), Meters(100000), 3),
-               "connected");
-}
-
 }  // namespace
 }  // namespace muzha

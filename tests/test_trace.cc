@@ -1,10 +1,6 @@
 // Packet tracing tests: every milestone of a packet's life is observable.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
 #include "net/node.h"
 #include "phy/channel.h"
 #include "routing/static_routing.h"
@@ -120,42 +116,6 @@ TEST_F(TraceTest, NoSinkMeansNoOverhead) {
   sim.run_until(SimTime::from_ms(200));
   EXPECT_TRUE(trace.events().empty());
   EXPECT_EQ(sink_agent.got.size(), 1u);  // traffic unaffected
-}
-
-TEST(FileTraceSinkTest, WritesParseableLines) {
-  std::string path = "/tmp/muzha_trace_test.txt";
-  {
-    FileTraceSink sink(path);
-    ASSERT_TRUE(sink.ok());
-    TraceEvent ev;
-    ev.time = SimTime::from_ms(1500);
-    ev.node = 3;
-    ev.kind = TraceEventKind::kForward;
-    ev.uid = 42;
-    ev.src = 0;
-    ev.dst = 4;
-    ev.proto = IpProto::kTcp;
-    ev.size_bytes = 1500;
-    ev.seqno = 9;
-    sink.on_event(ev);
-    EXPECT_EQ(sink.lines_written(), 1u);
-  }
-  std::ifstream in(path);
-  std::string line;
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_NE(line.find("1.500000"), std::string::npos);
-  EXPECT_NE(line.find("fwd"), std::string::npos);
-  EXPECT_NE(line.find("node=3"), std::string::npos);
-  EXPECT_NE(line.find("0->4"), std::string::npos);
-  EXPECT_NE(line.find("seq=9"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(FileTraceSinkTest, BadPathReportsNotOk) {
-  FileTraceSink sink("/nonexistent-dir/trace.txt");
-  EXPECT_FALSE(sink.ok());
-  sink.on_event(TraceEvent{});  // must not crash
-  EXPECT_EQ(sink.lines_written(), 0u);
 }
 
 }  // namespace
