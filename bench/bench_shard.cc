@@ -13,12 +13,11 @@
 //
 // Scenario model: a four-district mobile city. Districts are 2.5 km-wide
 // random-waypoint strips separated by 1.1 km of empty ground — wider than
-// carrier-sense range, so the shard territories are decoupled, the
-// lookahead has no bound, and each shard runs to the horizon in one window
-// (the cheap regime sharding targets; tightly coupled shards are exercised
-// by tests/test_shard.cc, not measured here). Density is ~25 nodes/km² (≈5
-// rx-range neighbors, so AODV actually finds multi-hop routes); Muzha flows
-// with router assistance give each core a production event mix.
+// carrier-sense range, as a sharded run requires, so each shard runs to the
+// horizon on its own. Density is ~25 nodes/km² (≈5 rx-range neighbors, so
+// AODV actually finds multi-hop routes); Muzha flows with router assistance
+// give each core a production event mix. --shards accepts 1 up to the
+// district count: a shard needs at least one district.
 //
 // The flag exists so the pre/post recordings (and the CI gate) measure the
 // SAME binary: shards=1 builds and runs the city on the calling thread,
@@ -33,11 +32,12 @@
 
 #include "scenario/city.h"
 #include "scenario/experiment.h"
-#include "scenario/sharded_experiment.h"
 
 namespace {
 
 using namespace muzha;
+
+constexpr int kDistricts = 4;
 
 int g_shards = 1;
 int g_jobs = 0;  // 0 = one worker per shard
@@ -46,9 +46,10 @@ ExperimentConfig city_run_config(int nodes) {
   ExperimentConfig cfg;
   cfg.topology = TopologyKind::kRandomField;
   cfg.field.nodes = nodes;
-  cfg.field.districts = 4;
+  cfg.field.districts = kDistricts;
   cfg.field.district_gap = Meters(1100.0);
-  cfg.field.width = Meters(4 * 2500.0 + 3 * 1100.0);
+  cfg.field.width =
+      Meters(kDistricts * 2500.0 + (kDistricts - 1) * 1100.0);
   cfg.field.height = Meters(4000.0);
   cfg.field.mobile = true;
   cfg.duration = SimTime::from_seconds(2.0);
@@ -101,8 +102,11 @@ int main(int argc, char** argv) {
 #endif
     if (arg.rfind("--shards=", 0) == 0) {
       g_shards = std::atoi(arg.substr(9).data());
-      if (g_shards < 1 || g_shards > 64) {
-        std::fprintf(stderr, "bench_shard: --shards must be in [1, 64]\n");
+      if (g_shards < 1 || g_shards > kDistricts) {
+        std::fprintf(stderr,
+                     "bench_shard: --shards must be in [1, %d], the city's "
+                     "district count\n",
+                     kDistricts);
         return 1;
       }
       continue;  // strip: benchmark would reject the unknown flag

@@ -7,15 +7,23 @@
 //
 // One flow is created per comma-separated variant, all sharing the
 // first-to-last path (chain) or the two arms (cross, first two variants).
+// A malformed number or a value out of range prints a message and the
+// usage, and exits 2.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "scenario/experiment.h"
+#include "sim/sim_time.h"
+#include "sim/units.h"
 #include "stats/export.h"
 #include "stats/fairness.h"
 
@@ -37,13 +45,47 @@ void usage(const char* prog) {
   std::fprintf(stderr, "\n");
 }
 
+// Parses all of `text` as a T: false on an empty token, trailing text, a
+// value outside T's range or a non-finite double.
+template <typename T>
+bool parse_number(const char* text, T& out) {
+  const char* end = text + std::strlen(text);
+  auto [ptr, ec] = std::from_chars(text, end, out);
+  if (ec != std::errc() || ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) return std::isfinite(out);
+  return true;
+}
+
+// The first option value the experiment cannot run with, or nullptr.
+const char* range_error(const ExperimentConfig& cfg, int window,
+                        Seconds duration) {
+  if (cfg.uniform_error_rate < 0.0 || cfg.uniform_error_rate > 1.0) {
+    return "--loss must be in [0, 1]";
+  }
+  // Past half the clock's range the conversion, or a timer set past the
+  // horizon, could overflow the 64-bit clock; under 1 ns the run is empty.
+  if (duration.value() > SimTime::max().to_seconds() / 2 ||
+      to_sim_time(duration) <= SimTime::zero()) {
+    return "--duration must be > 0 (and fit the simulation clock)";
+  }
+  if (window < 1) return "--window must be >= 1";
+  if (cfg.topology == TopologyKind::kChain && cfg.hops < 1) {
+    return "--hops must be >= 1 for a chain";
+  }
+  if (cfg.topology == TopologyKind::kCross &&
+      (cfg.hops < 2 || cfg.hops % 2 != 0)) {
+    return "--hops must be even and >= 2 for a cross";
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::vector<TcpVariant> variants{TcpVariant::kMuzha};
   ExperimentConfig cfg;
   cfg.hops = 4;
-  cfg.duration = SimTime::from_seconds(30.0);
+  Seconds duration = Seconds(30.0);
   int window = 32;
   std::string csv_prefix;
 
@@ -55,6 +97,15 @@ int main(int argc, char** argv) {
         std::exit(2);
       }
       return argv[++i];
+    };
+    auto number = [&](auto& out) {
+      const char* text = next();
+      if (!parse_number(text, out)) {
+        std::fprintf(stderr, "%s: '%s' is not a valid number\n", arg.c_str(),
+                     text);
+        usage(argv[0]);
+        std::exit(2);
+      }
     };
     if (arg == "--variant") {
       variants.clear();
@@ -81,15 +132,17 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--hops") {
-      cfg.hops = std::atoi(next());
+      number(cfg.hops);
     } else if (arg == "--window") {
-      window = std::atoi(next());
+      number(window);
     } else if (arg == "--duration") {
-      cfg.duration = SimTime::from_seconds(std::atof(next()));
+      double seconds = 0.0;
+      number(seconds);
+      duration = Seconds(seconds);
     } else if (arg == "--seed") {
-      cfg.seed = static_cast<std::uint64_t>(std::atoll(next()));
+      number(cfg.seed);
     } else if (arg == "--loss") {
-      cfg.uniform_error_rate = std::atof(next());
+      number(cfg.uniform_error_rate);
     } else if (arg == "--static-routing") {
       cfg.static_routing = true;
     } else if (arg == "--csv") {
@@ -104,6 +157,12 @@ int main(int argc, char** argv) {
     usage(argv[0]);
     return 2;
   }
+  if (const char* err = range_error(cfg, window, duration)) {
+    std::fprintf(stderr, "%s\n", err);
+    usage(argv[0]);
+    return 2;
+  }
+  cfg.duration = to_sim_time(duration);
 
   // Flow placement: chain => all flows end-to-end; cross => first flow on
   // the horizontal arm, second on the vertical, rest alternate.

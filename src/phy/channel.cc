@@ -46,7 +46,7 @@ void Channel::transmit(const WirelessPhy& src, const Packet& pkt,
   if (mode_ == ChannelMode::kBruteForce) {
     for (WirelessPhy* rx : phys_) {
       if (rx == &src) continue;
-      deliver(rx, sp, rx->position(), pkt, duration, sim_.now());
+      deliver(rx, sp, rx->position(), pkt, duration);
     }
   } else {
     // Cell side == cs_range, so the 3x3 neighborhood is a superset of the
@@ -61,25 +61,13 @@ void Channel::transmit(const WirelessPhy& src, const Packet& pkt,
               });
     for (const SpatialGrid::Entry& e : scratch_) {
       if (e.phy == &src) continue;
-      deliver(e.phy, sp, e.pos, pkt, duration, sim_.now());
+      deliver(e.phy, sp, e.pos, pkt, duration);
     }
-  }
-  if (boundary_sink_ != nullptr) boundary_sink_->on_transmit(sp, pkt, duration);
-}
-
-void Channel::deliver_remote(Position src_pos, const Packet& pkt,
-                             SimTime duration, SimTime tx_time) {
-  // The transmitter lives on another shard, so no self-exclusion applies;
-  // scanning phys_ in attach order reproduces the receiver order (and thus
-  // every error-model RNG draw order) of a single-core run restricted to
-  // this shard's PHYs.
-  for (WirelessPhy* rx : phys_) {
-    deliver(rx, src_pos, rx->position(), pkt, duration, tx_time);
   }
 }
 
 void Channel::deliver(WirelessPhy* rx, Position src_pos, Position rx_pos,
-                      const Packet& pkt, SimTime duration, SimTime tx_time) {
+                      const Packet& pkt, SimTime duration) {
   Meters dist = distance(src_pos, rx_pos);
   if (dist > params_.cs_range) return;
   bool decodable = dist <= params_.rx_range;
@@ -88,23 +76,14 @@ void Channel::deliver(WirelessPhy* rx, Position src_pos, Position rx_pos,
   if (decodable) {
     copy = clone_packet(pkt);
     pre_corrupted =
-        error_model_->should_corrupt(pkt, dist, tx_time, sim_.rng());
+        error_model_->should_corrupt(pkt, dist, sim_.now(), sim_.rng());
     if (pre_corrupted) ++frames_corrupted_by_error_;
   }
   SimTime prop = to_sim_time(dist / params_.propagation);
-  // Causality invariant of the conservative barrier: a cross-shard frame
-  // merged at a window boundary must still land in this shard's future. A
-  // violation means the lookahead window was too wide for the shard gap.
-  MUZHA_DCHECK(tx_time + prop >= sim_.now(),
-               "causality violated: cross-shard signal would arrive in the "
-               "receiving shard's past (lookahead exceeded min propagation "
-               "delay between shards)");
-  sim_.schedule_at(tx_time + prop,
-                   [rx, copy = std::move(copy), pre_corrupted, duration,
-                    dist]() mutable {
-                     rx->signal_start(std::move(copy), pre_corrupted, duration,
-                                      dist);
-                   });
+  sim_.schedule_in(prop, [rx, copy = std::move(copy), pre_corrupted, duration,
+                          dist]() mutable {
+    rx->signal_start(std::move(copy), pre_corrupted, duration, dist);
+  });
 }
 
 }  // namespace muzha

@@ -36,17 +36,6 @@ class WirelessPhy;
 
 enum class ChannelMode : std::uint8_t { kSpatialIndex, kBruteForce };
 
-// Observer of local transmissions, installed by the sharded-run engine so a
-// shard can forward frames that may reach PHYs owned by OTHER shards. The
-// hook fires synchronously inside Channel::transmit (tx time == sim.now()),
-// after local delivery has been scheduled; it must not re-enter the channel.
-class BoundarySink {
- public:
-  virtual ~BoundarySink() = default;
-  virtual void on_transmit(Position src_pos, const Packet& pkt,
-                           SimTime duration) = 0;
-};
-
 class Channel {
  public:
   Channel(Simulator& sim, PhyParams params,
@@ -86,21 +75,6 @@ class Channel {
   // Called by a transmitting PHY at TX start. `duration` is on-air time.
   void transmit(const WirelessPhy& src, const Packet& pkt, SimTime duration);
 
-  // Installs (or clears, with nullptr) the sharded-run observer that relays
-  // frames toward other shards' channels.
-  void set_boundary_sink(BoundarySink* sink) { boundary_sink_ = sink; }
-
-  // Delivers a frame transmitted at `tx_time` by a PHY that lives on ANOTHER
-  // shard's channel. Receivers are every local PHY in attach order — exactly
-  // the order a local transmit uses — with the usual range gating; per-frame
-  // propagation is computed from `src_pos` just like the local path, so the
-  // signal timeline at each receiver is identical to a single-core run.
-  // Called at a lookahead barrier, i.e. possibly long after tx_time; the
-  // conservative window guarantees every arrival is still in this shard's
-  // future, which is MUZHA_DCHECKed per receiver (the causality invariant).
-  void deliver_remote(Position src_pos, const Packet& pkt, SimTime duration,
-                      SimTime tx_time);
-
   // Statistics.
   std::uint64_t frames_transmitted() const { return frames_transmitted_; }
   std::uint64_t frames_corrupted_by_error() const {
@@ -108,20 +82,16 @@ class Channel {
   }
 
  private:
-  // Shared per-receiver delivery tail of both transmit modes and the remote
-  // path. `rx_pos` is the receiver position as the active lookup structure
-  // saw it; all callers feed the exact same doubles, so distance() is
-  // bit-identical. The signal lands at `tx_time` + propagation; local
-  // transmits pass tx_time == sim_.now(), making schedule_at(tx_time + prop)
-  // the same event as the historical schedule_in(prop).
+  // Shared per-receiver delivery tail of both transmit modes. `rx_pos` is
+  // the receiver position as the active lookup structure saw it; both modes
+  // feed the exact same doubles, so distance() is bit-identical.
   void deliver(WirelessPhy* rx, Position src_pos, Position rx_pos,
-               const Packet& pkt, SimTime duration, SimTime tx_time);
+               const Packet& pkt, SimTime duration);
 
   Simulator& sim_;
   PhyParams params_;
   ChannelMode mode_;
   std::unique_ptr<ErrorModel> error_model_;
-  BoundarySink* boundary_sink_ = nullptr;  // non-owning; sharded runs only
   std::vector<WirelessPhy*> phys_;  // attach order; erase preserves order
   SpatialGrid grid_;
   std::vector<SpatialGrid::Entry> scratch_;  // gather buffer, reused

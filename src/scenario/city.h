@@ -72,8 +72,9 @@ std::vector<CbrFlowSpec> make_random_cbr_flows(int count, int nodes,
 // FTP flows whose endpoints are confined to one district: flow j runs inside
 // district j % districts, between distinct random members of that district.
 // With districts separated by more than carrier-sense range this yields a
-// field whose shards never exchange a single frame — the scaling case the
-// sharded runner is built for. Deterministic in (count, field, flow_seed).
+// field whose shards never exchange a single frame — the only kind of
+// field the sharded runner accepts. Deterministic in (count, field,
+// flow_seed).
 std::vector<FlowSpec> make_random_district_flows(int count,
                                                  const FieldConfig& f,
                                                  TcpVariant v,

@@ -149,12 +149,15 @@ struct ExperimentConfig {
   bool muzha_loss_discrimination = true;
   // AODV by default (Table 5.1); static routing isolates transport effects.
   bool static_routing = false;
-  // Conservative parallel execution (src/scenario/sharded_experiment.h):
-  // partition the field into `shards` spatial slices, one event core per
-  // shard, synchronized by a lookahead barrier. shards == 1 builds and runs
-  // on the calling thread. shards > 1 is deterministic run-to-run and across
-  // `shard_jobs` values, but draws per-shard RNG streams, so its results are
-  // a different (equally valid) sample than shards == 1.
+  // Parallel execution over decoupled districts
+  // (src/scenario/sharded_experiment.h): deal the field's district strips
+  // to `shards` spatial slices, one event core per shard, each running to
+  // the horizon on its own. The districts must be farther apart than
+  // carrier-sense range, so no frame crosses between shards. shards == 1
+  // builds and runs on the calling thread. shards > 1 is deterministic
+  // run-to-run and across `shard_jobs` values, but draws per-shard RNG
+  // streams, so its results are a different (equally valid) sample than
+  // shards == 1.
   int shards = 1;
   // Worker threads for the shard pool; 0 means one per shard.
   int shard_jobs = 0;

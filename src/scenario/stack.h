@@ -53,7 +53,7 @@ std::vector<Position> node_positions(const ExperimentConfig& cfg, Rng& rng);
 // Adds `members` (ascending indices into `positions`) to `net` under their
 // global ids, then builds on them: mobility, routing, router assistance,
 // loss, the TCP flows and the CBR load. Static routes are computed over all
-// of `positions`, so a next hop may belong to another stack.
+// of `positions`: each member gets the routes a one-core run gives it.
 Stack build_stack(const ExperimentConfig& cfg, Network& net,
                   const std::vector<Position>& positions,
                   const std::vector<std::size_t>& members);

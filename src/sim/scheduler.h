@@ -152,14 +152,6 @@ class Scheduler {
   std::size_t pending_events() const { return heap_.size(); }
   std::uint64_t events_executed() const { return executed_; }
 
-  // Firing time of the earliest pending event, or SimTime::max() when the
-  // queue is empty. The sharded-run barrier uses this to advance a quiescent
-  // shard's window straight to its next event instead of ticking through
-  // empty lookahead epochs.
-  SimTime next_event_time() const {
-    return heap_.empty() ? SimTime::max() : heap_[0].time;
-  }
-
  private:
   static constexpr std::uint32_t kNotInHeap = 0xffffffffu;
   // Callbacks are pooled in fixed-size chunks so growth never moves a live

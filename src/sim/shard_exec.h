@@ -1,4 +1,4 @@
-// Persistent worker pool for conservative parallel (sharded) runs.
+// Persistent worker pool for sharded runs.
 //
 // A sharded run partitions one simulation into K independent event cores
 // ("shards"). The executor owns min(K, jobs) OS threads and maps shard s to
@@ -17,13 +17,13 @@
 //    phase.
 //
 // run_phase(fn) invokes fn(shard) for every shard on its owner worker and
-// blocks the caller until all complete. Orchestration (the lookahead barrier,
-// message routing, window selection) stays on the calling thread between
-// phases, so cross-shard data structures need no locking at all: workers and
-// orchestrator alternate, never overlap. The handoff is a mutex + condvar
-// generation counter rather than std::barrier — the orchestrator must run
-// BETWEEN phases, not as a barrier participant, and the explicit generation
-// makes the happens-before edges obvious to TSan and to readers.
+// blocks the caller until all complete. Between phases the orchestrator
+// only collects results on the calling thread, so shared data structures
+// need no locking at all: workers and orchestrator alternate, never
+// overlap. The handoff is a mutex + condvar generation counter rather than
+// std::barrier — the orchestrator must run BETWEEN phases, not as a barrier
+// participant, and the explicit generation makes the happens-before edges
+// obvious to TSan and to readers.
 #pragma once
 
 #include <condition_variable>

@@ -1,0 +1,32 @@
+# muzha_cli exit-code contract, invoked in CMake script mode by ctest:
+#
+#   cmake -DCLI=<path to muzha_cli> -P check_cli_exit_codes.cmake
+#
+# A malformed number or an out-of-range value must exit 2 (message plus
+# usage) instead of running with a meaningless config or aborting on an
+# engine assert; a good short run must exit 0.
+
+if(NOT DEFINED CLI)
+  message(FATAL_ERROR "check_cli_exit_codes.cmake: -DCLI=... is required")
+endif()
+
+function(expect_exit want)
+  execute_process(
+    COMMAND ${CLI} ${ARGN}
+    RESULT_VARIABLE rc
+    OUTPUT_QUIET
+    ERROR_QUIET)
+  if(NOT rc STREQUAL want)
+    string(JOIN " " args ${ARGN})
+    message(SEND_ERROR "muzha_cli ${args}: exit '${rc}', want ${want}")
+  endif()
+endfunction()
+
+expect_exit(2 --loss 2)
+expect_exit(2 --loss -0.5)
+expect_exit(2 --duration -1)
+expect_exit(2 --hops 0)
+expect_exit(2 --hops abc)
+expect_exit(2 --window 0)
+expect_exit(2 --topology cross --hops 1)
+expect_exit(0 --hops 2 --duration 0.5)

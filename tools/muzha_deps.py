@@ -61,21 +61,13 @@ A line suppression covers its own line and the next. A suppression with no
 justification, an unknown rule id, or one that suppresses nothing is itself
 reported (bad-suppression / unknown-rule / unused-suppression).
 
-Baseline ratchet (same semantics as tools/run_clang_tidy.py): findings are
-normalized to stable (file, rule, subject) triples — line numbers are
-deliberately dropped — and diffed against tools/muzha_deps_baseline.txt.
-NEW triples fail the run, STALE entries are advisory (with a count emitted
-as a ::warning under --github so staleness cannot silently accumulate), and
---update-baseline refreshes the file. Meta findings (the suppression rules)
-are never baselineable and always fail.
-
 --dot FILE additionally emits the layer-condensed include graph as Graphviz
 (one node per layer with its file count, one edge per allowed dependency
 with its include count, violations in red) so reviewers can see the
 architecture each PR.
 
-Exit status: 0 when clean (stale-only counts as clean), 1 when any new or
-unbaselined finding survives, 2 on usage/manifest error.
+Every finding fails the run, meta findings included. Exit status: 0 when
+clean, 1 on any finding, 2 on usage/manifest error.
 """
 
 from __future__ import annotations
@@ -96,7 +88,6 @@ from muzha_lint import (  # noqa: E402
 )
 
 DEFAULT_MANIFEST = os.path.join("tools", "layers.toml")
-DEFAULT_BASELINE = os.path.join("tools", "muzha_deps_baseline.txt")
 
 RULES = {
     "layer-violation": "include edge not allowed by the layer manifest "
@@ -108,7 +99,7 @@ RULES = {
                       "drop the include",
     "private-header-escape": "header is private to its layer: include the "
                              "layer's public interface instead",
-    # Meta rules (not suppressible, never baselined).
+    # Meta rules (not suppressible).
     "bad-suppression": "suppression without a justification",
     "unknown-rule": "suppression names an unknown rule id",
     "unused-suppression": "suppression that suppressed nothing",
@@ -652,46 +643,12 @@ def evaluate(project: Project) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# Baseline ratchet (same semantics as tools/run_clang_tidy.py)
+# Reporting
 # ---------------------------------------------------------------------------
 
+# The quoted subject of a finding's detail (the include spelling of a
+# layer violation).
 SUBJECT_RE = re.compile(r"'([^']+)'")
-
-
-def finding_key(f: Finding) -> tuple[str, str, str]:
-    """Stable (file, rule, subject) triple — line numbers deliberately
-    dropped so refactors that move code do not churn the baseline."""
-    m = SUBJECT_RE.search(f.detail)
-    return (f.path, f.rule, m.group(1) if m else "-")
-
-
-def load_baseline(path: str) -> set[tuple[str, str, str]]:
-    baseline: set[tuple[str, str, str]] = set()
-    if not os.path.exists(path):
-        return baseline
-    with open(path, encoding="utf-8") as f:
-        for raw_line in f:
-            line = raw_line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) == 3:
-                baseline.add((parts[0], parts[1], parts[2]))
-    return baseline
-
-
-def write_baseline(path: str, keys: set[tuple[str, str, str]]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("# muzha-deps baseline: accepted (file, rule, subject) "
-                "triples, one per line.\n"
-                "# A finding not listed here fails CI; refresh with\n"
-                "#   python3 tools/muzha_deps.py --update-baseline\n"
-                "# and justify additions in the PR that makes them. Prefer\n"
-                "# fixing the include or adding a justified inline\n"
-                "# `muzha-deps: allow(rule): why` suppression; the baseline\n"
-                "# is for violations that are genuinely unfixable today.\n")
-        for file, rule, subject in sorted(keys):
-            f.write(f"{file} {rule} {subject}\n")
 
 
 def github_annotation(f: Finding) -> str:
@@ -772,12 +729,6 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--root", default=".", help="repository root (default: cwd)")
     ap.add_argument("--manifest", default=None,
                     help=f"layer manifest (default: {DEFAULT_MANIFEST})")
-    ap.add_argument("--baseline", default=None,
-                    help=f"baseline file (default: {DEFAULT_BASELINE})")
-    ap.add_argument("--update-baseline", action="store_true",
-                    help="rewrite the baseline from this run's findings")
-    ap.add_argument("--no-baseline", action="store_true",
-                    help="every finding fails (ignore the baseline file)")
     ap.add_argument("--github", action="store_true",
                     help="also emit GitHub Actions ::error annotations")
     ap.add_argument("--dot", default=None, metavar="FILE",
@@ -792,7 +743,6 @@ def main(argv: list[str]) -> int:
         return 0
 
     manifest_path = args.manifest or os.path.join(args.root, DEFAULT_MANIFEST)
-    baseline_path = args.baseline or os.path.join(args.root, DEFAULT_BASELINE)
     try:
         project, findings = analyze(args.root, manifest_path)
     except ManifestError as e:
@@ -804,44 +754,15 @@ def main(argv: list[str]) -> int:
             f.write(emit_dot(project, findings))
         print(f"muzha-deps: include graph -> {args.dot}")
 
-    meta = [f for f in findings if f.rule in META_RULES]
-    gated = [f for f in findings if f.rule not in META_RULES]
-
-    if args.update_baseline:
-        write_baseline(baseline_path, {finding_key(f) for f in gated})
-        print(f"muzha-deps: baseline refreshed with {len(gated)} finding(s) "
-              f"-> {os.path.relpath(baseline_path, args.root)}")
-        for f in meta:
-            print(f"{f.path}:{f.line}: error: [{f.rule}] {f.detail}")
-        return 1 if meta else 0
-
-    baseline = set() if args.no_baseline else load_baseline(baseline_path)
-    keys = {finding_key(f) for f in gated}
-    new = [f for f in gated if finding_key(f) not in baseline]
-    stale = sorted(baseline - keys)
-
-    rc = 0
-    for f in meta + new:
+    for f in findings:
         print(f"{f.path}:{f.line}: error: [{f.rule}] {f.detail}")
         if args.github:
             print(github_annotation(f))
-        rc = 1
-    for file, rule, subject in stale:
-        print(f"STALE {file}: [{rule}] {subject} in baseline but no longer "
-              "reported (advisory — refresh with --update-baseline)")
-    if stale and args.github:
-        print(f"::warning title=muzha-deps baseline::{len(stale)} stale "
-              f"baseline entr{'y' if len(stale) == 1 else 'ies'} — run "
-              "tools/muzha_deps.py --update-baseline to prune")
-    if rc == 0:
-        n_files = len(project.facts)
-        n_base = len(keys & baseline)
-        print(f"muzha-deps: clean — {n_files} files, {n_base} baselined "
-              f"finding(s), {len(stale)} stale entr"
-              f"{'y' if len(stale) == 1 else 'ies'}, 0 new")
-    else:
-        print(f"muzha-deps: {len(meta) + len(new)} finding(s)", file=sys.stderr)
-    return rc
+    if findings:
+        print(f"muzha-deps: {len(findings)} finding(s)", file=sys.stderr)
+        return 1
+    print(f"muzha-deps: clean — {len(project.facts)} files")
+    return 0
 
 
 if __name__ == "__main__":

@@ -83,7 +83,6 @@ core per shard, one arena per thread, synchronization only at the barrier):
   lock-discipline    mutex/atomic/condition_variable/thread primitives (or
                      their headers) outside the threaded-runtime allowlist
                      (src/sim/shard_exec.*, src/scenario/batch_runner.*,
-                     src/scenario/sharded_experiment.*,
                      src/pkt/packet_arena.*) — model code must be lock-free
                      by construction (shard isolation), not by locking; a
                      lock in model code means shared mutable state exists.
@@ -181,7 +180,7 @@ MODEL_DIRS = ("sim", "phy", "mac", "net", "pkt", "tcp", "core", "relwork",
 THREAD_LOCAL_ALLOW = ("src/pkt/packet_arena.", "src/sim/shard_exec.")
 
 LOCK_ALLOW = ("src/sim/shard_exec.", "src/scenario/batch_runner.",
-              "src/scenario/sharded_experiment.", "src/pkt/packet_arena.")
+              "src/pkt/packet_arena.")
 
 RELAXED_ALLOW = ("src/sim/shard_exec.",)
 

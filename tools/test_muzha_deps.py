@@ -3,8 +3,8 @@
 
 Fixtures: each immediate subdirectory of tests/deps_fixtures/ is a
 self-contained mini-repository (own layers.toml + src/<layer>/ tree). The
-driver runs muzha_deps.analyze() over every tree with no baseline — every
-finding gates — and diffs the actual (tree, file, line, rule) triples against
+driver runs muzha_deps.analyze() over every tree — every finding gates —
+and diffs the actual (tree, file, line, rule) triples against
 `expect: <rule-id>` markers on the exact line the analyzer must report.
 Missed findings and unexpected extras both fail, and EVERY rule id in the
 analyzer's RULES table (meta rules included) must be pinned by at least one
@@ -16,8 +16,8 @@ trees from the inside: quoted-include resolution order (including-file
 directory before the include roots), comment / raw-string stripping (an
 `#include` spelled there is never an edge), the C++14 digit-separator lexer
 state (100'000 must not open a char literal and blank the rest of the file),
-conditional includes as part of the union graph, canonicalize()/layer_of(),
-manifest DAG validation, and the baseline round-trip.
+conditional includes as part of the union graph, canonicalize()/layer_of()
+and manifest DAG validation.
 
 Run directly (repo root is inferred) or via `ctest -R muzha_deps_fixtures`.
 """
@@ -196,22 +196,6 @@ def test_manifest_rejects_non_dag() -> bool:
     return _fail("manifest_dag", "upward edge accepted")
 
 
-def test_baseline_round_trip() -> bool:
-    keys = {("src/a.h", "unused-include", "sim/x.h"),
-            ("src/b.cc", "layer-violation", "tcp/y.h")}
-    with tempfile.NamedTemporaryFile("w", suffix=".txt", delete=False) as f:
-        path = f.name
-    try:
-        muzha_deps.write_baseline(path, keys)
-        if muzha_deps.load_baseline(path) != keys:
-            return _fail("baseline_round_trip", "load != write")
-    finally:
-        os.unlink(path)
-    if muzha_deps.load_baseline(path + ".missing"):
-        return _fail("baseline_round_trip", "missing file not empty")
-    return True
-
-
 def check_units(root: str) -> bool:
     ok = True
     ok = test_resolution_order(root) and ok
@@ -220,10 +204,9 @@ def check_units(root: str) -> bool:
     ok = test_conditional_include_is_an_edge(root) and ok
     ok = test_canonicalize_and_layer_of() and ok
     ok = test_manifest_rejects_non_dag() and ok
-    ok = test_baseline_round_trip() and ok
     if ok:
-        print("muzha-deps units OK: resolver, lexer, manifest and "
-              "baseline edge cases pass")
+        print("muzha-deps units OK: resolver, lexer and manifest edge "
+              "cases pass")
     return ok
 
 
