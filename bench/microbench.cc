@@ -97,7 +97,11 @@ void BM_ChainSimulatedSecond(benchmark::State& state) {
     benchmark::DoNotOptimize(res.flows[0].delivered);
   }
 }
-BENCHMARK(BM_ChainSimulatedSecond)->Arg(4)->Arg(16)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ChainSimulatedSecond)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(16)
+    ->Unit(benchmark::kMillisecond);
 
 // Muzha-specific: full router-assist path enabled.
 void BM_MuzhaChainSimulatedSecond(benchmark::State& state) {

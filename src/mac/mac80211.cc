@@ -89,9 +89,19 @@ void Mac80211::resume_contention() {
 }
 
 void Mac80211::cancel_contention() {
-  if (contention_event_ != kInvalidEventId) {
-    sim_.cancel(contention_event_);
-    contention_event_ = kInvalidEventId;
+  if (contention_event_ == kInvalidEventId) return;
+  sim_.cancel(contention_event_);
+  contention_event_ = kInvalidEventId;
+  if (counting_down_) {
+    // Freeze the backoff: every slot whose boundary has passed is spent. A
+    // busy edge exactly on a boundary spends that slot too, as a
+    // slot-by-slot countdown does: its tick for that boundary is scheduled a
+    // slot ahead, the signal start that freezes us only a propagation delay
+    // ahead, so the tick runs first.
+    counting_down_ = false;
+    const std::int64_t spent = (sim_.now() - countdown_since_) / params_.slot;
+    MUZHA_DCHECK(spent < backoff_slots_, "backoff frozen at or past expiry");
+    backoff_slots_ -= static_cast<std::uint32_t>(spent);
   }
 }
 
@@ -103,24 +113,26 @@ void Mac80211::on_ifs_elapsed() {
   }
   if (backoff_slots_ == 0) {
     start_attempt();
-  } else {
-    contention_event_ = sim_.schedule_in(params_.slot, [this] { on_slot_elapsed(); });
-  }
-}
-
-void Mac80211::on_slot_elapsed() {
-  contention_event_ = kInvalidEventId;
-  if (!medium_idle()) {
-    resume_contention();
     return;
   }
-  MUZHA_ASSERT(backoff_slots_ > 0, "slot tick with no backoff remaining");
-  --backoff_slots_;
-  if (backoff_slots_ == 0) {
-    start_attempt();
-  } else {
-    contention_event_ = sim_.schedule_in(params_.slot, [this] { on_slot_elapsed(); });
-  }
+  // One event for the whole countdown, placed among same-instant events
+  // where the last of its per-slot ticks would have fired.
+  counting_down_ = true;
+  countdown_since_ = sim_.now();
+  contention_event_ = sim_.scheduler().schedule_chain_end(
+      countdown_since_ + params_.slot * backoff_slots_, params_.slot,
+      backoff_slots_, [this] { on_backoff_expired(); });
+}
+
+void Mac80211::on_backoff_expired() {
+  contention_event_ = kInvalidEventId;
+  counting_down_ = false;
+  // The medium can only have gone busy through on_phy_channel_state, which
+  // cancels this event; NAV moves only on a received frame, which needs a
+  // busy carrier first.
+  MUZHA_ASSERT(medium_idle(), "backoff expired on a busy medium");
+  backoff_slots_ = 0;
+  start_attempt();
 }
 
 void Mac80211::start_attempt() {

@@ -8,6 +8,11 @@
 // link-failure callback, which AODV converts into a route error — exactly
 // the "link failure under contention" loss source the paper discusses.
 //
+// The backoff counts down analytically: one event at its expiry instead of
+// one per slot. A busy edge mid-countdown cancels the expiry and keeps only
+// the slots whose boundaries have not yet passed, so the MAC freezes on
+// exactly the slot boundaries a per-slot countdown would.
+//
 // Layering: the MAC holds at most one outgoing packet; the interface queue
 // (IFQ) above feeds it the next packet on the tx-done callback. The MAC
 // depends only on the PHY and the packet model.
@@ -77,7 +82,7 @@ class Mac80211 {
   void resume_contention();
   void cancel_contention();
   void on_ifs_elapsed();
-  void on_slot_elapsed();
+  void on_backoff_expired();
   void start_attempt();  // medium won: send RTS or DATA
 
   void send_rts();
@@ -114,8 +119,11 @@ class Mac80211 {
   std::uint32_t backoff_slots_ = 0;
   std::uint16_t tx_seq_ = 0;
 
-  // Contention progress.
+  // Contention progress. While `counting_down_`, contention_event_ is the
+  // backoff expiry and the countdown started at `countdown_since_`.
   EventId contention_event_ = kInvalidEventId;
+  bool counting_down_ = false;
+  SimTime countdown_since_;
   bool next_ifs_is_eifs_ = false;
   SimTime nav_until_;
 

@@ -38,6 +38,10 @@ class Simulator {
   void run_until(SimTime t_end) { scheduler_.run_until(t_end); }
   void run() { scheduler_.run(); }
 
+  std::uint64_t events_executed() const {
+    return scheduler_.events_executed();
+  }
+
  private:
   Scheduler scheduler_;
   Rng rng_;

@@ -1,6 +1,12 @@
 // Protocol-timing tests for the 802.11 DCF MAC: frame airtimes, IFS gaps,
-// NAV arithmetic and contention-window behaviour.
+// NAV arithmetic, contention-window behaviour and the backoff freeze.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <optional>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "mac/mac80211.h"
 #include "phy/channel.h"
@@ -152,6 +158,92 @@ TEST_F(MacTimingTest, SecondFrameWaitsForPostBackoff) {
   sim.run_until(SimTime::from_ms(100));
   ASSERT_EQ(b.rx.size(), 2u);
   EXPECT_GE(a.tx_done_times[1] - first_done, SimTime::from_us(50));
+}
+
+// A backoff countdown, observed. Station 0 broadcasts one frame, which
+// draws a post-transmission backoff of n slots from the seed, then queues a
+// second frame at kQueued. An observer PHY at the same spot (zero
+// propagation delay) timestamps each frame's start. With `freeze`, a
+// sensed-only signal of kFreezeLen reaches station 0 at that time, scheduled
+// one propagation delay ahead as the channel would deliver it.
+constexpr SimTime kQueued = SimTime::from_ms(10);
+constexpr SimTime kFreezeLen = SimTime::from_us(300);
+constexpr SimTime kPropDelay = SimTime::from_ns(667);
+
+struct Countdown {
+  SimTime first_slot;     // DIFS after queueing: the countdown starts here
+  SimTime attempt;        // the second frame's start
+  std::uint64_t events;   // executed from queueing to the second start
+  std::int64_t slots() const {
+    return (attempt - first_slot) / MacParams{}.slot;
+  }
+};
+
+Countdown run_countdown(std::uint64_t seed, std::optional<SimTime> freeze) {
+  Simulator sim(seed);
+  Channel channel(sim, PhyParams{});
+  WirelessPhy phy(sim, channel, 0, {0, 0});
+  Mac80211 mac(sim, phy, MacParams{});
+  WirelessPhy observer(sim, channel, 1, {0, 0});
+  std::vector<std::pair<SimTime, std::uint64_t>> starts;
+  observer.set_channel_state_callback([&](bool busy) {
+    if (busy) starts.emplace_back(sim.now(), sim.events_executed());
+  });
+
+  mac.transmit(ip_packet(100, 0, kBroadcastId), kBroadcastId);
+  sim.run_until(kQueued);
+  const std::uint64_t queued_events = sim.events_executed();
+  mac.transmit(ip_packet(100, 0, kBroadcastId), kBroadcastId);
+  if (freeze) {
+    sim.schedule_at(*freeze - kPropDelay, [&] {
+      sim.schedule_in(kPropDelay, [&] {
+        phy.signal_start(nullptr, false, kFreezeLen, Meters(200.0));
+      });
+    });
+  }
+  sim.run_until(kQueued + SimTime::from_ms(100));
+  EXPECT_EQ(starts.size(), 2u) << "seed " << seed;
+  if (starts.size() != 2) return {};
+  return {kQueued + MacParams{}.difs, starts[1].first,
+          starts[1].second - queued_events};
+}
+
+TEST(MacBackoff, FreezeSpendsEverySlotWhoseBoundaryHasPassed) {
+  const SimTime slot = MacParams{}.slot;
+  const SimTime difs = MacParams{}.difs;
+  std::uint64_t seed = 1;
+  Countdown free_run = run_countdown(seed, std::nullopt);
+  while (free_run.slots() < 3) {
+    ASSERT_LT(++seed, 64u) << "no seed draws a backoff of 3+ slots";
+    free_run = run_countdown(seed, std::nullopt);
+  }
+  const std::int64_t n = free_run.slots();
+  ASSERT_EQ(free_run.first_slot + slot * n, free_run.attempt);
+  for (std::int64_t k = 1; k < n; ++k) {
+    // A busy edge exactly on the k-th boundary spends k slots: after the
+    // signal and a DIFS, n - k remain.
+    const SimTime boundary = free_run.first_slot + slot * k;
+    EXPECT_EQ(run_countdown(seed, boundary).attempt,
+              boundary + kFreezeLen + difs + slot * (n - k))
+        << "k=" << k << " of n=" << n;
+    // One nanosecond earlier the k-th slot is not yet spent.
+    const SimTime early = boundary - SimTime::from_ns(1);
+    EXPECT_EQ(run_countdown(seed, early).attempt,
+              early + kFreezeLen + difs + slot * (n - k + 1))
+        << "k=" << k << " of n=" << n;
+  }
+}
+
+TEST(MacBackoff, UndisturbedCountdownCostsTheSameEventsWhateverItsLength) {
+  const Countdown first = run_countdown(1, std::nullopt);
+  std::set<std::int64_t> lengths{first.slots()};
+  for (std::uint64_t seed = 2; seed <= 8; ++seed) {
+    const Countdown c = run_countdown(seed, std::nullopt);
+    lengths.insert(c.slots());
+    EXPECT_EQ(c.events, first.events)
+        << "seed " << seed << " counts down " << c.slots() << " slots";
+  }
+  EXPECT_GE(lengths.size(), 3u) << "the seeds should draw different backoffs";
 }
 
 }  // namespace

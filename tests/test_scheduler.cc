@@ -211,6 +211,35 @@ TEST(Scheduler, CountsExecutedEvents) {
   EXPECT_EQ(s.events_executed(), 5u);
 }
 
+// Two chain ends at t=80 ns: A (4 links of 20 ns, started at 0) and B (2
+// links, started at 40). Real chains of per-link events would fire their
+// last links after anything scheduled more than a step ahead, before
+// anything scheduled less than a step ahead, and B before A: B's chain
+// started later, so at every shared instant its link was scheduled first.
+// An ordinary event scheduled exactly a step ahead is the documented limit:
+// it fires before both chain ends.
+TEST(Scheduler, ChainEndsFireWhereTheirLastLinksWould) {
+  Scheduler s;
+  std::vector<char> order;
+  const SimTime step = SimTime::from_ns(20);
+  const SimTime end = SimTime::from_ns(80);
+  s.schedule_at(SimTime::zero(), [&] {
+    s.schedule_chain_end(end, step, 4, [&] { order.push_back('A'); });
+  });
+  s.schedule_at(SimTime::from_ns(40), [&] {
+    s.schedule_chain_end(end, step, 2, [&] { order.push_back('B'); });
+  });
+  s.schedule_at(end, [&] { order.push_back('e'); });  // 80 ns ahead
+  s.schedule_at(end - step, [&] {
+    s.schedule_at(end, [&] { order.push_back('s'); });  // exactly a step
+  });
+  s.schedule_at(SimTime::from_ns(70), [&] {
+    s.schedule_at(end, [&] { order.push_back('l'); });  // 10 ns ahead
+  });
+  s.run();
+  EXPECT_EQ(order, (std::vector<char>{'e', 's', 'B', 'A', 'l'}));
+}
+
 TEST(SchedulerDeath, SchedulingInThePastAborts) {
   Scheduler s;
   s.schedule_at(SimTime::from_ms(10), [] {});

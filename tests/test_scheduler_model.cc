@@ -1,16 +1,22 @@
 // Model-checked scheduler test: random interleavings of the public API
 // cross-checked against a naive reference model.
 //
-// The reference keeps events in a std::multimap ordered by the documented
-// (time, seq) contract and replays run_until/step semantics by hand. Any
+// The reference keeps events in a std::multimap ordered by plain (time, seq)
+// FIFO and replays run_until/step semantics by hand. Chains are where the
+// two differ in mechanism: the reference runs a real chain of links `step`
+// apart, each scheduling the next, while the scheduler under test schedules
+// only the chain's end with schedule_chain_end(). Non-final links are
+// invisible (not fired, not executed, one pending link per chain), so any
 // divergence in firing order, now(), pending_events() or events_executed()
-// after any operation fails the test with the generating seed in the name,
-// so a failure reproduces deterministically. This is what gives us
-// confidence the indexed-heap rewrite (eager cancellation, slot recycling,
-// generation-checked handles) preserved the old scheduler's semantics.
+// after any operation means the chain end fired somewhere its last link
+// would not have. A failure names the generating seed, so it reproduces
+// deterministically. This is also what gives us confidence the indexed-heap
+// rewrite (eager cancellation, slot recycling, generation-checked handles)
+// preserved the old scheduler's semantics.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <unordered_map>
 #include <utility>
@@ -27,37 +33,38 @@ class ReferenceScheduler {
  public:
   using Key = std::pair<std::int64_t, std::uint64_t>;  // (time ns, seq)
 
+  // Runs after each visible event fires, like the callback a real event
+  // carries; it may schedule.
+  std::function<void(int token)> on_fire;
+
   std::uint64_t schedule_at(std::int64_t t_ns, int token) {
-    const std::uint64_t handle = next_handle_++;
-    Key key{t_ns, next_seq_++};
-    queue_.emplace(key, token);
-    by_handle_.emplace(handle, key);
-    return handle;
+    return add({t_ns, next_seq_++}, Entry{token, 0, 0, next_handle_++});
+  }
+
+  // A chain of `links` events `step_ns` apart, starting now. Each link
+  // schedules the next; only the last one fires `token`.
+  std::uint64_t schedule_chain(std::int64_t step_ns, std::uint32_t links,
+                               int token) {
+    return add({now_ns_ + step_ns, next_seq_++},
+               Entry{token, step_ns, links - 1, next_handle_++});
   }
 
   // True if the handle was pending (and is now removed), mirroring the
-  // scheduler where cancelling a fired/cancelled id is a no-op.
+  // scheduler where cancelling a fired/cancelled id is a no-op. Cancelling
+  // a chain cancels its current link.
   bool cancel(std::uint64_t handle) {
     auto it = by_handle_.find(handle);
     if (it == by_handle_.end()) return false;
-    auto range = queue_.equal_range(it->second);
-    for (auto q = range.first; q != range.second; ++q) {
-      queue_.erase(q);
-      break;
-    }
+    queue_.erase(it->second);
     by_handle_.erase(it);
     return true;
   }
 
   bool step(std::vector<int>& fired) {
-    if (queue_.empty()) return false;
-    auto it = queue_.begin();
-    now_ns_ = it->first.first;
-    ++executed_;
-    fired.push_back(it->second);
-    erase_handle_of(it->first);
-    queue_.erase(it);
-    return true;
+    while (!queue_.empty()) {
+      if (pop(fired)) return true;
+    }
+    return false;
   }
 
   void run_until(std::int64_t t_end_ns, bool t_end_is_max,
@@ -67,7 +74,7 @@ class ReferenceScheduler {
         now_ns_ = t_end_ns;
         return;
       }
-      step(fired);
+      pop(fired);
     }
     // Drained: the clock still advances to the horizon, except for the
     // run() = run_until(max) spelling which parks at the last event.
@@ -79,23 +86,54 @@ class ReferenceScheduler {
   std::uint64_t executed() const { return executed_; }
 
  private:
-  void erase_handle_of(const Key& key) {
-    // muzha-lint: allow(unordered-iter): linear search for the unique matching value; exactly one entry matches, so visit order cannot affect the result
-    for (auto it = by_handle_.begin(); it != by_handle_.end(); ++it) {
-      if (it->second == key) {
-        by_handle_.erase(it);
-        return;
-      }
-    }
+  struct Entry {
+    int token;
+    std::int64_t step_ns;        // chains: spacing of the links
+    std::uint32_t links_after;   // chains: links still to come after this one
+    std::uint64_t handle;
+  };
+
+  std::uint64_t add(const Key& key, const Entry& e) {
+    by_handle_[e.handle] = queue_.emplace(key, e);
+    return e.handle;
   }
 
-  std::multimap<Key, int> queue_;
-  std::unordered_map<std::uint64_t, Key> by_handle_;
+  // Runs the earliest entry. Returns true if it was visible (not a
+  // non-final chain link).
+  bool pop(std::vector<int>& fired) {
+    auto it = queue_.begin();
+    now_ns_ = it->first.first;
+    const Entry e = it->second;
+    queue_.erase(it);
+    if (e.links_after > 0) {
+      add({now_ns_ + e.step_ns, next_seq_++},
+          Entry{e.token, e.step_ns, e.links_after - 1, e.handle});
+      return false;
+    }
+    by_handle_.erase(e.handle);
+    ++executed_;
+    fired.push_back(e.token);
+    if (on_fire) on_fire(e.token);
+    return true;
+  }
+
+  std::multimap<Key, Entry> queue_;
+  std::unordered_map<std::uint64_t, std::multimap<Key, Entry>::iterator>
+      by_handle_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t next_handle_ = 1;
   std::int64_t now_ns_ = 0;
   std::uint64_t executed_ = 0;
 };
+
+// Chain steps, and the delays of the events that start chains. As in the
+// MAC (20 us slots started at the end of a 50 us DIFS), a starter is
+// scheduled further ahead than any step, so it runs before every link due
+// at its instant. Ordinary delays are 0 or odd multiples of 10 ns, never a
+// step: an ordinary event exactly a step ahead of a chain end is the
+// scheduler's one documented departure from real links.
+constexpr std::int64_t kSteps[] = {20, 40};
+constexpr std::int64_t kMaxStep = 40;
 
 void run_model_check(std::uint64_t seed, int ops) {
   Rng rng(seed);
@@ -104,32 +142,68 @@ void run_model_check(std::uint64_t seed, int ops) {
 
   std::vector<int> fired_real;
   std::vector<int> fired_ref;
-  // Parallel handle lists; index i holds the same logical event in both.
+  // Parallel handle lists; index i holds the same logical event in both. A
+  // chain's entry is filled in when its starter fires.
   std::vector<EventId> real_ids;
   std::vector<std::uint64_t> ref_ids;
   int next_token = 0;
 
+  // A starter's token maps to the chain it starts and that chain's index in
+  // the handle lists.
+  struct ChainSpec {
+    std::int64_t step_ns;
+    std::uint32_t links;
+    int token;
+    std::size_t id_index;
+  };
+  std::map<int, ChainSpec> chain_of_starter;
+  ref.on_fire = [&](int token) {
+    auto it = chain_of_starter.find(token);
+    if (it == chain_of_starter.end()) return;
+    const ChainSpec& c = it->second;
+    ref_ids[c.id_index] = ref.schedule_chain(c.step_ns, c.links, c.token);
+  };
+  auto record = [&fired_real](int token) {
+    return [token, &fired_real] { fired_real.push_back(token); };
+  };
+
   for (int op = 0; op < ops; ++op) {
     const int choice = static_cast<int>(rng.uniform_int(0, 99));
-    if (choice < 40) {
+    if (choice < 30) {
       // schedule_at / schedule_in with delays that force plenty of (time,
-      // seq) ties (delay 0 and small multiples of 10ns are common).
-      const std::int64_t delay = rng.uniform_int(0, 12) * 10;
+      // seq) ties: 0 and odd multiples of 10 ns.
+      const std::int64_t k = rng.uniform_int(0, 6);
+      const std::int64_t delay = k == 0 ? 0 : (2 * k - 1) * 10;
       const int token = next_token++;
       EventId id;
-      if (choice < 20) {
+      if (choice < 15) {
         id = sched.schedule_at(SimTime::from_ns(sched.now().ns() + delay),
-                               [token, &fired_real] {
-                                 fired_real.push_back(token);
-                               });
+                               record(token));
       } else {
-        id = sched.schedule_in(SimTime::from_ns(delay),
-                               [token, &fired_real] {
-                                 fired_real.push_back(token);
-                               });
+        id = sched.schedule_in(SimTime::from_ns(delay), record(token));
       }
       real_ids.push_back(id);
       ref_ids.push_back(ref.schedule_at(ref.now_ns() + delay, token));
+    } else if (choice < 40) {
+      // A starter: an ordinary event that, when it fires, starts a chain.
+      const std::int64_t delay = kMaxStep + 10 * rng.uniform_int(1, 8);
+      const std::int64_t step_ns = kSteps[rng.uniform_int(0, 1)];
+      const auto links = static_cast<std::uint32_t>(rng.uniform_int(1, 6));
+      const int starter = next_token++;
+      const int chain = next_token++;
+      const std::size_t chain_index = real_ids.size() + 1;
+      chain_of_starter[starter] = {step_ns, links, chain, chain_index};
+      real_ids.push_back(sched.schedule_in(
+          SimTime::from_ns(delay),
+          [&, starter, chain, step_ns, links, chain_index] {
+            fired_real.push_back(starter);
+            const SimTime step = SimTime::from_ns(step_ns);
+            real_ids[chain_index] = sched.schedule_chain_end(
+                sched.now() + step * links, step, links, record(chain));
+          }));
+      ref_ids.push_back(ref.schedule_at(ref.now_ns() + delay, starter));
+      real_ids.push_back(kInvalidEventId);
+      ref_ids.push_back(0);
     } else if (choice < 60 && !real_ids.empty()) {
       // Cancel a random handle: pending, fired or already-cancelled alike.
       const std::size_t pick = static_cast<std::size_t>(
