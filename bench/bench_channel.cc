@@ -125,10 +125,10 @@ void BM_ChannelTransmitCrowded(benchmark::State& state) {
 BENCHMARK(BM_ChannelTransmitCrowded)->ArgNames({"nodes"})->Arg(1000);
 
 // Mobility maintenance: one set_position per item (random-waypoint tick
-// shape). Under the index this pays the grid update (usually in-place, a
-// cell migration when the step crosses a cell edge); under brute force it is
-// a bare store — the price of keeping the index current, which the transmit
-// speedup has to beat.
+// shape). Under the index every call computes the mover's cell and compares
+// it with the cell the PHY is filed under, re-filing it when a step crosses
+// a cell edge; under brute force it is a bare store — the price of keeping
+// the index current, which the transmit speedup has to beat.
 void BM_ChannelMobilityChurn(benchmark::State& state) {
   const int nodes = static_cast<int>(state.range(0));
   Field field(nodes, Meters(kRegionSide));

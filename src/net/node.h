@@ -44,11 +44,9 @@ class Node {
     routing_ = std::move(routing);
   }
   RoutingProtocol& routing() { return *routing_; }
-  bool has_routing() const { return routing_ != nullptr; }
 
   // Non-owning; nullptr disables Muzha router assistance on this node.
   void set_drai_source(DraiSource* src) { drai_source_ = src; }
-  DraiSource* drai_source() { return drai_source_; }
 
   // Non-owning; nullptr (default) disables packet tracing on this node.
   void set_trace_sink(TraceSink* sink) { trace_ = sink; }

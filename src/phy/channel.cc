@@ -20,23 +20,27 @@ void Channel::attach(WirelessPhy& phy) {
   phy.channel_order_ = next_order_++;
   phys_.push_back(&phy);
   if (mode_ == ChannelMode::kSpatialIndex) {
-    grid_.insert(&phy, phy.position(), phy.channel_order_, &phy.grid_item_);
+    phy.grid_cell_ = grid_.cell_of(phy.position());
+    grid_.insert(phy.grid_cell_, phy.channel_order_, &phy);
   }
 }
 
 void Channel::detach(WirelessPhy& phy) {
   if (!phy.channel_attached_) return;
   phy.channel_attached_ = false;
-  grid_.remove(&phy.grid_item_);
+  if (mode_ == ChannelMode::kSpatialIndex) grid_.remove(phy.grid_cell_, &phy);
   auto it = std::find(phys_.begin(), phys_.end(), &phy);
   MUZHA_ASSERT(it != phys_.end(), "Channel::detach: PHY not in phys_");
   phys_.erase(it);  // keeps the survivors in attach order
 }
 
 void Channel::phy_moved(WirelessPhy& phy) {
-  if (phy.channel_attached_ && mode_ == ChannelMode::kSpatialIndex) {
-    grid_.move(&phy.grid_item_, phy.position());
-  }
+  if (!phy.channel_attached_ || mode_ != ChannelMode::kSpatialIndex) return;
+  SpatialGrid::CellKey cell = grid_.cell_of(phy.position());
+  if (cell == phy.grid_cell_) return;
+  grid_.remove(phy.grid_cell_, &phy);
+  grid_.insert(cell, phy.channel_order_, &phy);
+  phy.grid_cell_ = cell;
 }
 
 void Channel::transmit(const WirelessPhy& src, const Packet& pkt,

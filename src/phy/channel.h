@@ -51,8 +51,6 @@ class Channel {
   const PhyParams& params() const { return params_; }
   Simulator& sim() { return sim_; }
   ChannelMode mode() const { return mode_; }
-  // Read-only index access for WirelessPhy::set_position's same-cell test.
-  const SpatialGrid& grid() const { return grid_; }
 
   // Registers a PHY for delivery. Attaching a PHY twice is a bug (it would
   // receive every frame twice); MUZHA_DCHECKed.
@@ -63,7 +61,8 @@ class Channel {
   // phys_ or the grid. Relative attach order of the survivors is preserved.
   void detach(WirelessPhy& phy);
 
-  // Called by WirelessPhy::set_position to keep the spatial index current.
+  // Called by WirelessPhy::set_position to keep the spatial index current:
+  // re-files the PHY when its position has left the cell it is filed under.
   void phy_moved(WirelessPhy& phy);
 
   std::size_t attached_count() const { return phys_.size(); }
@@ -83,8 +82,9 @@ class Channel {
 
  private:
   // Shared per-receiver delivery tail of both transmit modes. `rx_pos` is
-  // the receiver position as the active lookup structure saw it; both modes
-  // feed the exact same doubles, so distance() is bit-identical.
+  // the receiver's live position(), read by the brute-force scan or by
+  // gather(); both modes feed the exact same doubles, so distance() is
+  // bit-identical.
   void deliver(WirelessPhy* rx, Position src_pos, Position rx_pos,
                const Packet& pkt, SimTime duration);
 

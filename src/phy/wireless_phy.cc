@@ -1,5 +1,7 @@
 #include "phy/wireless_phy.h"
 
+#include <algorithm>
+
 #include "phy/channel.h"
 #include "phy/phy_params.h"
 #include "phy/position.h"
@@ -86,22 +88,19 @@ void WirelessPhy::signal_start(PacketPtr pkt, bool pre_corrupted,
     }
   }
   active_signals_.emplace_back(seq, tx_dist);
-  ++sensed_signals_;
   update_carrier(was_busy);
   sim_.schedule_in(duration, [this, seq] { signal_end(seq); });
 }
 
 void WirelessPhy::signal_end(std::uint64_t signal_seq) {
   bool was_busy = carrier_busy();
-  MUZHA_ASSERT(sensed_signals_ > 0, "signal_end without matching start");
-  --sensed_signals_;
-  for (auto& entry : active_signals_) {
-    if (entry.first == signal_seq) {
-      entry = active_signals_.back();  // swap-pop; order is irrelevant
-      active_signals_.pop_back();
-      break;
-    }
-  }
+  auto it = std::find_if(
+      active_signals_.begin(), active_signals_.end(),
+      [signal_seq](const auto& signal) { return signal.first == signal_seq; });
+  MUZHA_ASSERT(it != active_signals_.end(),
+               "signal_end without matching start");
+  *it = active_signals_.back();  // swap-pop; order is irrelevant
+  active_signals_.pop_back();
   if (signal_seq == decoding_seq_) {
     decoding_seq_ = 0;
     PacketPtr p = std::move(decoding_pkt_);

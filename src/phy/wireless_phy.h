@@ -42,12 +42,6 @@ class WirelessPhy {
   Position position() const { return pos_; }
   void set_position(Position p) {
     pos_ = p;
-    // Keep the spatial index current — but only when the move actually
-    // re-buckets. In-cell moves (the common random-waypoint tick) touch no
-    // grid memory: gather() reads live positions, so the index never holds
-    // an authoritative copy of ours. When not indexed (brute-force mode or
-    // detached), grid_item_ is invalid and phy_moved() is the judge.
-    if (grid_item_.valid() && channel_.grid().same_cell(grid_item_, p)) return;
     channel_.phy_moved(*this);
   }
 
@@ -59,7 +53,7 @@ class WirelessPhy {
 
   // True when the medium is sensed busy (energy present, receiving, or
   // transmitting).
-  bool carrier_busy() const { return tx_active_ || sensed_signals_ > 0; }
+  bool carrier_busy() const { return tx_active_ || !active_signals_.empty(); }
   bool transmitting() const { return tx_active_; }
 
   // On-air time of a frame of `total` bytes (MAC overhead included by the
@@ -83,7 +77,7 @@ class WirelessPhy {
   std::uint64_t collisions() const { return collisions_; }
 
  private:
-  friend class Channel;  // attach/detach bookkeeping below
+  friend class Channel;  // channel bookkeeping below
 
   void signal_end(std::uint64_t signal_seq);
   void update_carrier(bool was_busy);
@@ -93,17 +87,16 @@ class WirelessPhy {
   NodeId id_;
   Position pos_;
 
-  // Channel bookkeeping, written only by Channel::attach/detach.
+  // Channel bookkeeping, written only by Channel.
   bool channel_attached_ = false;
   std::uint64_t channel_order_ = 0;  // monotonic attach-order key
-  SpatialGrid::Item grid_item_;      // backref into the spatial index
+  SpatialGrid::CellKey grid_cell_;   // the grid cell this PHY is filed under
 
   ChannelStateCallback on_channel_state_;
   RxCallback on_rx_;
   TxDoneCallback on_tx_done_;
 
   bool tx_active_ = false;
-  int sensed_signals_ = 0;
   // (sequence, distance) of every signal currently arriving. Flat vector,
   // erased by swap-pop: the capture decision in signal_start() is an
   // order-independent predicate over ALL entries, so element order does not

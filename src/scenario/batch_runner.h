@@ -60,7 +60,6 @@ class BatchRunner {
   std::size_t add_point(ExperimentConfig cfg);
 
   std::size_t size() const { return points_.size(); }
-  const BatchOptions& options() const { return opts_; }
 
   // Runs all points x replications on the pool. result[point][replication],
   // in submission order.

@@ -4,30 +4,7 @@
 
 namespace muzha {
 
-namespace {
-
-// Two-sided 97.5% Student-t quantiles for df = 1..30; beyond that the normal
-// approximation (1.96) is within half a percent.
-constexpr double kT975[] = {
-    12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
-    2.201,  2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
-    2.080,  2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042};
-
-double t975(std::size_t df) {
-  if (df == 0) return 0.0;
-  if (df <= 30) return kT975[df - 1];
-  return 1.96;
-}
-
-}  // namespace
-
 void ReplicatedStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    if (x < min_) min_ = x;
-    if (x > max_) max_ = x;
-  }
   ++n_;
   double delta = x - mean_;
   mean_ += delta / static_cast<double>(n_);
@@ -40,10 +17,5 @@ double ReplicatedStats::variance() const {
 }
 
 double ReplicatedStats::stddev() const { return std::sqrt(variance()); }
-
-double ReplicatedStats::ci95_halfwidth() const {
-  if (n_ < 2) return 0.0;
-  return t975(n_ - 1) * stddev() / std::sqrt(static_cast<double>(n_));
-}
 
 }  // namespace muzha

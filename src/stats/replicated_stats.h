@@ -2,9 +2,8 @@
 //
 // Every figure in the paper is an average over independent seeded runs;
 // ReplicatedStats accumulates one metric across those replications and
-// reports mean, sample standard deviation, min/max and a 95% confidence
-// interval (Student-t for small n). Benches aggregate each cell of a sweep
-// table with one of these.
+// reports its mean and sample standard deviation. Benches aggregate each cell
+// of a sweep table with one of these.
 #pragma once
 
 #include <cstddef>
@@ -17,25 +16,16 @@ class ReplicatedStats {
 
   std::size_t count() const { return n_; }
   double mean() const { return n_ > 0 ? mean_ : 0.0; }
-  double min() const { return n_ > 0 ? min_ : 0.0; }
-  double max() const { return n_ > 0 ? max_ : 0.0; }
 
   // Sample variance / standard deviation (n-1 denominator); 0 when n < 2.
   double variance() const;
   double stddev() const;
-
-  // Half-width of the 95% two-sided confidence interval for the mean,
-  // t_{0.975, n-1} * stddev / sqrt(n); 0 when n < 2. The interval is
-  // [mean() - ci95_halfwidth(), mean() + ci95_halfwidth()].
-  double ci95_halfwidth() const;
 
  private:
   std::size_t n_ = 0;
   // Welford running moments: numerically stable regardless of magnitude.
   double mean_ = 0.0;
   double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 }  // namespace muzha

@@ -84,6 +84,10 @@ class World {
     });
   }
 
+  void detach_at(SimTime t, std::size_t node) {
+    sim_.schedule_at(t, [this, node] { channel_.detach(*phys_[node]); });
+  }
+
   void run_until(SimTime t) { sim_.run_until(t); }
 
   const std::vector<LogEvent>& log() const { return log_; }
@@ -257,17 +261,13 @@ TEST(ChannelIndexDifferential, MovesFarOutAndBack) {
   EXPECT_EQ(node1_rx, 2);
 }
 
-// ---------------------------------------------------------------------------
-// SpatialGrid unit coverage: backref integrity through swap-pop removal,
-// cell migration and table rehash. The grid never dereferences the phy
-// pointer, so entries are tagged by order key alone here.
 TEST(ChannelIndexDifferential, InCellMovesCrossRangeBoundaries) {
-  // Regression for the deferred-rebucketing fast path: every move here stays
-  // inside the mover's 550 m cell, so the grid is never updated — delivery
-  // must still track the live position as it crosses the decode (250 m) and
-  // carrier-sense (550 m... not reachable in-cell, but the rx edge is)
-  // boundaries relative to the transmitter. A stale cached entry position
-  // would freeze node 1's receptions at the initial 100 m distance.
+  // Every move here stays inside the mover's 550 m cell, so the PHY is never
+  // re-filed — delivery must still track the live position as it crosses the
+  // decode (250 m) and carrier-sense (550 m... not reachable in-cell, but the
+  // rx edge is) boundaries relative to the transmitter. A position recorded
+  // when the PHY was filed would freeze node 1's receptions at the initial
+  // 100 m distance.
   std::vector<Position> positions{{10.0, 10.0}, {110.0, 10.0}};
   World index(ChannelMode::kSpatialIndex, 13, positions, 0.0);
   World brute(ChannelMode::kBruteForce, 13, positions, 0.0);
@@ -287,7 +287,47 @@ TEST(ChannelIndexDifferential, InCellMovesCrossRangeBoundaries) {
   EXPECT_EQ(node1_rx, 2);
 }
 
+TEST(ChannelIndexDifferential, DetachAfterCellChange) {
+  // Node 1 moves into the next cell (re-filed there), moves again inside it,
+  // and is detached mid-run: detach must find it in the cell it moved into.
+  // The remaining nodes, two of them within decode range of node 1's last
+  // position, keep transmitting; none of it may reach node 1.
+  std::vector<Position> positions{
+      {100.0, 100.0}, {200.0, 100.0}, {300.0, 100.0},  // cell (0, 0)
+      {650.0, 100.0}, {800.0, 100.0},                  // cell (1, 0)
+  };
+  World index(ChannelMode::kSpatialIndex, 17, positions, 0.0);
+  World brute(ChannelMode::kBruteForce, 17, positions, 0.0);
+  for (World* w : {&index, &brute}) {
+    w->transmit_at(SimTime::from_ms(1), 0, 400);
+    w->move_at(SimTime::from_ms(10), 1, {700.0, 150.0});  // into cell (1, 0)
+    w->transmit_at(SimTime::from_ms(15), 4, 400);
+    w->move_at(SimTime::from_ms(20), 1, {750.0, 300.0});  // same cell
+    w->transmit_at(SimTime::from_ms(25), 3, 400);
+    w->detach_at(SimTime::from_ms(30), 1);
+    const std::size_t remaining[] = {0, 2, 3, 4};
+    for (int i = 0; i < 8; ++i) {
+      w->transmit_at(SimTime::from_ms(40 + 10 * i), remaining[i % 4], 400);
+    }
+    w->run_until(SimTime::from_ms(130));
+  }
+  expect_logs_identical(index, brute);
+  // Sanity on the index side: node 1 decoded the three frames sent before
+  // its detach (from cell (0, 0), then twice from cell (1, 0)) and saw
+  // nothing after it.
+  int node1_rx = 0, node1_after_detach = 0;
+  for (const LogEvent& e : index.log()) {
+    if (e.phy != 1) continue;
+    if (e.kind == LogEvent::kRx && !e.flag) ++node1_rx;
+    if (e.t_ns >= SimTime::from_ms(30).ns()) ++node1_after_detach;
+  }
+  EXPECT_EQ(node1_rx, 3);
+  EXPECT_EQ(node1_after_detach, 0);
+}
+
 // ---------------------------------------------------------------------------
+// SpatialGrid unit coverage: the 3x3 gather, removal from a cell, live
+// positions and table rehash.
 
 // Real PHYs for the grid unit tests: gather() reads each owner's live
 // position, so entries must point at actual WirelessPhy objects. The channel
@@ -323,7 +363,6 @@ std::vector<std::uint64_t> gathered_orders(const SpatialGrid& grid,
 TEST(ChannelIndexGrid, GatherCoversThreeByThreeNeighborhood) {
   GridPhys world;
   SpatialGrid grid(Meters(550.0));
-  std::vector<SpatialGrid::Item> items(5);
   const Position pos[5] = {
       {0.0, 0.0},     // origin cell
       {549.0, 0.0},   // same cell
@@ -332,7 +371,7 @@ TEST(ChannelIndexGrid, GatherCoversThreeByThreeNeighborhood) {
       {1200.0, 0.0},  // two cells east
   };
   for (std::uint64_t i = 0; i < 5; ++i) {
-    grid.insert(world.make(pos[i]), pos[i], i, &items[i]);
+    grid.insert(grid.cell_of(pos[i]), i, world.make(pos[i]));
   }
   EXPECT_EQ(gathered_orders(grid, {100.0, 100.0}),
             (std::vector<std::uint64_t>{0, 1, 2, 3}));
@@ -341,80 +380,34 @@ TEST(ChannelIndexGrid, GatherCoversThreeByThreeNeighborhood) {
             (std::vector<std::uint64_t>{2, 4}));
 }
 
-TEST(ChannelIndexGrid, SwapPopRemovalKeepsBackrefsCurrent) {
+TEST(ChannelIndexGrid, RemovingOneEntryLeavesTheRestOfItsCell) {
   GridPhys world;
   SpatialGrid grid(Meters(550.0));
-  std::vector<SpatialGrid::Item> items(4);
+  std::vector<WirelessPhy*> phys;
   for (std::uint64_t i = 0; i < 4; ++i) {
     Position p{10.0 * static_cast<double>(i), 0.0};
-    grid.insert(world.make(p), p, i, &items[i]);
+    phys.push_back(world.make(p));
+    grid.insert(grid.cell_of(p), i, phys.back());
   }
-  // Removing the first entry swap-pops the last into its slot; the last
-  // entry's backref must follow, or this second removal corrupts the cell.
-  grid.remove(&items[0]);
-  grid.remove(&items[3]);
-  EXPECT_EQ(grid.size(), 2u);
+  // Removing the first entry swap-pops the last into its place; that entry
+  // must stay removable by name, and the middle two must stay filed.
+  grid.remove(grid.cell_of(phys[0]->position()), phys[0]);
+  EXPECT_EQ(gathered_orders(grid, {0.0, 0.0}),
+            (std::vector<std::uint64_t>{1, 2, 3}));
+  grid.remove(grid.cell_of(phys[3]->position()), phys[3]);
   EXPECT_EQ(gathered_orders(grid, {0.0, 0.0}),
             (std::vector<std::uint64_t>{1, 2}));
-  EXPECT_FALSE(items[0].valid());
-  EXPECT_FALSE(items[3].valid());
-}
-
-TEST(ChannelIndexGrid, MoveMigratesBetweenCells) {
-  GridPhys world;
-  SpatialGrid grid(Meters(550.0));
-  std::vector<SpatialGrid::Item> items(2);
-  WirelessPhy* a = world.make({10.0, 10.0});
-  WirelessPhy* b = world.make({20.0, 20.0});
-  grid.insert(a, a->position(), 0, &items[0]);
-  grid.insert(b, b->position(), 1, &items[1]);
-  a->set_position({5000.0, 5000.0});  // far cell
-  grid.move(&items[0], a->position());
-  EXPECT_EQ(gathered_orders(grid, {0.0, 0.0}),
-            (std::vector<std::uint64_t>{1}));
-  EXPECT_EQ(gathered_orders(grid, {5000.0, 5000.0}),
-            (std::vector<std::uint64_t>{0}));
-  a->set_position({15.0, 15.0});  // back home
-  grid.move(&items[0], a->position());
-  EXPECT_EQ(gathered_orders(grid, {0.0, 0.0}),
-            (std::vector<std::uint64_t>{0, 1}));
-  // In-place move within the same cell.
-  b->set_position({30.0, 30.0});
-  grid.move(&items[1], b->position());
-  EXPECT_EQ(grid.size(), 2u);
-  EXPECT_EQ(gathered_orders(grid, {0.0, 0.0}),
-            (std::vector<std::uint64_t>{0, 1}));
-}
-
-TEST(ChannelIndexGrid, SameCellAnswersWithoutGridUpdate) {
-  GridPhys world;
-  SpatialGrid grid(Meters(550.0));
-  SpatialGrid::Item item;
-  WirelessPhy* a = world.make({100.0, 100.0});
-  grid.insert(a, a->position(), 0, &item);
-  // Anywhere in [0, 550) x [0, 550) is the same cell; crossing either axis
-  // boundary is not. Negative coordinates bucket into cell -1 (floor).
-  EXPECT_TRUE(grid.same_cell(item, {549.9, 0.1}));
-  EXPECT_TRUE(grid.same_cell(item, {0.0, 549.9}));
-  EXPECT_FALSE(grid.same_cell(item, {550.0, 100.0}));
-  EXPECT_FALSE(grid.same_cell(item, {100.0, -0.1}));
-  // After a migrating move the cached coordinates must track the new cell.
-  a->set_position({700.0, 100.0});
-  grid.move(&item, a->position());
-  EXPECT_TRUE(grid.same_cell(item, {600.0, 0.0}));
-  EXPECT_FALSE(grid.same_cell(item, {549.0, 100.0}));
 }
 
 TEST(ChannelIndexGrid, GatherReturnsLivePositions) {
-  // In-cell moves leave stored entry positions stale by design; gather()
-  // must surface the owner's current doubles (what a brute scan would read).
+  // Cells store no position; gather() must surface the owner's current
+  // doubles (what a brute scan would read) after an in-cell move.
   GridPhys world;
   SpatialGrid grid(Meters(550.0));
-  SpatialGrid::Item item;
   WirelessPhy* a = world.make({10.0, 10.0});
-  grid.insert(a, a->position(), 0, &item);
-  a->set_position({540.0, 260.0});  // same cell: no grid update issued
-  ASSERT_TRUE(grid.same_cell(item, a->position()));
+  grid.insert(grid.cell_of(a->position()), 0, a);
+  a->set_position({540.0, 260.0});  // same cell: not re-filed
+  ASSERT_TRUE(grid.cell_of(a->position()) == grid.cell_of({10.0, 10.0}));
   std::vector<SpatialGrid::Entry> out;
   grid.gather({100.0, 100.0}, out);
   ASSERT_EQ(out.size(), 1u);
@@ -422,27 +415,29 @@ TEST(ChannelIndexGrid, GatherReturnsLivePositions) {
   EXPECT_EQ(out[0].pos.y, 260.0);
 }
 
-TEST(ChannelIndexGrid, RehashRewritesEveryBackref) {
+TEST(ChannelIndexGrid, TwoHundredCellsSurviveRehashes) {
   SpatialGrid grid(Meters(550.0));
   // 200 entries in 200 distinct cells forces multiple rehashes of the
   // initial 64-bucket table.
   constexpr int kN = 200;
   GridPhys world;
-  std::vector<SpatialGrid::Item> items(kN);
+  std::vector<WirelessPhy*> phys;
   for (int i = 0; i < kN; ++i) {
     Position p{550.0 * 2.0 * i + 1.0, 0.0};
-    grid.insert(world.make(p), p, static_cast<std::uint64_t>(i), &items[i]);
+    phys.push_back(world.make(p));
+    grid.insert(grid.cell_of(p), static_cast<std::uint64_t>(i), phys.back());
   }
-  EXPECT_EQ(grid.size(), static_cast<std::size_t>(kN));
-  // Every backref must still resolve: gather each entry's own neighborhood
-  // (cells are 2 apart, so each sees only itself), then remove through the
-  // backref without tripping the stale-item DCHECK.
+  // Every cell must still be found: gather each entry's own neighborhood
+  // (cells are 2 apart, so each sees only itself), then remove each entry
+  // from its cell, which aborts if the cell or the entry is missing.
   for (int i = 0; i < kN; ++i) {
-    EXPECT_EQ(gathered_orders(grid, {550.0 * 2.0 * i + 1.0, 0.0}),
+    EXPECT_EQ(gathered_orders(grid, phys[i]->position()),
               (std::vector<std::uint64_t>{static_cast<std::uint64_t>(i)}));
   }
-  for (int i = 0; i < kN; ++i) grid.remove(&items[i]);
-  EXPECT_EQ(grid.size(), 0u);
+  for (int i = 0; i < kN; ++i) {
+    grid.remove(grid.cell_of(phys[i]->position()), phys[i]);
+    EXPECT_TRUE(gathered_orders(grid, phys[i]->position()).empty());
+  }
 }
 
 }  // namespace

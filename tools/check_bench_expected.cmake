@@ -4,7 +4,7 @@
 #         -DOUT_DIR=<output dir> -DMODE=quick|full
 #         -P check_bench_expected.cmake
 #
-# Runs each of the ten figure drivers (at --quick when MODE is quick) and
+# Runs each of the nine figure drivers (at --quick when MODE is quick) and
 # compares its stdout byte for byte with EXPECTED_DIR/<driver>.<MODE>.txt.
 # Every driver but mobility_bench runs at --jobs 4; mobility_bench builds its
 # networks by hand and takes no --jobs. Any change to a printed cell fails
@@ -47,9 +47,9 @@ function(expect_output driver)
   endif()
 endfunction()
 
-foreach(driver fig5_02_cwnd_chain fig5_08_throughput_vs_hops
-               fig5_11_retx_vs_hops fig5_16_coexistence fig5_19_dynamics
-               ablation_drai ablation_marking ecn_vs_drai relwork_shootout)
+foreach(driver fig5_02_cwnd_chain fig5_08_hops_sweep fig5_16_coexistence
+               fig5_19_dynamics ablation_drai ablation_marking ecn_vs_drai
+               relwork_shootout)
   expect_output(${driver} --jobs 4)
 endforeach()
 expect_output(mobility_bench)
