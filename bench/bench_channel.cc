@@ -36,7 +36,6 @@
 #include "phy/channel.h"
 #include "phy/wireless_phy.h"
 #include "pkt/packet.h"
-#include "pkt/packet_arena.h"
 #include "scenario/city.h"
 #include "scenario/experiment.h"
 #include "scenario/network.h"
@@ -150,36 +149,21 @@ void BM_ChannelMobilityChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_ChannelMobilityChurn)->ArgNames({"nodes"})->Arg(1000);
 
-// Packet clone cost: the arena free-list path vs the operator-new path it
-// replaced. (Both run in every mode; they do not touch the channel.)
-void BM_PacketCloneArena(benchmark::State& state) {
+// Packet clone cost: the channel's per-receiver copy. (Runs in every mode;
+// it does not touch the channel.)
+void BM_PacketClone(benchmark::State& state) {
   Packet proto;
   proto.size_bytes = 1500;
   TcpHeader h;
   h.seqno = 7;
   proto.l4 = h;
-  { PacketPtr warm = clone_packet(proto); }  // warm the thread arena
   for (auto _ : state) {
     PacketPtr p = clone_packet(proto);
     benchmark::DoNotOptimize(p);
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_PacketCloneArena);
-
-void BM_PacketCloneHeap(benchmark::State& state) {
-  Packet proto;
-  proto.size_bytes = 1500;
-  TcpHeader h;
-  h.seqno = 7;
-  proto.l4 = h;
-  for (auto _ : state) {
-    std::unique_ptr<Packet> p = std::make_unique<Packet>(proto);
-    benchmark::DoNotOptimize(p);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PacketCloneHeap);
+BENCHMARK(BM_PacketClone);
 
 }  // namespace
 

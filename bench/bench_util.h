@@ -1,9 +1,12 @@
 // Shared helpers for the figure-reproduction benches.
 #pragma once
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "scenario/batch_runner.h"
@@ -17,7 +20,8 @@ inline constexpr TcpVariant kPaperVariants[] = {
     TcpVariant::kVegas};
 
 // Common bench flags: --quick (fewer points/replications for smoke runs) and
-// --jobs N (worker threads for the batch pool; 0 = all hardware cores).
+// --jobs N (worker threads for the batch pool; 0 = all hardware cores). A
+// negative, malformed or out-of-range N is a usage error (exit 2).
 struct BenchArgs {
   bool quick = false;
   int jobs = 0;
@@ -30,10 +34,9 @@ inline BenchArgs parse_bench_args(int argc, char** argv) {
     std::exit(2);
   };
   auto parse_jobs = [&](const char* s) {
-    char* end = nullptr;
-    long v = std::strtol(s, &end, 10);
-    if (end == s || *end != '\0') usage();
-    args.jobs = static_cast<int>(v);
+    const char* end = s + std::strlen(s);
+    auto [ptr, ec] = std::from_chars(s, end, args.jobs);
+    if (ec != std::errc() || ptr != end || args.jobs < 0) usage();
   };
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];

@@ -2,8 +2,17 @@
 
 namespace muzha {
 
-// make_packet / clone_packet / alloc_packet live in packet_arena.cc so the
-// pool and its factories share a translation unit.
+PacketPtr alloc_packet() { return std::make_unique<Packet>(); }
+
+PacketPtr make_packet(std::uint64_t& uid_counter) {
+  PacketPtr p = alloc_packet();
+  p->uid = ++uid_counter;
+  return p;
+}
+
+PacketPtr clone_packet(const Packet& src) {
+  return std::make_unique<Packet>(src);
+}
 
 const char* mac_frame_name(MacFrameType t) {
   switch (t) {

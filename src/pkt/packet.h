@@ -104,9 +104,9 @@ struct SackBlock {
 
 // Fixed-capacity SACK block list. The real option carries at most 3 blocks
 // (RFC 2018); storing them inline keeps TcpHeader — and therefore Packet —
-// free of heap-owning members, which is what lets the packet arena clone and
-// recycle packets without touching the allocator. push_back saturates at
-// capacity (the sink sends at most 3, kSackBlocksPerAck in tcp_sink.cc).
+// free of heap-owning members, so the channel's per-receiver clone is one
+// allocation. push_back saturates at capacity (the sink sends at most 3,
+// kSackBlocksPerAck in tcp_sink.cc).
 inline constexpr int kMaxSackBlocks = 4;
 
 class SackList {
@@ -218,18 +218,10 @@ struct Packet {
   bool has_aodv() const { return std::holds_alternative<AodvMessage>(l4); }
 };
 
-// Packets are pool-allocated: the deleter returns the object to the calling
-// thread's PacketArena (src/pkt/packet_arena.h) instead of the heap, so the
-// clone-per-receiver channel path and the MAC retransmit path recycle
-// storage through a free list. The deleter is stateless, so PacketPtr stays
-// pointer-sized and inline-callback captures are unaffected.
-struct PacketDeleter {
-  void operator()(Packet* p) const noexcept;  // defined in packet_arena.cc
-};
-using PacketPtr = std::unique_ptr<Packet, PacketDeleter>;
+using PacketPtr = std::unique_ptr<Packet>;
 
-// Allocates a default-initialised packet (uid 0) from the thread's arena —
-// the MAC uses this for control frames; tests use it for hand-built frames.
+// Allocates a default-initialised packet (uid 0) — the MAC uses this for
+// control frames; tests use it for hand-built frames.
 PacketPtr alloc_packet();
 
 // Allocates a packet with a fresh uid. `uid_counter` is owned by the caller

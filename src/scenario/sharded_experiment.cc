@@ -23,9 +23,8 @@ namespace muzha {
 
 namespace {
 
-// Everything one shard owns. Built, run and DESTROYED on the shard's sticky
-// worker thread: nodes, agents and apps hold arena packets, and the
-// thread-local arena forbids cross-thread release.
+// Everything one shard owns. Built, run and destroyed in executor phases,
+// so the shards take each step in parallel.
 struct ShardState {
   std::unique_ptr<Network> net;
   Stack stack;
@@ -93,16 +92,14 @@ ExperimentResult run_sharded_experiment(const ExperimentConfig& cfg) {
   });
 
   // --- Collect. Pure reads; the workers are quiescent between phases, so
-  // the orchestrator may touch everything except packet memory.
+  // the orchestrator may read every shard.
   std::vector<Stack*> stacks;
   stacks.reserve(states.size());
   for (auto& st : states) stacks.push_back(&st->stack);
   ExperimentResult result = collect(cfg, stacks);
 
-  // --- Teardown, back on the owner threads: nodes, agents and apps hold
-  // arena packets, and the thread-local arena insists on same-thread
-  // release. The executor's sticky mapping guarantees each shard dies where
-  // it lived.
+  // --- Teardown, in one more phase: the workers destroy the shards in
+  // parallel instead of the orchestrator freeing them one after another.
   exec.run_phase(
       [&states](int s) { states[static_cast<std::size_t>(s)].reset(); });
   return result;

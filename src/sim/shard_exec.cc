@@ -50,9 +50,7 @@ void ShardExecutor::worker_main(int worker) {
       fn = phase_fn_;
     }
     // Each worker walks ITS shards in ascending order, outside the lock:
-    // workers run their disjoint shard sets concurrently, and within a
-    // worker the order is fixed so thread-local state (the packet arena)
-    // sees the same sequence at any worker count.
+    // workers run their disjoint shard sets concurrently.
     const int stride = static_cast<int>(threads_.size());
     for (int shard = worker; shard < shards_; shard += stride) {
       (*fn)(shard);

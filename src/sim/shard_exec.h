@@ -2,19 +2,12 @@
 //
 // A sharded run partitions one simulation into K independent event cores
 // ("shards"). The executor owns min(K, jobs) OS threads and maps shard s to
-// worker s % jobs — a STICKY assignment that never changes for the lifetime
-// of the executor. Stickiness is load-bearing twice over:
-//
-//  - Determinism: every event of shard s executes on the same thread in the
-//    same order regardless of how many workers exist, so per-thread state
-//    (most importantly the thread_local PacketArena) sees an identical
-//    allocation/release sequence whether jobs=1 or jobs=K.
-//  - Arena ownership: PacketArena DCHECKs that a packet is released by the
-//    arena that allocated it. All allocation AND teardown for a shard's
-//    Network must happen on its owner worker — which is why run_phase() is
-//    also used for destruction, and why the threads persist across the whole
-//    build → run → collect → destroy lifecycle instead of being pooled per
-//    phase.
+// worker s % jobs, a fixed assignment for the lifetime of the executor, so a
+// phase needs no work queue: each worker walks its own shards in ascending
+// order. Shards share no mutable state, so results do not depend on which
+// worker runs a shard or on how many workers there are. The threads persist
+// across a run's build → run → destroy phases instead of being spawned per
+// phase.
 //
 // run_phase(fn) invokes fn(shard) for every shard on its owner worker and
 // blocks the caller until all complete. Between phases the orchestrator

@@ -1,6 +1,5 @@
-// Fixture: thread-local-audit fires on any thread_local outside the audited
-// allowlist (this file classifies as src/net/). The allowlisted spellings
-// live in the companion fixture src/pkt/packet_arena.cc.
+// Fixture: thread-local-audit fires on every thread_local, wherever it is
+// (this file classifies as src/net/, so the static below is model code).
 namespace muzha {
 
 struct ScratchBuffer {

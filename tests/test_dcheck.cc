@@ -6,7 +6,6 @@
 #include "phy/channel.h"
 #include "phy/wireless_phy.h"
 #include "pkt/packet.h"
-#include "pkt/packet_arena.h"
 #include "sim/assert.h"
 #include "sim/sim_time.h"
 #include "sim/simulator.h"
@@ -49,17 +48,6 @@ TEST(DcheckDeathTest, WrongLayerHeaderAccessIsCaught) {
   std::uint64_t uid = 0;
   PacketPtr p = make_packet(uid);  // l4 is monostate: no TCP header
   EXPECT_DEATH(p->tcp(), "layer discipline");
-}
-
-TEST(DcheckDeathTest, PacketArenaDoubleFreeIsCaught) {
-  EXPECT_DEATH(
-      {
-        PacketArena arena;
-        Packet* p = arena.allocate();
-        arena.release(p);
-        arena.release(p);
-      },
-      "double free");
 }
 
 TEST(DcheckDeathTest, ChannelDoubleAttachIsCaught) {

@@ -6,22 +6,21 @@ fully determines every event, RNG draw and floating-point metric. The test
 suite pins that with byte-identity and golden-hash tests, but nothing stops a
 refactor from *introducing* a hazard that only diverges on another machine or
 allocator — or, now that one run executes on several threads (BatchRunner
-worker pools, sharded event cores, the thread-local packet arena), a hazard
-that only diverges under a different thread schedule. This checker
-mechanically bans the constructs that leak wall-clock time, hash-bucket
-layout, address-space randomization or cross-thread mutation into model
-behavior, plus the classic C++ memory-safety foot-guns on polymorphic agents.
+worker pools, sharded event cores), a hazard that only diverges under a
+different thread schedule. This checker mechanically bans the constructs that
+leak wall-clock time, hash-bucket layout, address-space randomization or
+cross-thread mutation into model behavior, plus the classic C++ memory-safety
+foot-guns on polymorphic agents.
 
 It is a two-pass, token/AST-lite analyzer:
 
   pass 1 (per file)  lex the file (comments, string and raw-string literals
                      stripped), collect facts: class declarations with their
-                     member fields and bases, suppression comments, statics,
-                     thread_local/mutex/atomic sites, #includes, names
-                     declared with unordered container types.
+                     bases, suppression comments, statics, thread_local/
+                     mutex/atomic sites, #includes, names declared with
+                     unordered container types.
   pass 2 (project)   close the facts over the whole scanned set — the
-                     polymorphic-class closure feeds `slicing`, the
-                     boundary-type closure feeds `boundary-escape` — then
+                     polymorphic-class closure feeds `slicing` — then
                      evaluate every rule and apply per-file suppressions.
 
 That is deliberate — it runs in milliseconds as a ctest with zero
@@ -66,7 +65,7 @@ Determinism rules (see DESIGN.md "Correctness tooling" for the catalog):
                      which that file alone is exempt from.
 
 Shard-safety rules (the threaded runtime's isolation discipline — one event
-core per shard, one arena per thread, synchronization only at the barrier):
+core per shard, synchronization only in the shard executor):
 
   mutable-static     non-const static (namespace-scope, function-local or
                      class-static data member) in model code under
@@ -75,31 +74,21 @@ core per shard, one arena per thread, synchronization only at the barrier):
                      thread at once: a data race and a cross-run
                      determinism leak. Model state lives in objects owned
                      by one shard.
-  thread-local-audit thread_local anywhere outside the audited allowlist
-                     (src/pkt/packet_arena.*, src/sim/shard_exec.*) —
-                     per-thread state silently keys behavior on which
-                     worker runs the code; every instance must be designed
-                     for, not introduced in passing.
+  thread-local-audit thread_local anywhere — per-thread state silently
+                     keys behavior on which worker runs the code; an
+                     instance must be designed for, with a justified
+                     suppression, not introduced in passing.
   lock-discipline    mutex/atomic/condition_variable/thread primitives (or
                      their headers) outside the threaded-runtime allowlist
-                     (src/sim/shard_exec.*, src/scenario/batch_runner.*,
-                     src/pkt/packet_arena.*) — model code must be lock-free
-                     by construction (shard isolation), not by locking; a
-                     lock in model code means shared mutable state exists.
+                     (src/sim/shard_exec.*, src/scenario/batch_runner.*)
+                     — model code must be lock-free by construction (shard
+                     isolation), not by locking; a lock in model code means
+                     shared mutable state exists.
   relaxed-atomic     memory_order_relaxed / memory_order_consume / raw
                      atomic fences outside src/sim/shard_exec.* — weak
                      orderings need a happens-before argument; outside the
                      one file whose job is synchronization they require a
                      justified suppression spelling that argument out.
-  boundary-escape    raw Packet*/PacketPtr/reference members in
-                     BoundaryMessage-adjacent types (anything named
-                     Boundary*, every type reachable from one as a member
-                     field, every subclass of one — closed project-wide in
-                     pass 2) — boundary types are copied across shard
-                     threads at the lookahead barrier; a raw pointer or
-                     reference member would alias one shard's (or one
-                     thread-local arena's) memory from another thread.
-                     Cross-shard payloads carry Packet BY VALUE.
 
 Paths under tests/lint_fixtures/ are classified by their path with that
 prefix stripped, so a fixture at tests/lint_fixtures/src/mac/x.cc exercises
@@ -151,14 +140,11 @@ RULES = {
     # Shard-safety family: the threaded runtime's isolation discipline.
     "mutable-static": "mutable static in model code: shared across every shard thread, "
                       "a data race and a determinism leak",
-    "thread-local-audit": "thread_local outside the audited allowlist "
-                          "(packet_arena, shard_exec): per-thread state keys behavior on the worker",
+    "thread-local-audit": "per-thread state: keys behavior on whichever worker runs the code",
     "lock-discipline": "synchronization primitive outside the threaded-runtime allowlist: "
                        "model code is lock-free by shard isolation, not by locking",
     "relaxed-atomic": "relaxed/consume ordering or raw fence outside shard_exec: "
                       "needs a justified happens-before argument",
-    "boundary-escape": "raw pointer/reference member in a boundary-crossing type: "
-                       "aliases one shard's memory from another thread",
     # Meta rules (not suppressible, no fixtures needed beyond the dedicated ones).
     "bad-suppression": "suppression without a justification",
     "unknown-rule": "suppression names an unknown rule id",
@@ -177,10 +163,7 @@ FIXTURE_PREFIX = "tests/lint_fixtures/"
 MODEL_DIRS = ("sim", "phy", "mac", "net", "pkt", "tcp", "core", "relwork",
               "routing", "app", "stats")
 
-THREAD_LOCAL_ALLOW = ("src/pkt/packet_arena.", "src/sim/shard_exec.")
-
-LOCK_ALLOW = ("src/sim/shard_exec.", "src/scenario/batch_runner.",
-              "src/pkt/packet_arena.")
+LOCK_ALLOW = ("src/sim/shard_exec.", "src/scenario/batch_runner.")
 
 RELAXED_ALLOW = ("src/sim/shard_exec.",)
 
@@ -359,7 +342,7 @@ def parse_suppressions(
 
 
 # ---------------------------------------------------------------------------
-# Class parsing (for virtual-dtor, slicing and boundary-escape)
+# Class parsing (for virtual-dtor and slicing)
 # ---------------------------------------------------------------------------
 
 CLASS_HEAD_RE = re.compile(
@@ -369,89 +352,12 @@ CLASS_HEAD_RE = re.compile(
 
 
 @dataclasses.dataclass
-class MemberInfo:
-    line: int          # 1-based
-    text: str          # declaration text up to (not including) initializer
-    is_ref: bool       # T& member (not T&&)
-    is_ptr: bool       # raw pointer member
-    type_ids: list[str]  # identifiers appearing in the declared type
-
-
-@dataclasses.dataclass
 class ClassInfo:
     name: str
     line: int  # 1-based line of the head
     is_final: bool
     bases: list[str]
     body: str
-    members: list[MemberInfo] = dataclasses.field(default_factory=list)
-
-
-MEMBER_SKIP_RE = re.compile(
-    r"^\s*(?:using\b|typedef\b|friend\b|enum\b|template\b|#)")
-CXX_DECL_KEYWORDS = {
-    "const", "constexpr", "static", "inline", "mutable", "volatile",
-    "unsigned", "signed", "struct", "class", "public", "private", "protected",
-    "std", "operator", "return", "if", "while", "for", "override", "final",
-}
-
-
-def parse_members(body: str, body_first_line: int) -> list[MemberInfo]:
-    """Field declarations at the top brace level of a class body.
-
-    Statements containing a '(' before any '=' are treated as function
-    declarations and skipped; nested blocks (method bodies, nested classes)
-    are skipped wholesale. Line numbers are exact, which the fixture suite
-    relies on.
-    """
-    members: list[MemberInfo] = []
-    depth = 0
-    stmt: list[str] = []
-    stmt_line: int | None = None
-    cur_line = body_first_line
-    for c in body:
-        if c == "\n":
-            cur_line += 1
-            if depth == 0 and stmt:
-                stmt.append(" ")
-            continue
-        if c == "{":
-            depth += 1
-            if depth == 1:
-                stmt, stmt_line = [], None  # function/nested-class header
-            continue
-        if c == "}":
-            depth -= 1
-            continue
-        if depth != 0:
-            continue
-        if c == ";":
-            if stmt_line is not None:
-                _classify_member("".join(stmt), stmt_line, members)
-            stmt, stmt_line = [], None
-            continue
-        if stmt_line is None and not c.isspace():
-            stmt_line = cur_line
-        stmt.append(c)
-    return members
-
-
-def _classify_member(stmt: str, line: int, out: list[MemberInfo]) -> None:
-    # Access labels can share the statement ("public: int x").
-    stmt = re.sub(r"\b(?:public|private|protected)\s*:", " ", stmt).strip()
-    if not stmt or MEMBER_SKIP_RE.match(stmt):
-        return
-    p_paren, p_eq = stmt.find("("), stmt.find("=")
-    if p_paren != -1 and (p_eq == -1 or p_paren < p_eq):
-        return  # function declaration (or ctor-style init: accepted miss)
-    decl = stmt if p_eq == -1 else stmt[:p_eq]
-    if not re.search(r"\w", decl):
-        return
-    is_ref = "&" in decl and "&&" not in decl
-    is_ptr = "*" in decl
-    ids = [w for w in re.findall(r"[A-Za-z_]\w*", decl)
-           if w not in CXX_DECL_KEYWORDS]
-    out.append(MemberInfo(line, decl.strip(), is_ref, is_ptr, ids))
 
 
 def parse_classes(code_text: str) -> list[ClassInfo]:
@@ -482,15 +388,12 @@ def parse_classes(code_text: str) -> list[ClassInfo]:
                 # last identifier of e.g. `public muzha::TraceSink`
                 if words:
                     bases.append(words[-1])
-        body = code_text[brace + 1:end]
-        body_first_line = code_text.count("\n", 0, brace) + 1
         classes.append(ClassInfo(
             name=m.group("name"),
             line=code_text.count("\n", 0, head_start) + 1,
             is_final=m.group("final") is not None,
             bases=bases,
-            body=body,
-            members=parse_members(body, body_first_line),
+            body=code_text[brace + 1:end],
         ))
     return classes
 
@@ -506,40 +409,6 @@ def collect_polymorphic(all_classes: list[ClassInfo]) -> set[str]:
                 poly.add(c.name)
                 changed = True
     return poly
-
-
-def collect_boundary_adjacent(all_classes: list[ClassInfo]) -> set[str]:
-    """Types whose instances cross shard threads at the lookahead barrier.
-
-    Seeds: every class whose name contains 'Boundary' (BoundaryMessage,
-    BoundarySink, ...). Closure: the declared type of any BY-VALUE member
-    field of an adjacent class is adjacent (it is copied across with the
-    message — pointer/reference members do not propagate: they are the
-    hazard this rule flags, not a copy), and every subclass of an adjacent
-    class is adjacent (it observes cross-shard traffic through the
-    interface). Closed over the whole scanned set, so the payload type can
-    live in another header than the message.
-    """
-    by_name = {}
-    for c in all_classes:
-        by_name.setdefault(c.name, []).append(c)
-    adjacent = {c.name for c in all_classes if "Boundary" in c.name}
-    changed = True
-    while changed:
-        changed = False
-        for c in all_classes:
-            if c.name in adjacent:
-                for mem in c.members:
-                    if mem.is_ptr or mem.is_ref:
-                        continue
-                    for tid in mem.type_ids:
-                        if tid in by_name and tid not in adjacent:
-                            adjacent.add(tid)
-                            changed = True
-            elif any(b in adjacent for b in c.bases):
-                adjacent.add(c.name)
-                changed = True
-    return adjacent
 
 
 # ---------------------------------------------------------------------------
@@ -711,8 +580,7 @@ def _static_decl_is_variable(rest: str) -> bool:
     return bool(re.search(r"\w[\w\s:<>,*&\[\]]*\w", rest)) or p_eq != -1
 
 
-def shard_safety_findings(facts: FileFacts,
-                          boundary_types: set[str]) -> list[Finding]:
+def shard_safety_findings(facts: FileFacts) -> list[Finding]:
     rel = facts.rel
     out: list[Finding] = []
 
@@ -725,13 +593,12 @@ def shard_safety_findings(facts: FileFacts,
                         rel, idx, "mutable-static",
                         f"static data declaration: {RULES['mutable-static']}"))
 
-    # thread-local-audit: everywhere outside the allowlist.
-    if not in_allowlist(rel, THREAD_LOCAL_ALLOW):
-        for idx, line in enumerate(facts.code_lines, start=1):
-            if THREAD_LOCAL_RE.search(line):
-                out.append(Finding(
-                    rel, idx, "thread-local-audit",
-                    f"thread_local: {RULES['thread-local-audit']}"))
+    # thread-local-audit: everywhere.
+    for idx, line in enumerate(facts.code_lines, start=1):
+        if THREAD_LOCAL_RE.search(line):
+            out.append(Finding(
+                rel, idx, "thread-local-audit",
+                f"thread_local: {RULES['thread-local-audit']}"))
 
     # lock-discipline: src/ outside the threaded-runtime allowlist, both
     # primitive uses and the headers that smuggle them in.
@@ -757,28 +624,10 @@ def shard_safety_findings(facts: FileFacts,
                     rel, idx, "relaxed-atomic",
                     f"'{m.group(0).strip('(')}': {RULES['relaxed-atomic']}"))
 
-    # boundary-escape: members of boundary-adjacent classes (project-wide
-    # closure from pass 2) that alias instead of own.
-    for cls in facts.classes:
-        if cls.name not in boundary_types:
-            continue
-        for mem in cls.members:
-            hazard = None
-            if re.search(r"\bPacket\s*\*", mem.text):
-                hazard = "raw Packet* member"
-            elif "PacketPtr" in mem.type_ids:
-                hazard = "PacketPtr member (arena pointers are thread-local)"
-            elif mem.is_ref:
-                hazard = "reference member"
-            if hazard:
-                out.append(Finding(
-                    rel, mem.line, "boundary-escape",
-                    f"{cls.name}: {hazard}: {RULES['boundary-escape']}"))
     return out
 
 
-def file_findings(facts: FileFacts, poly_names: set[str],
-                  boundary_types: set[str]) -> list[Finding]:
+def file_findings(facts: FileFacts, poly_names: set[str]) -> list[Finding]:
     rel = facts.rel
     code_lines = facts.code_lines
     findings: list[Finding] = list(facts.meta_findings)
@@ -834,7 +683,7 @@ def file_findings(facts: FileFacts, poly_names: set[str],
                     rel, idx, "slicing",
                     f"'{m.group(1)}' passed by value: {RULES['slicing']}"))
 
-    raw.extend(shard_safety_findings(facts, boundary_types))
+    raw.extend(shard_safety_findings(facts))
 
     # Apply suppressions.
     sups = facts.suppressions
@@ -889,11 +738,10 @@ def lint_paths(root: str, paths: list[str]) -> list[Finding]:
     # Pass 2: project-wide closures, then rule evaluation per file.
     all_classes = [c for facts in all_facts for c in facts.classes]
     poly = collect_polymorphic(all_classes)
-    boundary = collect_boundary_adjacent(all_classes)
 
     findings: list[Finding] = []
     for facts in all_facts:
-        findings.extend(file_findings(facts, poly, boundary))
+        findings.extend(file_findings(facts, poly))
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
 
