@@ -1,47 +1,65 @@
-# Golden figure-driver outputs and the drivers' CLI contract, invoked in
-# CMake script mode:
+# Golden paper_figures output and its CLI contract, invoked in CMake script
+# mode:
 #
-#   cmake -DBENCH_DIR=<built drivers> -DEXPECTED_DIR=<repo>/bench/expected
+#   cmake -DPAPER_FIGURES=<built paper_figures>
+#         -DEXPECTED_DIR=<repo>/bench/expected
 #         -DOUT_DIR=<output dir> -DMODE=quick|full
 #         -P check_bench_expected.cmake
 #
-# Runs each of the nine figure drivers (at --quick when MODE is quick) and
-# compares its stdout byte for byte with EXPECTED_DIR/<driver>.<MODE>.txt.
-# The eight drivers that take --jobs run at --jobs 1 and --jobs 4 in quick
-# mode, both against the same expectation, and at --jobs 4 in full mode;
-# mobility_bench builds its networks by hand and takes no --jobs. Any change
-# to a printed cell fails until the expectation is re-recorded, with a
-# reason, in the same change: the stdout left in
-# OUT_DIR/<driver>.<MODE>.jobs4.txt (mobility_bench: <driver>.<MODE>.txt) is
-# exactly what to commit.
+# Runs each figure (at --quick when MODE is quick) and compares its stdout
+# byte for byte with EXPECTED_DIR/<figure>.<MODE>.txt: at --jobs 1 in quick
+# mode and at --jobs 4 in full mode. Quick mode also runs all figures at
+# once at --jobs 4 and compares that stdout with the expectations
+# concatenated in the order of `figures` below, which is the table's order;
+# EXPECTED_DIR must hold exactly one expectation per figure. So a row without
+# an expectation, an expectation without a row and a reordered table all
+# fail, and in quick mode every figure is checked at both job counts. Any
+# change to a printed cell fails until the expectation is re-recorded, with
+# a reason, in the same change: the stdout left in
+# OUT_DIR/<figure>.<MODE>.jobs<N>.txt is exactly what to commit.
 #
-# Every driver must also exit 2 on --bogus-flag; the eight on --jobs -1, and
-# mobility_bench on --jobs 4.
+# paper_figures must also exit 2 on an unknown flag, a negative --jobs, an
+# unknown figure name and --figure without a name.
 
-foreach(var BENCH_DIR EXPECTED_DIR OUT_DIR MODE)
+foreach(var PAPER_FIGURES EXPECTED_DIR OUT_DIR MODE)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "check_bench_expected.cmake: -D${var}=... is required")
   endif()
 endforeach()
 if(MODE STREQUAL "quick")
   set(mode_flags --quick)
-  set(job_counts 1 4)
+  set(figure_jobs 1)
 elseif(MODE STREQUAL "full")
   set(mode_flags)
-  set(job_counts 4)
+  set(figure_jobs 4)
 else()
   message(FATAL_ERROR "check_bench_expected.cmake: MODE must be quick or full")
 endif()
 
+set(figures fig5_02_cwnd_chain fig5_08_hops_sweep fig5_16_coexistence
+            fig5_19_dynamics ablation_drai ablation_marking ecn_vs_drai
+            relwork_shootout mobility_bench)
+
 file(MAKE_DIRECTORY ${OUT_DIR})
 
-# expect_output(<driver> <actual file name> <extra args>...)
-function(expect_output driver actual_name)
-  string(JOIN " " run "${driver}" ${ARGN})
+set(want)
+foreach(figure ${figures})
+  list(APPEND want ${figure}.${MODE}.txt)
+endforeach()
+list(SORT want)
+get_filename_component(expected_dir ${EXPECTED_DIR} ABSOLUTE)
+file(GLOB have RELATIVE ${expected_dir} ${expected_dir}/*.${MODE}.txt)
+list(SORT have)
+if(NOT have STREQUAL want)
+  message(SEND_ERROR "${EXPECTED_DIR} holds ${have}; the figures want ${want}")
+endif()
+
+# expect_output(<expected file> <actual file name> <args>...)
+function(expect_output expected actual_name)
+  string(JOIN " " run paper_figures ${mode_flags} ${ARGN})
   set(actual ${OUT_DIR}/${actual_name})
-  set(expected ${EXPECTED_DIR}/${driver}.${MODE}.txt)
   execute_process(
-    COMMAND ${BENCH_DIR}/${driver} ${mode_flags} ${ARGN}
+    COMMAND ${PAPER_FIGURES} ${mode_flags} ${ARGN}
     RESULT_VARIABLE rc
     OUTPUT_FILE ${actual}
     ERROR_QUIET)
@@ -53,16 +71,16 @@ function(expect_output driver actual_name)
     COMMAND ${CMAKE_COMMAND} -E compare_files ${expected} ${actual}
     RESULT_VARIABLE differs)
   if(differs)
-    message(SEND_ERROR "${run} (${MODE}): stdout differs from ${expected}; "
+    message(SEND_ERROR "${run}: stdout differs from ${expected}; "
                        "see ${actual}")
   endif()
 endfunction()
 
-# expect_usage_error(<driver> <args>...)
-function(expect_usage_error driver)
-  string(JOIN " " run "${driver}" ${ARGN})
+# expect_usage_error(<args>...)
+function(expect_usage_error)
+  string(JOIN " " run paper_figures ${ARGN})
   execute_process(
-    COMMAND ${BENCH_DIR}/${driver} ${ARGN}
+    COMMAND ${PAPER_FIGURES} ${ARGN}
     RESULT_VARIABLE rc
     OUTPUT_QUIET
     ERROR_QUIET)
@@ -71,15 +89,21 @@ function(expect_usage_error driver)
   endif()
 endfunction()
 
-foreach(driver fig5_02_cwnd_chain fig5_08_hops_sweep fig5_16_coexistence
-               fig5_19_dynamics ablation_drai ablation_marking ecn_vs_drai
-               relwork_shootout)
-  foreach(jobs ${job_counts})
-    expect_output(${driver} ${driver}.${MODE}.jobs${jobs}.txt --jobs ${jobs})
-  endforeach()
-  expect_usage_error(${driver} --bogus-flag)
-  expect_usage_error(${driver} --jobs -1)
+set(all_expected ${OUT_DIR}/all_figures.${MODE}.expected.txt)
+file(WRITE ${all_expected} "")
+foreach(figure ${figures})
+  set(expected ${EXPECTED_DIR}/${figure}.${MODE}.txt)
+  expect_output(${expected} ${figure}.${MODE}.jobs${figure_jobs}.txt
+                --figure ${figure} --jobs ${figure_jobs})
+  file(READ ${expected} golden)
+  file(APPEND ${all_expected} "${golden}")
 endforeach()
-expect_output(mobility_bench mobility_bench.${MODE}.txt)
-expect_usage_error(mobility_bench --bogus-flag)
-expect_usage_error(mobility_bench --quick --jobs 4)
+if(MODE STREQUAL "quick")
+  expect_output(${all_expected} all_figures.${MODE}.jobs4.txt --jobs 4)
+endif()
+
+expect_usage_error(--bogus-flag)
+expect_usage_error(--jobs -1)
+expect_usage_error(--jobs=-7)
+expect_usage_error(--figure nosuch)
+expect_usage_error(--figure)
