@@ -71,7 +71,7 @@ struct Field {
   Meters side;
 
   Field(int nodes, Meters field_side_m)
-      : net(12345, PhyParams{}, NodeConfig{}, g_mode), side(field_side_m) {
+      : net(12345, g_mode), side(field_side_m) {
     FieldConfig fc;
     fc.nodes = nodes;
     fc.width = side;

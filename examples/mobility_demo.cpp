@@ -3,7 +3,8 @@
 // link, AODV tear the route down and rediscover it, and TCP ride through the
 // outage — the full route-failure lifecycle of the paper's Sec. 2.3.
 //
-// Usage: mobility_demo [variant: muzha|newreno]
+// Usage: mobility_demo [muzha|newreno] (Muzha when no argument is given;
+// anything else prints the usage and exits 2).
 #include <cstdio>
 #include <cstring>
 
@@ -17,8 +18,11 @@ int main(int argc, char** argv) {
   using namespace muzha;
 
   TcpVariant variant = TcpVariant::kMuzha;
-  if (argc > 1 && std::strcmp(argv[1], "newreno") == 0) {
+  if (argc == 2 && std::strcmp(argv[1], "newreno") == 0) {
     variant = TcpVariant::kNewReno;
+  } else if (argc > 2 || (argc == 2 && std::strcmp(argv[1], "muzha") != 0)) {
+    std::fprintf(stderr, "usage: %s [muzha|newreno]\n", argv[0]);
+    return 2;
   }
 
   Network net(/*seed=*/4);

@@ -22,7 +22,6 @@ class CbrApp {
     std::uint32_t packet_size_bytes = 512;
     BitsPerSecond rate = BitsPerSecond(100'000);
     SimTime start_time;
-    SimTime stop_time = SimTime::max();
   };
 
   CbrApp(Simulator& sim, Node& node, Config cfg)
@@ -36,7 +35,6 @@ class CbrApp {
 
  private:
   void tick() {
-    if (sim_.now() >= cfg_.stop_time) return;
     PacketPtr p =
         node_.new_packet(cfg_.dst, IpProto::kNone, cfg_.packet_size_bytes);
     ++packets_sent_;

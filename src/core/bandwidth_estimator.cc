@@ -11,6 +11,14 @@
 
 namespace muzha {
 
+namespace {
+// EWMA weight of the newest utilization and queue-growth samples.
+constexpr double kEwmaAlpha = 0.5;
+// Queue growth (EWMA) above which DraiConfig::use_queue_gradient caps the
+// DRAI at "stabilize"; twice this caps it at "moderate deceleration".
+constexpr SegmentsPerSecond kGradientStabilize = SegmentsPerSecond(5.0);
+}  // namespace
+
 BandwidthEstimator::BandwidthEstimator(Simulator& sim, WirelessDevice& device,
                                        DraiConfig cfg)
     : sim_(sim), device_(device), cfg_(cfg) {}
@@ -29,15 +37,14 @@ void BandwidthEstimator::sample() {
   double inst = static_cast<double>(delta.ns()) /
                 static_cast<double>(cfg_.sample_interval.ns());
   if (inst > 1.0) inst = 1.0;
-  util_ewma_ = cfg_.util_ewma_alpha * inst +
-               (1.0 - cfg_.util_ewma_alpha) * util_ewma_;
+  util_ewma_ = kEwmaAlpha * inst + (1.0 - kEwmaAlpha) * util_ewma_;
 
   double q = static_cast<double>(device_.queue().size());
   SegmentsPerSecond inst_gradient =
       Segments(q - last_queue_size_) / to_seconds(cfg_.sample_interval);
   last_queue_size_ = q;
-  gradient_ewma_ = cfg_.util_ewma_alpha * inst_gradient +
-                   (1.0 - cfg_.util_ewma_alpha) * gradient_ewma_;
+  gradient_ewma_ =
+      kEwmaAlpha * inst_gradient + (1.0 - kEwmaAlpha) * gradient_ewma_;
 
   sim_.schedule_in(cfg_.sample_interval, [this] { sample(); });
 }
@@ -48,9 +55,9 @@ std::uint8_t BandwidthEstimator::current_drai() {
   if (cfg_.use_queue_gradient) {
     // A growing queue caps the recommendation even before occupancy
     // thresholds trip: announce congestion while it is forming.
-    if (gradient_ewma_ >= 2.0 * cfg_.gradient_stabilize) {
+    if (gradient_ewma_ >= 2.0 * kGradientStabilize) {
       level = std::min(level, kDraiModerateDecel);
-    } else if (gradient_ewma_ >= cfg_.gradient_stabilize) {
+    } else if (gradient_ewma_ >= kGradientStabilize) {
       level = std::min(level, kDraiStabilize);
     }
   }

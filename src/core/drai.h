@@ -13,8 +13,8 @@
 //     contention long before queues overflow.
 //
 // Each signal maps to a level; the published DRAI is the minimum of the two
-// (the more congested signal wins). All thresholds are configurable and
-// swept by bench/ablation_drai.
+// (the more congested signal wins). The thresholds are settable: the
+// ablation_drai figure of bench/paper_figures sweeps them.
 #pragma once
 
 #include <cstdint>
@@ -34,18 +34,15 @@ struct DraiConfig {
   double u_aggressive_accel = 0.50;  // below: level 5
   double u_moderate_accel = 0.80;    // below: level 4
   double u_stabilize = 0.96;         // below: level 3, above: level 2
-  // Utilization sampling.
+  // Utilization sampling (the estimator's EWMA weight is in
+  // bandwidth_estimator.cc).
   SimTime sample_interval = SimTime::from_ms(50);
-  double util_ewma_alpha = 0.5;
 
   // Future-work extension (paper Ch. 6: "consideration of queue size ... as
   // part of DRAI formula"): when enabled, a *rising* queue caps the
   // recommendation before absolute occupancy thresholds are reached —
   // congestion is announced while it is forming, not once it has formed.
   bool use_queue_gradient = false;
-  // Queue growth (packets/second, EWMA) above which the DRAI is capped at
-  // "stabilize"; twice this caps it at "moderate deceleration".
-  SegmentsPerSecond gradient_stabilize = SegmentsPerSecond(5.0);
 };
 
 // Level from queue occupancy alone.

@@ -13,11 +13,9 @@
 
 namespace muzha {
 
-Mac80211::Mac80211(Simulator& sim, WirelessPhy& phy, MacParams params)
+Mac80211::Mac80211(Simulator& sim, WirelessPhy& phy)
     : sim_(sim),
       phy_(phy),
-      params_(params),
-      cw_(params.cw_min),
       response_timer_(sim, [this] {
         if (awaiting_ == Await::kCts) {
           on_cts_timeout();
@@ -55,8 +53,6 @@ void Mac80211::transmit(PacketPtr pkt, NodeId next_hop) {
   pending_->mac.dst = next_hop;
   pending_->mac.seq = ++tx_seq_;
   pending_->mac.retry = false;
-  pending_uses_rts_ = next_hop != kBroadcastId &&
-                      Bytes(pending_->size_bytes) >= params_.rts_threshold;
   short_retries_ = 0;
   long_retries_ = 0;
   resume_contention();
@@ -80,10 +76,10 @@ void Mac80211::resume_contention() {
     });
     return;
   }
-  SimTime ifs = params_.difs;
+  SimTime ifs = kMacDifs;
   if (next_ifs_is_eifs_) {
     // EIFS = SIFS + ACK airtime + DIFS (802.11-1999 9.2.10).
-    ifs = params_.sifs + frame_airtime(MacFrameType::kAck, 0) + params_.difs;
+    ifs = kMacSifs + frame_airtime(MacFrameType::kAck, 0) + kMacDifs;
   }
   contention_event_ = sim_.schedule_in(ifs, [this] { on_ifs_elapsed(); });
 }
@@ -99,7 +95,7 @@ void Mac80211::cancel_contention() {
     // slot ahead, the signal start that freezes us only a propagation delay
     // ahead, so the tick runs first.
     counting_down_ = false;
-    const std::int64_t spent = (sim_.now() - countdown_since_) / params_.slot;
+    const std::int64_t spent = (sim_.now() - countdown_since_) / kMacSlot;
     MUZHA_DCHECK(spent < backoff_slots_, "backoff frozen at or past expiry");
     backoff_slots_ -= static_cast<std::uint32_t>(spent);
   }
@@ -120,7 +116,7 @@ void Mac80211::on_ifs_elapsed() {
   counting_down_ = true;
   countdown_since_ = sim_.now();
   contention_event_ = sim_.scheduler().schedule_chain_end(
-      countdown_since_ + params_.slot * backoff_slots_, params_.slot,
+      countdown_since_ + kMacSlot * backoff_slots_, kMacSlot,
       backoff_slots_, [this] { on_backoff_expired(); });
 }
 
@@ -137,7 +133,7 @@ void Mac80211::on_backoff_expired() {
 
 void Mac80211::start_attempt() {
   MUZHA_ASSERT(pending_ != nullptr, "attempt with no pending packet");
-  if (pending_dest_ != kBroadcastId && pending_uses_rts_) {
+  if (pending_dest_ != kBroadcastId) {
     send_rts();
   } else {
     send_data();
@@ -148,7 +144,7 @@ void Mac80211::send_rts() {
   SimTime cts_air = frame_airtime(MacFrameType::kCts, 0);
   SimTime ack_air = frame_airtime(MacFrameType::kAck, 0);
   SimTime data_air = frame_airtime(MacFrameType::kData, pending_->size_bytes);
-  SimTime remaining = params_.sifs * 3 + cts_air + data_air + ack_air;
+  SimTime remaining = kMacSifs * 3 + cts_air + data_air + ack_air;
 
   PacketPtr rts = alloc_packet();
   rts->uid = pending_->uid;
@@ -166,7 +162,7 @@ void Mac80211::send_data() {
   bool broadcast = pending_dest_ == kBroadcastId;
   SimTime ack_air = frame_airtime(MacFrameType::kAck, 0);
   pending_->mac.duration =
-      broadcast ? SimTime::zero() : params_.sifs + ack_air;
+      broadcast ? SimTime::zero() : kMacSifs + ack_air;
   last_tx_type_ = MacFrameType::kData;
   ++data_sent_;
   phy_.start_tx(clone_packet(*pending_), /*basic_rate=*/broadcast);
@@ -221,12 +217,12 @@ void Mac80211::on_phy_rx(PacketPtr pkt, bool corrupted) {
       if (awaiting_ != Await::kNone || forced_tx_in_flight_) return;
       if (now < nav_until_) return;  // reserved medium: do not answer
       SimTime cts_air = frame_airtime(MacFrameType::kCts, 0);
-      SimTime cts_duration = mh.duration - params_.sifs - cts_air;
+      SimTime cts_duration = mh.duration - kMacSifs - cts_air;
       if (cts_duration < SimTime::zero()) cts_duration = SimTime::zero();
       NodeId dst = mh.src;
       forced_tx_in_flight_ = true;
       cancel_contention();
-      sim_.schedule_in(params_.sifs, [this, dst, cts_duration] {
+      sim_.schedule_in(kMacSifs, [this, dst, cts_duration] {
         send_control(MacFrameType::kCts, dst, cts_duration);
       });
       break;
@@ -238,7 +234,7 @@ void Mac80211::on_phy_rx(PacketPtr pkt, bool corrupted) {
       short_retries_ = 0;  // CTS received: reset the short retry counter
       forced_tx_in_flight_ = true;  // data follows at SIFS, no contention
       cancel_contention();
-      sim_.schedule_in(params_.sifs, [this] {
+      sim_.schedule_in(kMacSifs, [this] {
         forced_tx_in_flight_ = false;
         send_data();
       });
@@ -254,7 +250,7 @@ void Mac80211::on_phy_rx(PacketPtr pkt, bool corrupted) {
       if (!forced_tx_in_flight_) {
         forced_tx_in_flight_ = true;
         cancel_contention();
-        sim_.schedule_in(params_.sifs, [this, dst] {
+        sim_.schedule_in(kMacSifs, [this, dst] {
           send_control(MacFrameType::kAck, dst, SimTime::zero());
         });
       }
@@ -288,8 +284,8 @@ void Mac80211::on_phy_tx_done() {
       cancel_contention();
       awaiting_ = Await::kCts;
       SimTime cts_air = frame_airtime(MacFrameType::kCts, 0);
-      response_timer_.schedule_in(params_.sifs + cts_air +
-                                  params_.timeout_guard);
+      response_timer_.schedule_in(kMacSifs + cts_air +
+                                  kMacTimeoutGuard);
       break;
     }
     case MacFrameType::kData: {
@@ -299,8 +295,8 @@ void Mac80211::on_phy_tx_done() {
         cancel_contention();
         awaiting_ = Await::kAck;
         SimTime ack_air = frame_airtime(MacFrameType::kAck, 0);
-        response_timer_.schedule_in(params_.sifs + ack_air +
-                                    params_.timeout_guard);
+        response_timer_.schedule_in(kMacSifs + ack_air +
+                                    kMacTimeoutGuard);
       }
       break;
     }
@@ -323,7 +319,7 @@ void Mac80211::retry_failed(bool short_frame) {
   ++retries_;
   std::uint32_t count = short_frame ? ++short_retries_ : ++long_retries_;
   std::uint32_t limit =
-      short_frame ? params_.short_retry_limit : params_.long_retry_limit;
+      short_frame ? kMacShortRetryLimit : kMacLongRetryLimit;
   if (count >= limit) {
     ++drops_retry_limit_;
     PacketPtr failed = std::move(pending_);
@@ -332,7 +328,7 @@ void Mac80211::retry_failed(bool short_frame) {
     if (on_link_failure_) on_link_failure_(dst, std::move(failed));
     return;
   }
-  cw_ = std::min(cw_ * 2 + 1, params_.cw_max);
+  cw_ = std::min(cw_ * 2 + 1, kMacCwMax);
   backoff_slots_ = static_cast<std::uint32_t>(
       sim_.rng().uniform_int(0, static_cast<std::int64_t>(cw_)));
   pending_->mac.retry = true;
@@ -345,7 +341,7 @@ void Mac80211::tx_complete(bool success) {
   pending_dest_ = kInvalidNodeId;
   short_retries_ = 0;
   long_retries_ = 0;
-  cw_ = params_.cw_min;
+  cw_ = kMacCwMin;
   draw_backoff();
   if (on_tx_done_) on_tx_done_(success);
 }

@@ -3,10 +3,12 @@
 // Implements the distributed coordination function the paper's evaluation
 // runs over: CSMA/CA with physical carrier sense (from the PHY) and virtual
 // carrier sense (NAV), DIFS/EIFS deferral, slotted binary-exponential
-// backoff, the RTS/CTS/DATA/ACK exchange, per-frame retries with short/long
-// retry counters, and duplicate filtering. Retry exhaustion is surfaced as a
-// link-failure callback, which AODV converts into a route error — exactly
-// the "link failure under contention" loss source the paper discusses.
+// backoff, the RTS/CTS/DATA/ACK exchange (every unicast frame opens with
+// RTS), per-frame retries with short/long retry counters, and duplicate
+// filtering; its constants are in mac/mac_params.h. Retry exhaustion is
+// surfaced as a link-failure callback, which AODV converts into a route
+// error — exactly the "link failure under contention" loss source the paper
+// discusses.
 //
 // The backoff counts down analytically: one event at its expiry instead of
 // one per slot. A busy edge mid-countdown cancels the expiry and keeps only
@@ -43,12 +45,11 @@ class Mac80211 {
   // Received unicast-to-us or broadcast data frames, deduplicated.
   using RxCallback = InlineFunction<void(PacketPtr)>;
 
-  Mac80211(Simulator& sim, WirelessPhy& phy, MacParams params);
+  Mac80211(Simulator& sim, WirelessPhy& phy);
   Mac80211(const Mac80211&) = delete;
   Mac80211& operator=(const Mac80211&) = delete;
 
   NodeId addr() const { return phy_.id(); }
-  const MacParams& params() const { return params_; }
 
   void set_tx_done_callback(TxDoneCallback cb) { on_tx_done_ = std::move(cb); }
   void set_link_failure_callback(LinkFailureCallback cb) {
@@ -83,7 +84,7 @@ class Mac80211 {
   void cancel_contention();
   void on_ifs_elapsed();
   void on_backoff_expired();
-  void start_attempt();  // medium won: send RTS or DATA
+  void start_attempt();  // medium won: RTS for unicast, DATA for broadcast
 
   void send_rts();
   void send_data();
@@ -97,13 +98,12 @@ class Mac80211 {
   void on_ack_timeout();
   void retry_failed(bool short_frame);
   void tx_complete(bool success);
-  void draw_backoff() ;
+  void draw_backoff();
 
   SimTime frame_airtime(MacFrameType type, std::uint32_t payload_bytes) const;
 
   Simulator& sim_;
   WirelessPhy& phy_;
-  MacParams params_;
 
   TxDoneCallback on_tx_done_;
   LinkFailureCallback on_link_failure_;
@@ -112,10 +112,9 @@ class Mac80211 {
   // Outgoing packet state.
   PacketPtr pending_;
   NodeId pending_dest_ = kInvalidNodeId;
-  bool pending_uses_rts_ = false;
   std::uint32_t short_retries_ = 0;
   std::uint32_t long_retries_ = 0;
-  std::uint32_t cw_;
+  std::uint32_t cw_ = kMacCwMin;
   std::uint32_t backoff_slots_ = 0;
   std::uint16_t tx_seq_ = 0;
 

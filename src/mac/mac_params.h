@@ -1,28 +1,26 @@
-// IEEE 802.11 DCF timing and retry parameters (DSSS PHY, 2 Mbps).
+// IEEE 802.11 DCF timing and retry constants (DSSS PHY, 2 Mbps).
+//
+// Every unicast frame opens with RTS/CTS, as under the NS-2 default RTS
+// threshold of 0 that the paper's evaluation inherited; broadcast frames go
+// without RTS/CTS or ACK.
 #pragma once
 
 #include <cstdint>
 
 #include "sim/sim_time.h"
-#include "sim/units.h"
 
 namespace muzha {
 
-struct MacParams {
-  SimTime slot = SimTime::from_us(20);
-  SimTime sifs = SimTime::from_us(10);
-  SimTime difs = SimTime::from_us(50);  // SIFS + 2 * slot
-  std::uint32_t cw_min = 31;
-  std::uint32_t cw_max = 1023;
-  // Station Short Retry Count limit: RTS attempts.
-  std::uint32_t short_retry_limit = 7;
-  // Station Long Retry Count limit: DATA attempts after CTS.
-  std::uint32_t long_retry_limit = 4;
-  // Frames whose MAC payload exceeds this use RTS/CTS. 0 = always (the NS-2
-  // default the paper inherited).
-  Bytes rts_threshold = Bytes(0);
-  // Guard added to CTS/ACK timeouts on top of SIFS + response airtime.
-  SimTime timeout_guard = SimTime::from_us(25);
-};
+inline constexpr SimTime kMacSlot = SimTime::from_us(20);
+inline constexpr SimTime kMacSifs = SimTime::from_us(10);
+inline constexpr SimTime kMacDifs = SimTime::from_us(50);  // SIFS + 2 * slot
+inline constexpr std::uint32_t kMacCwMin = 31;
+inline constexpr std::uint32_t kMacCwMax = 1023;
+// Station Short Retry Count limit: RTS attempts.
+inline constexpr std::uint32_t kMacShortRetryLimit = 7;
+// Station Long Retry Count limit: DATA attempts after CTS.
+inline constexpr std::uint32_t kMacLongRetryLimit = 4;
+// Guard added to CTS/ACK timeouts on top of SIFS + response airtime.
+inline constexpr SimTime kMacTimeoutGuard = SimTime::from_us(25);
 
 }  // namespace muzha

@@ -12,12 +12,8 @@
 
 namespace muzha {
 
-Node::Node(Simulator& sim, Channel& channel, NodeId id, Position pos,
-           NodeConfig cfg)
-    : sim_(sim),
-      id_(id),
-      cfg_(cfg),
-      device_(sim, channel, id, pos, cfg.mac, cfg.ifq_capacity) {
+Node::Node(Simulator& sim, Channel& channel, NodeId id, Position pos)
+    : sim_(sim), id_(id), device_(sim, channel, id, pos, kIfqCapacity) {
   // uid space partitioned per node so packet uids are globally unique.
   uid_counter_ = static_cast<std::uint64_t>(id) << 40;
   device_.set_rx_callback([this](PacketPtr pkt) { on_device_rx(std::move(pkt)); });
@@ -38,7 +34,7 @@ PacketPtr Node::new_packet(NodeId dst, IpProto proto,
   p->ip.src = id_;
   p->ip.dst = dst;
   p->ip.proto = proto;
-  p->ip.ttl = cfg_.default_ttl;
+  p->ip.ttl = kDefaultTtl;
   p->size_bytes = size_bytes;
   return p;
 }

@@ -6,11 +6,11 @@
 // transmits, whether locally originated or forwarded (Sec. 4.4).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
 
-#include "mac/mac_params.h"
 #include "net/agent.h"
 #include "net/routing_protocol.h"
 #include "net/trace.h"
@@ -22,16 +22,14 @@
 
 namespace muzha {
 
-struct NodeConfig {
-  MacParams mac;
-  std::size_t ifq_capacity = 50;
-  std::uint8_t default_ttl = 64;
-};
+// Table 5.1's 50-packet drop-tail interface queue.
+inline constexpr std::size_t kIfqCapacity = 50;
+// IP TTL of locally originated packets.
+inline constexpr std::uint8_t kDefaultTtl = 64;
 
 class Node {
  public:
-  Node(Simulator& sim, Channel& channel, NodeId id, Position pos,
-       NodeConfig cfg = {});
+  Node(Simulator& sim, Channel& channel, NodeId id, Position pos);
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
@@ -78,7 +76,6 @@ class Node {
 
   Simulator& sim_;
   NodeId id_;
-  NodeConfig cfg_;
   WirelessDevice device_;
   std::unique_ptr<RoutingProtocol> routing_;
   DraiSource* drai_source_ = nullptr;

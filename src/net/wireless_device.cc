@@ -1,6 +1,5 @@
 #include "net/wireless_device.h"
 
-#include "mac/mac_params.h"
 #include "phy/channel.h"
 #include "phy/position.h"
 #include "pkt/packet.h"
@@ -10,11 +9,10 @@
 namespace muzha {
 
 WirelessDevice::WirelessDevice(Simulator& sim, Channel& channel, NodeId id,
-                               Position pos, MacParams mac_params,
-                               std::size_t ifq_capacity)
+                               Position pos, std::size_t ifq_capacity)
     : sim_(sim),
       phy_(sim, channel, id, pos),
-      mac_(sim, phy_, mac_params),
+      mac_(sim, phy_),
       queue_(ifq_capacity) {
   mac_.set_rx_callback([this](PacketPtr pkt) {
     if (on_rx_) on_rx_(std::move(pkt));

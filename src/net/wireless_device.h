@@ -2,7 +2,6 @@
 #pragma once
 
 #include "mac/mac80211.h"
-#include "mac/mac_params.h"
 #include "net/drop_tail_queue.h"
 #include "phy/channel.h"
 #include "phy/position.h"
@@ -19,7 +18,7 @@ class WirelessDevice {
   using LinkFailureCallback = InlineFunction<void(NodeId, PacketPtr)>;
 
   WirelessDevice(Simulator& sim, Channel& channel, NodeId id, Position pos,
-                 MacParams mac_params, std::size_t ifq_capacity);
+                 std::size_t ifq_capacity);
   WirelessDevice(const WirelessDevice&) = delete;
   WirelessDevice& operator=(const WirelessDevice&) = delete;
 

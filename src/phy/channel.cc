@@ -45,7 +45,6 @@ void Channel::phy_moved(WirelessPhy& phy) {
 
 void Channel::transmit(const WirelessPhy& src, const Packet& pkt,
                        SimTime duration) {
-  ++frames_transmitted_;
   Position sp = src.position();
   if (mode_ == ChannelMode::kBruteForce) {
     for (WirelessPhy* rx : phys_) {

@@ -75,7 +75,6 @@ class Channel {
   void transmit(const WirelessPhy& src, const Packet& pkt, SimTime duration);
 
   // Statistics.
-  std::uint64_t frames_transmitted() const { return frames_transmitted_; }
   std::uint64_t frames_corrupted_by_error() const {
     return frames_corrupted_by_error_;
   }
@@ -96,7 +95,6 @@ class Channel {
   SpatialGrid grid_;
   std::vector<SpatialGrid::Entry> scratch_;  // gather buffer, reused
   std::uint64_t next_order_ = 0;
-  std::uint64_t frames_transmitted_ = 0;
   std::uint64_t frames_corrupted_by_error_ = 0;
 };
 

@@ -10,29 +10,37 @@
 
 namespace muzha {
 
-RedEcnMarker::RedEcnMarker(Simulator& sim, WirelessDevice& device,
-                           RedParams params)
-    : sim_(sim), device_(device), params_(params) {}
+namespace {
+// Calibrated for low-rate 802.11 forwarders, whose IFQs hold a handful of
+// packets on average with transient bursts (the wired-Internet defaults
+// wq=0.002 / 5 / 15 average out those bursts and never mark).
+constexpr double kWeight = 0.05;  // EWMA weight w_q
+constexpr double kMinTh = 3.0;    // packets
+constexpr double kMaxTh = 10.0;   // packets
+constexpr double kMaxP = 0.2;     // marking probability at kMaxTh
+}  // namespace
+
+RedEcnMarker::RedEcnMarker(Simulator& sim, WirelessDevice& device)
+    : sim_(sim), device_(device) {}
 
 bool RedEcnMarker::should_mark() {
   // Per-packet average update (idle-period compensation omitted: in a
   // saturated wireless forwarder the queue is rarely idle long).
   double q = static_cast<double>(device_.queue().size());
-  avg_ = (1.0 - params_.weight) * avg_ + params_.weight * q;
+  avg_ = (1.0 - kWeight) * avg_ + kWeight * q;
 
-  if (avg_ < params_.min_th) {
+  if (avg_ < kMinTh) {
     count_since_mark_ = -1;
     return false;
   }
-  if (avg_ >= params_.max_th) {
+  if (avg_ >= kMaxTh) {
     count_since_mark_ = 0;
     ++marks_;
     return true;
   }
   // Linear marking probability, uniformized by the inter-mark count.
   ++count_since_mark_;
-  double pb = params_.max_p * (avg_ - params_.min_th) /
-              (params_.max_th - params_.min_th);
+  double pb = kMaxP * (avg_ - kMinTh) / (kMaxTh - kMinTh);
   double pa = pb / std::max(1e-9, 1.0 - count_since_mark_ * pb);
   if (pa >= 1.0 || sim_.rng().chance(pa)) {
     count_since_mark_ = 0;

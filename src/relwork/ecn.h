@@ -10,8 +10,8 @@
 // RTT, an echoed mark halves the window as if a packet had been lost, but
 // without the loss.
 //
-// bench/ecn_vs_drai pits NewReno+RED/ECN against Muzha's DRAI to reproduce
-// the paper's argument for richer feedback.
+// The ecn_vs_drai figure of bench/paper_figures pits NewReno+RED/ECN against
+// Muzha's DRAI to reproduce the paper's argument for richer feedback.
 #pragma once
 
 #include "net/agent.h"
@@ -23,19 +23,10 @@
 
 namespace muzha {
 
-// Defaults are calibrated for low-rate 802.11 forwarders, whose IFQs hold a
-// handful of packets on average with transient bursts (the wired-Internet
-// defaults wq=0.002 / 5 / 15 average out those bursts and never mark).
-struct RedParams {
-  double weight = 0.05;   // EWMA weight w_q
-  double min_th = 3.0;    // packets
-  double max_th = 10.0;   // packets
-  double max_p = 0.2;     // marking probability at max_th
-};
-
+// Its averaging weight and thresholds are constants in ecn.cc.
 class RedEcnMarker final : public DraiSource {
  public:
-  RedEcnMarker(Simulator& sim, WirelessDevice& device, RedParams params = {});
+  RedEcnMarker(Simulator& sim, WirelessDevice& device);
 
   // Single-bit router: never gives rate advice.
   std::uint8_t current_drai() override { return kDraiAggressiveAccel; }
@@ -47,7 +38,6 @@ class RedEcnMarker final : public DraiSource {
  private:
   Simulator& sim_;
   WirelessDevice& device_;
-  RedParams params_;
   double avg_ = 0.0;
   int count_since_mark_ = -1;  // RED's "count" for uniformized marking
   std::uint64_t marks_ = 0;

@@ -23,8 +23,6 @@ class TcpRoVegas : public TcpVegas {
  public:
   using TcpVegas::TcpVegas;
 
-  Seconds epoch_forward_qdelay() const { return epoch_qdelay_; }
-
  protected:
   void note_ack(const TcpHeader& h) override;
   double compute_diff() const override;

@@ -14,6 +14,23 @@
 namespace muzha {
 
 namespace {
+
+constexpr SimTime kActiveRouteTimeout = SimTime::from_seconds(10.0);
+// RFC 3561 defaults (40 ms / 35) yield a 2.8 s discovery timeout — sized for
+// Internet-scale MANETs. NS-2's AODV uses timeouts an order of magnitude
+// shorter; for the paper's <= 33-node topologies we take 10 ms per node,
+// giving a 0.7 s first-attempt timeout.
+constexpr SimTime kNodeTraversalTime = SimTime::from_ms(10);
+constexpr std::uint8_t kNetDiameter = 35;  // TTL of every RREQ flood
+constexpr SimTime kNetTraversalTime = kNodeTraversalTime * (2 * kNetDiameter);
+constexpr std::uint32_t kRreqRetries = 2;  // attempts = 1 + retries
+constexpr std::size_t kSendBufferCapacity = 64;
+constexpr SimTime kPathDiscoveryTime = SimTime::from_seconds(5.6);
+// Broadcasts (RREQ floods, RERRs) are delayed by a uniform random jitter to
+// break the deterministic lockstep collisions of simultaneous floods (RFC
+// 3561 s6.x "to avoid synchronization").
+constexpr SimTime kBroadcastJitter = SimTime::from_ms(10);
+
 std::uint64_t rreq_key(NodeId origin, std::uint32_t rreq_id) {
   return (static_cast<std::uint64_t>(origin) << 32) | rreq_id;
 }
@@ -23,19 +40,17 @@ bool seq_newer(std::uint32_t a, std::uint32_t b) {
 }
 }  // namespace
 
-Aodv::Aodv(Simulator& sim, Node& node, AodvParams params)
-    : sim_(sim), node_(node), params_(params) {}
+Aodv::Aodv(Simulator& sim, Node& node) : sim_(sim), node_(node) {}
 
 PacketPtr Aodv::make_control(std::uint32_t size_bytes) {
   PacketPtr p = node_.new_packet(kBroadcastId, IpProto::kAodv, size_bytes);
-  p->ip.ttl = static_cast<std::uint8_t>(
-      std::min<std::uint32_t>(params_.net_diameter, 255));
+  p->ip.ttl = kNetDiameter;
   return p;
 }
 
 void Aodv::broadcast_jittered(PacketPtr pkt) {
-  SimTime jitter = SimTime::from_ns(
-      sim_.rng().uniform_int(0, params_.broadcast_jitter.ns()));
+  SimTime jitter =
+      SimTime::from_ns(sim_.rng().uniform_int(0, kBroadcastJitter.ns()));
   sim_.schedule_in(jitter, [this, pkt = std::move(pkt)]() mutable {
     node_.device_send(std::move(pkt), kBroadcastId);
   });
@@ -52,7 +67,7 @@ bool Aodv::has_valid_route(NodeId dst) const {
 }
 
 void Aodv::refresh_route(Route& r) {
-  r.expiry = std::max(r.expiry, sim_.now() + params_.active_route_timeout);
+  r.expiry = std::max(r.expiry, sim_.now() + kActiveRouteTimeout);
 }
 
 Aodv::Route& Aodv::update_route(NodeId dst, NodeId next_hop,
@@ -80,7 +95,7 @@ void Aodv::route_packet(PacketPtr pkt) {
   if (pkt->ip.src == node_.id()) {
     // Originator: buffer and discover.
     PendingDiscovery& pd = pending_[dst];
-    if (pd.buffered.size() >= params_.send_buffer_capacity) {
+    if (pd.buffered.size() >= kSendBufferCapacity) {
       ++drops_no_route_;
     } else {
       pd.buffered.push_back(std::move(pkt));
@@ -104,26 +119,11 @@ void Aodv::start_discovery(NodeId dst) {
 
 void Aodv::send_rreq(NodeId dst) {
   PendingDiscovery& pd = pending_[dst];
-  // Expanding ring: climb the TTL ladder before committing to full floods.
-  std::uint8_t ttl =
-      static_cast<std::uint8_t>(std::min<std::uint32_t>(params_.net_diameter, 255));
-  bool ring_attempt = false;
-  if (params_.expanding_ring &&
-      (pd.ring_ttl == 0 ||
-       pd.ring_ttl + params_.ttl_increment <= params_.ttl_threshold)) {
-    pd.ring_ttl = pd.ring_ttl == 0
-                      ? params_.ttl_start
-                      : static_cast<std::uint8_t>(pd.ring_ttl +
-                                                  params_.ttl_increment);
-    ttl = std::min(pd.ring_ttl, ttl);
-    ring_attempt = true;
-  }
-  if (!ring_attempt) ++pd.attempts;
+  ++pd.attempts;
   ++rreqs_originated_;
   ++own_seq_;
 
   PacketPtr p = make_control(kAodvRreqBytes);
-  p->ip.ttl = ttl;
   AodvMessage msg;
   AodvRreq rreq;
   rreq.rreq_id = ++next_rreq_id_;
@@ -141,19 +141,12 @@ void Aodv::send_rreq(NodeId dst) {
 
   // Suppress our own flood copies.
   rreq_seen_[rreq_key(node_.id(), rreq.rreq_id)] =
-      sim_.now() + params_.path_discovery_time;
+      sim_.now() + kPathDiscoveryTime;
 
   broadcast_jittered(std::move(p));
 
-  SimTime timeout;
-  if (ring_attempt) {
-    // RING_TRAVERSAL_TIME = 2 * NODE_TRAVERSAL_TIME * (TTL + 2).
-    timeout = params_.node_traversal_time * (2 * (std::int64_t{ttl} + 2));
-  } else {
-    // Binary exponential backoff on full-diameter attempts.
-    timeout =
-        params_.net_traversal_time() * (std::int64_t{1} << (pd.attempts - 1));
-  }
+  // Binary exponential backoff on the attempts.
+  SimTime timeout = kNetTraversalTime * (std::int64_t{1} << (pd.attempts - 1));
   pd.retry_event = sim_.schedule_in(timeout, [this, dst] { on_rreq_timeout(dst); });
 }
 
@@ -167,11 +160,7 @@ void Aodv::on_rreq_timeout(NodeId dst) {
     flush_buffer(dst);
     return;
   }
-  bool ring_in_progress =
-      params_.expanding_ring &&
-      (pd.ring_ttl == 0 ||
-       pd.ring_ttl + params_.ttl_increment <= params_.ttl_threshold);
-  if (ring_in_progress || pd.attempts <= params_.rreq_retries) {
+  if (pd.attempts <= kRreqRetries) {
     send_rreq(dst);
     return;
   }
@@ -200,7 +189,7 @@ void Aodv::handle_rreq(const Packet& pkt) {
   std::uint64_t key = rreq_key(rreq.origin, rreq.rreq_id);
   auto seen = rreq_seen_.find(key);
   if (seen != rreq_seen_.end() && seen->second > sim_.now()) return;
-  rreq_seen_[key] = sim_.now() + params_.path_discovery_time;
+  rreq_seen_[key] = sim_.now() + kPathDiscoveryTime;
 
   NodeId prev_hop = pkt.mac.src;
   std::uint8_t hops_to_origin = rreq.hop_count + 1;
@@ -210,10 +199,10 @@ void Aodv::handle_rreq(const Packet& pkt) {
   if (!rev.valid || seq_newer(rreq.origin_seq, rev.dest_seq) ||
       (rreq.origin_seq == rev.dest_seq && hops_to_origin < rev.hops)) {
     update_route(rreq.origin, prev_hop, rreq.origin_seq, true, hops_to_origin,
-                 params_.net_traversal_time() * 2);
+                 kNetTraversalTime * 2);
   }
   if (prev_hop != rreq.origin) {
-    update_route(prev_hop, prev_hop, 0, false, 1, params_.active_route_timeout);
+    update_route(prev_hop, prev_hop, 0, false, 1, kActiveRouteTimeout);
   }
 
   if (rreq.dest == node_.id()) {
@@ -266,10 +255,10 @@ void Aodv::handle_rrep(PacketPtr pkt) {
   if (!r.valid || seq_newer(rrep.dest_seq, r.dest_seq) ||
       (rrep.dest_seq == r.dest_seq && hops_to_dest < r.hops)) {
     update_route(rrep.dest, prev_hop, rrep.dest_seq, true, hops_to_dest,
-                 params_.active_route_timeout);
+                 kActiveRouteTimeout);
   }
   if (prev_hop != rrep.dest) {
-    update_route(prev_hop, prev_hop, 0, false, 1, params_.active_route_timeout);
+    update_route(prev_hop, prev_hop, 0, false, 1, kActiveRouteTimeout);
   }
 
   if (rrep.origin == node_.id()) {

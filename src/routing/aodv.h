@@ -4,13 +4,14 @@
 // routes, destination and intermediate RREP, RERR propagation on MAC
 // link-layer failure (the paper's nodes are static, so link failures come
 // from retry exhaustion under contention), RREQ retries with binary
-// exponential backoff, destination sequence numbers, route lifetimes,
-// buffering of data packets during discovery, and optional expanding-ring
-// search (AodvParams::expanding_ring, off by default).
+// exponential backoff, destination sequence numbers, route lifetimes and
+// buffering of data packets during discovery. The timing and size constants
+// are at the top of aodv.cc.
 //
 // Omitted relative to the RFC (not exercised by the paper's scenarios):
 // HELLO messages (link failure comes from the MAC), local repair,
-// gratuitous RREP.
+// gratuitous RREP, expanding-ring search (every RREQ floods the whole
+// network diameter).
 #pragma once
 
 #include <cstdint>
@@ -28,40 +29,9 @@
 
 namespace muzha {
 
-struct AodvParams {
-  SimTime active_route_timeout = SimTime::from_seconds(10.0);
-  // RFC 3561 defaults (40 ms / 35) yield a 2.8 s discovery timeout — sized
-  // for Internet-scale MANETs. NS-2's AODV uses expanding-ring timeouts an
-  // order of magnitude shorter; for the paper's <= 33-node topologies we
-  // default to 10 ms per node, giving a 0.7 s first-attempt timeout.
-  SimTime node_traversal_time = SimTime::from_ms(10);
-  std::uint32_t net_diameter = 35;
-  std::uint32_t rreq_retries = 2;  // attempts = 1 + retries
-  std::size_t send_buffer_capacity = 64;
-  SimTime path_discovery_time = SimTime::from_seconds(5.6);
-  // Broadcasts (RREQ floods, RERRs) are delayed by a uniform random jitter
-  // to break the deterministic lockstep collisions of simultaneous floods
-  // (RFC 3561 s6.x "to avoid synchronization").
-  SimTime broadcast_jitter = SimTime::from_ms(10);
-
-  // Expanding-ring search (RFC 3561 s6.4): first RREQs carry a small TTL
-  // that grows per attempt, so close destinations are found without flooding
-  // the whole network. Ring attempts do not count against rreq_retries.
-  // Off by default (the paper's single-flow chains always need the full
-  // path, so the ring only adds latency there).
-  bool expanding_ring = false;
-  std::uint8_t ttl_start = 2;
-  std::uint8_t ttl_increment = 2;
-  std::uint8_t ttl_threshold = 7;
-
-  SimTime net_traversal_time() const {
-    return node_traversal_time * (2 * static_cast<std::int64_t>(net_diameter));
-  }
-};
-
 class Aodv final : public RoutingProtocol {
  public:
-  Aodv(Simulator& sim, Node& node, AodvParams params = {});
+  Aodv(Simulator& sim, Node& node);
 
   void route_packet(PacketPtr pkt) override;
   void handle_control(PacketPtr pkt) override;
@@ -90,8 +60,7 @@ class Aodv final : public RoutingProtocol {
  private:
   struct PendingDiscovery {
     std::vector<PacketPtr> buffered;
-    std::uint32_t attempts = 0;       // full-TTL attempts only
-    std::uint8_t ring_ttl = 0;        // 0 = ring not started
+    std::uint32_t attempts = 0;  // RREQs sent for this discovery
     EventId retry_event = kInvalidEventId;
   };
 
@@ -113,7 +82,6 @@ class Aodv final : public RoutingProtocol {
 
   Simulator& sim_;
   Node& node_;
-  AodvParams params_;
 
   // Ordered maps, not unordered: on_link_failure() iterates routes_ to build
   // the RERR unreachable list, and that order reaches the wire. Sorted-key

@@ -29,10 +29,9 @@ class StaticRouting final : public RoutingProtocol {
 
   void handle_control(PacketPtr) override {}
 
-  void on_link_failure(NodeId, PacketPtr) override { ++drops_link_failure_; }
+  void on_link_failure(NodeId, PacketPtr) override {}
 
   std::uint64_t drops_no_route() const override { return drops_no_route_; }
-  std::uint64_t drops_link_failure() const { return drops_link_failure_; }
 
  private:
   Node& node_;
@@ -40,7 +39,6 @@ class StaticRouting final : public RoutingProtocol {
   // iteration makes that output stable.
   std::map<NodeId, NodeId> table_;
   std::uint64_t drops_no_route_ = 0;
-  std::uint64_t drops_link_failure_ = 0;
 };
 
 }  // namespace muzha

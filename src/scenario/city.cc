@@ -14,6 +14,11 @@
 
 namespace muzha {
 
+namespace {
+// Manhattan grid: distance between adjacent streets.
+constexpr Meters kStreetPitch = Meters(275.0);
+}  // namespace
+
 Rect district_rect(const FieldConfig& f, int d) {
   MUZHA_ASSERT(f.districts >= 1 && d >= 0 && d < f.districts,
                "district index out of range");
@@ -42,7 +47,6 @@ std::vector<Position> field_positions(TopologyKind kind, const FieldConfig& f,
   }
   MUZHA_ASSERT(kind == TopologyKind::kManhattanGrid,
                "field_positions handles field topologies only");
-  MUZHA_ASSERT(f.street_pitch.value() > 0.0, "street pitch must be positive");
   for (int i = 0; i < f.nodes; ++i) {
     // Per-district street grid: horizontal streets span the strip at pitch
     // multiples of the field, vertical streets at pitch multiples from the
@@ -51,20 +55,20 @@ std::vector<Position> field_positions(TopologyKind kind, const FieldConfig& f,
     Rect r = district_rect(f, district_of(f, static_cast<std::size_t>(i)));
     std::int64_t h_streets =
         static_cast<std::int64_t>(
-            std::floor((r.y1 - r.y0) / f.street_pitch.value())) +
+            std::floor((r.y1 - r.y0) / kStreetPitch.value())) +
         1;
     std::int64_t v_streets =
         static_cast<std::int64_t>(
-            std::floor((r.x1 - r.x0) / f.street_pitch.value())) +
+            std::floor((r.x1 - r.x0) / kStreetPitch.value())) +
         1;
     Position p;
     // Pick a street uniformly among all streets, then a point along it.
     std::int64_t street = rng.uniform_int(0, h_streets + v_streets - 1);
     if (street < h_streets) {
-      p.y = r.y0 + f.street_pitch.value() * static_cast<double>(street);
+      p.y = r.y0 + kStreetPitch.value() * static_cast<double>(street);
       p.x = rng.uniform(r.x0, r.x1);
     } else {
-      p.x = r.x0 + f.street_pitch.value() * static_cast<double>(street - h_streets);
+      p.x = r.x0 + kStreetPitch.value() * static_cast<double>(street - h_streets);
       p.y = rng.uniform(r.y0, r.y1);
     }
     out.push_back(p);

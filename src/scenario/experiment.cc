@@ -26,6 +26,7 @@
 #include "scenario/stack.h"
 #include "sim/assert.h"
 #include "sim/rng.h"
+#include "sim/sim_time.h"
 #include "sim/simulator.h"
 #include "sim/units.h"
 #include "stats/time_series.h"
@@ -77,6 +78,11 @@ const VariantInfo& variant_info(TcpVariant v) {
   MUZHA_ASSERT(i < std::size(kVariants), "variant missing from the table");
   return kVariants[i];
 }
+
+// Random-waypoint motion of the field topologies.
+constexpr MetersPerSecond kFieldMinSpeed = MetersPerSecond(1.0);
+constexpr MetersPerSecond kFieldMaxSpeed = MetersPerSecond(10.0);
+constexpr SimTime kFieldPause = SimTime::from_seconds(2.0);
 
 // Shortest-hop next hops over the decode-range graph of `pos`: one BFS per
 // destination, whose predecessor links become the members' table entries.
@@ -189,9 +195,9 @@ Stack build_stack(const ExperimentConfig& cfg, Network& net,
       mc.max_x = r.x1;
       mc.min_y = r.y0;
       mc.max_y = r.y1;
-      mc.min_speed = cfg.field.min_speed;
-      mc.max_speed = cfg.field.max_speed;
-      mc.pause = cfg.field.pause;
+      mc.min_speed = kFieldMinSpeed;
+      mc.max_speed = kFieldMaxSpeed;
+      mc.pause = kFieldPause;
       mc.tick = cfg.field.mobility_tick;
       st.mobility.push_back(std::make_unique<RandomWaypointMobility>(
           net.sim(), net.node(li), mc));
@@ -217,7 +223,7 @@ Stack build_stack(const ExperimentConfig& cfg, Network& net,
   if (any_drai) {
     net.enable_muzha_routers(cfg.drai);
   } else if (any_red_ecn) {
-    net.enable_red_ecn_routers(RedParams{});
+    net.enable_red_ecn_routers();
   }
 
   if (cfg.uniform_error_rate > 0.0) {
@@ -340,9 +346,8 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   if (cfg.shards != 1) return run_sharded_experiment(cfg);
   // One core, on this thread. Placement draws from the network's own
   // simulation RNG, as the topology builders do.
-  Network net(cfg.seed, {}, {},
-              cfg.brute_force_channel ? ChannelMode::kBruteForce
-                                      : ChannelMode::kSpatialIndex);
+  Network net(cfg.seed, cfg.brute_force_channel ? ChannelMode::kBruteForce
+                                                 : ChannelMode::kSpatialIndex);
   std::vector<Position> positions = node_positions(cfg, net.sim().rng());
   std::vector<std::size_t> all(positions.size());
   std::iota(all.begin(), all.end(), std::size_t{0});

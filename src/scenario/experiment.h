@@ -3,8 +3,9 @@
 // Describe a topology, a set of TCP flows (variant, endpoints, start time,
 // advertised window `window_`) and a duration; run_experiment() builds the
 // whole stack, runs it, and returns per-flow throughput, retransmissions,
-// CWND traces and throughput-dynamics series. Every bench and example is a
-// thin wrapper over this.
+// CWND traces and throughput-dynamics series. Most figures and examples are
+// thin wrappers over this; mobility_demo, the mobility_bench figure and
+// bench_channel build their networks by hand (scenario/network.h).
 #pragma once
 
 #include <memory>
@@ -89,7 +90,7 @@ enum class TopologyKind {
   // City-scale fields (src/scenario/city.h): N nodes placed by the seeded
   // simulation RNG, optional random-waypoint motion, sized by `field`.
   kRandomField,    // uniform random placement in the rectangle
-  kManhattanGrid,  // nodes on a street grid of pitch `street_pitch`
+  kManhattanGrid,  // nodes on a street grid of 275 m pitch
 };
 
 // Geometry and motion of the city-scale field topologies.
@@ -97,14 +98,10 @@ struct FieldConfig {
   int nodes = 200;
   Meters width = Meters(2000.0);
   Meters height = Meters(2000.0);
-  // Manhattan grid: distance between adjacent streets; nodes sit on streets
-  // (random street, random offset along it).
-  Meters street_pitch = Meters(275.0);
-  // Random-waypoint motion (applies to both field kinds when true).
+  // Random-waypoint motion (applies to both field kinds when true): speeds
+  // uniform in [1, 10] m/s, a 2 s pause at each waypoint, positions updated
+  // every `mobility_tick`.
   bool mobile = true;
-  MetersPerSecond min_speed = MetersPerSecond(1.0);
-  MetersPerSecond max_speed = MetersPerSecond(10.0);
-  SimTime pause = SimTime::from_seconds(2.0);
   SimTime mobility_tick = SimTime::from_ms(250);
   // City districts: the field splits into `districts` vertical strips of
   // equal width separated by `district_gap` of empty ground (the overall
@@ -141,7 +138,7 @@ struct ExperimentConfig {
   bool brute_force_channel = false;
   // DRAI estimator thresholds of the routers, which are on iff some flow's
   // variant needs them (Muzha, Jersey). Otherwise a NewReno+ECN flow turns
-  // on RED/ECN routers with the default RedParams.
+  // on RED/ECN routers (relwork/ecn.h).
   DraiConfig drai;
   // Random per-packet channel loss (0 = none).
   double uniform_error_rate = 0.0;

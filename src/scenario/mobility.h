@@ -8,7 +8,8 @@
 // naturally produces link breaks, AODV route failures and re-discoveries.
 //
 //  * LinearMobility       — constant-velocity segments; deterministic, used
-//                           by tests to break links on cue.
+//                           by tests and mobility_demo to break links on
+//                           cue.
 //  * RandomWaypointMobility — the classic MANET model: pick a waypoint
 //                           uniformly in a rectangle, travel at a uniform
 //                           random speed, pause, repeat.
@@ -25,16 +26,15 @@
 
 namespace muzha {
 
-// Moves one node along a fixed velocity vector, optionally bouncing between
-// two endpoints.
+// Moves one node along a velocity vector, which set_velocity changes.
 class LinearMobility {
  public:
   struct Config {
     MetersPerSecond vx;
     MetersPerSecond vy;
-    SimTime tick = SimTime::from_ms(100);
-    SimTime stop_after = SimTime::max();
   };
+  // Position update period.
+  static constexpr SimTime kTick = SimTime::from_ms(100);
 
   LinearMobility(Simulator& sim, Node& node, Config cfg)
       : sim_(sim), node_(node), cfg_(cfg) {}
@@ -48,12 +48,11 @@ class LinearMobility {
 
  private:
   void schedule() {
-    sim_.schedule_in(cfg_.tick, [this] { tick(); });
+    sim_.schedule_in(kTick, [this] { tick(); });
   }
   void tick() {
-    if (sim_.now() >= cfg_.stop_after) return;
     Position p = node_.device().phy().position();
-    double dt = cfg_.tick.to_seconds();
+    double dt = kTick.to_seconds();
     p.x += cfg_.vx.value() * dt;
     p.y += cfg_.vy.value() * dt;
     node_.device().phy().set_position(p);

@@ -15,9 +15,8 @@
 
 namespace muzha {
 
-Network::Network(std::uint64_t seed, PhyParams phy, NodeConfig node_cfg,
-                 ChannelMode channel_mode)
-    : sim_(seed), channel_(sim_, phy, channel_mode), node_cfg_(node_cfg) {}
+Network::Network(std::uint64_t seed, ChannelMode channel_mode)
+    : sim_(seed), channel_(sim_, PhyParams{}, channel_mode) {}
 
 Node& Network::add_node(Position pos) {
   return add_node(pos, static_cast<NodeId>(nodes_.size()));
@@ -26,7 +25,7 @@ Node& Network::add_node(Position pos) {
 Node& Network::add_node(Position pos, NodeId id) {
   MUZHA_ASSERT(nodes_.empty() || nodes_.back()->id() < id,
                "node ids must be added in increasing order");
-  nodes_.push_back(std::make_unique<Node>(sim_, channel_, id, pos, node_cfg_));
+  nodes_.push_back(std::make_unique<Node>(sim_, channel_, id, pos));
   return *nodes_.back();
 }
 
@@ -59,11 +58,11 @@ void Network::enable_muzha_routers(DraiConfig cfg) {
   }
 }
 
-void Network::enable_red_ecn_routers(RedParams params) {
+void Network::enable_red_ecn_routers() {
   drai_sources_.clear();
   drai_sources_.reserve(nodes_.size());
   for (auto& n : nodes_) {
-    auto marker = std::make_unique<RedEcnMarker>(sim_, n->device(), params);
+    auto marker = std::make_unique<RedEcnMarker>(sim_, n->device());
     n->set_drai_source(marker.get());
     drai_sources_.push_back(std::move(marker));
   }

@@ -10,10 +10,8 @@
 #include "net/node.h"
 #include "phy/channel.h"
 #include "phy/error_model.h"
-#include "phy/phy_params.h"
 #include "phy/position.h"
 #include "pkt/packet.h"
-#include "relwork/ecn.h"
 #include "routing/static_routing.h"
 #include "sim/sim_time.h"
 #include "sim/simulator.h"
@@ -23,8 +21,7 @@ namespace muzha {
 
 class Network {
  public:
-  explicit Network(std::uint64_t seed = 1, PhyParams phy = {},
-                   NodeConfig node_cfg = {},
+  explicit Network(std::uint64_t seed = 1,
                    ChannelMode channel_mode = ChannelMode::kSpatialIndex);
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -56,7 +53,7 @@ class Network {
 
   // Attaches RED/ECN single-bit markers instead (the paper's Sec. 3.2
   // comparison point). Mutually exclusive with enable_muzha_routers.
-  void enable_red_ecn_routers(struct RedParams params);
+  void enable_red_ecn_routers();
 
   void set_error_model(std::unique_ptr<ErrorModel> em) {
     channel_.set_error_model(std::move(em));
@@ -67,7 +64,6 @@ class Network {
  private:
   Simulator sim_;
   Channel channel_;
-  NodeConfig node_cfg_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<DraiSource>> drai_sources_;
 };

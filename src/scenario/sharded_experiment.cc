@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "net/node.h"
 #include "phy/channel.h"
 #include "phy/phy_params.h"
 #include "phy/position.h"
@@ -78,7 +77,7 @@ ExperimentResult run_sharded_experiment(const ExperimentConfig& cfg) {
   exec.run_phase([&](int s) {
     auto st = std::make_unique<ShardState>();
     st->net = std::make_unique<Network>(
-        shard_seed(cfg, s), phy, NodeConfig{},
+        shard_seed(cfg, s),
         cfg.brute_force_channel ? ChannelMode::kBruteForce
                                 : ChannelMode::kSpatialIndex);
     st->stack = build_stack(cfg, *st->net, gpos,

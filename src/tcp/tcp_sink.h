@@ -44,7 +44,6 @@ class TcpSink : public Agent {
   // --- Observability ------------------------------------------------------
   // Number of segments delivered in order (goodput numerator).
   std::int64_t delivered() const { return next_expected_; }
-  std::int64_t next_expected() const { return next_expected_; }
   std::uint64_t duplicates_received() const { return duplicates_; }
   std::uint64_t out_of_order_received() const { return out_of_order_; }
   std::uint64_t acks_sent() const { return acks_sent_; }

@@ -22,7 +22,7 @@ class AodvTest : public ::testing::Test {
     for (int i = 0; i < n; ++i) {
       nodes.push_back(std::make_unique<Node>(
           sim, channel, static_cast<NodeId>(i), Position{250.0 * i, 0}));
-      auto aodv = std::make_unique<Aodv>(sim, *nodes.back(), params);
+      auto aodv = std::make_unique<Aodv>(sim, *nodes.back());
       aodvs.push_back(aodv.get());
       nodes.back()->set_routing(std::move(aodv));
     }
@@ -39,7 +39,6 @@ class AodvTest : public ::testing::Test {
   Simulator sim{1};
   PhyParams phy_params;
   Channel channel{sim, phy_params};
-  AodvParams params;
   std::vector<std::unique_ptr<Node>> nodes;
   std::vector<Aodv*> aodvs;
 };
@@ -102,8 +101,8 @@ TEST_F(AodvTest, UnreachableDestinationFailsDiscoveryAfterRetries) {
   nodes[0]->send(tcp_packet(*nodes[0], 9, 80));
   sim.run_until(SimTime::from_seconds(30));
   EXPECT_EQ(aodvs[0]->discovery_failures(), 1u);
-  // 1 initial + rreq_retries retransmissions.
-  EXPECT_EQ(aodvs[0]->rreqs_originated(), 1u + params.rreq_retries);
+  // 1 initial + 2 retries.
+  EXPECT_EQ(aodvs[0]->rreqs_originated(), 3u);
   EXPECT_GE(aodvs[0]->drops_no_route(), 1u);
   EXPECT_FALSE(aodvs[0]->has_valid_route(9));
 }
@@ -202,53 +201,12 @@ TEST_F(AodvTest, DuplicateRreqsAreSuppressed) {
   EXPECT_LE(total_bcast, 6u);
 }
 
-TEST_F(AodvTest, ExpandingRingFindsNearbyDestinationCheaply) {
-  params.expanding_ring = true;
-  params.ttl_start = 2;
-  build(7);  // 0..6 chain; destination 2 is within the first ring
-  CollectAgent sink;
-  nodes[2]->register_agent(80, sink);
-  nodes[0]->send(tcp_packet(*nodes[0], 2, 80));
-  sim.run_until(SimTime::from_seconds(2));
-  ASSERT_EQ(sink.got.size(), 1u);
-  EXPECT_EQ(aodvs[0]->rreqs_originated(), 1u);
-  // TTL 2 stops the flood at node 2: nodes beyond never rebroadcast.
-  EXPECT_EQ(nodes[4]->device().mac().data_frames_sent(), 0u);
-  EXPECT_EQ(nodes[5]->device().mac().data_frames_sent(), 0u);
-}
-
-TEST_F(AodvTest, ExpandingRingEscalatesToFullFlood) {
-  params.expanding_ring = true;
-  params.ttl_start = 2;
-  params.ttl_increment = 2;
-  params.ttl_threshold = 7;
-  build(11);  // destination 10 is 10 hops away: beyond every ring
-  CollectAgent sink;
-  nodes[10]->register_agent(80, sink);
-  nodes[0]->send(tcp_packet(*nodes[0], 10, 80));
-  sim.run_until(SimTime::from_seconds(10));
-  ASSERT_EQ(sink.got.size(), 1u);
-  // Rings at TTL 2, 4, 6 failed before the full-diameter flood succeeded.
-  EXPECT_GE(aodvs[0]->rreqs_originated(), 4u);
-  EXPECT_TRUE(aodvs[0]->has_valid_route(10));
-}
-
-TEST_F(AodvTest, ExpandingRingStillFailsForUnreachable) {
-  params.expanding_ring = true;
-  build(2);
-  nodes[0]->send(tcp_packet(*nodes[0], 9, 80));
-  sim.run_until(SimTime::from_seconds(60));
-  EXPECT_EQ(aodvs[0]->discovery_failures(), 1u);
-  // Ring attempts (TTL 2,4,6) + (1 + rreq_retries) full attempts.
-  EXPECT_EQ(aodvs[0]->rreqs_originated(), 3u + 1u + params.rreq_retries);
-}
-
 TEST_F(AodvTest, BufferCapacityDropsExcessPackets) {
-  params.send_buffer_capacity = 4;
   build(2);
   // No route yet: every packet is buffered while discovery runs; overflow
-  // beyond capacity is dropped. Destination 9 never answers.
-  for (int i = 0; i < 10; ++i) {
+  // beyond the 64-packet send buffer is dropped. Destination 9 never
+  // answers.
+  for (int i = 0; i < 70; ++i) {
     nodes[0]->send(tcp_packet(*nodes[0], 9, 80));
   }
   EXPECT_EQ(aodvs[0]->drops_no_route(), 6u);

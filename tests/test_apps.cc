@@ -30,24 +30,6 @@ TEST(CbrApp, SendsAtConfiguredRate) {
   EXPECT_GT(net.node(1).delivered_local(), 150u);
 }
 
-TEST(CbrApp, StopsAtStopTime) {
-  Network net(1);
-  build_chain(net, 1, Meters(200.0));
-  net.use_static_routing();
-  net.static_routing(0).add_route(1, 1);
-  CbrApp::Config cfg;
-  cfg.dst = net.node(1).id();
-  cfg.rate = BitsPerSecond(409'600);
-  cfg.start_time = SimTime::zero();
-  cfg.stop_time = SimTime::from_seconds(1.0);
-  CbrApp cbr(net.sim(), net.node(0), cfg);
-  cbr.install();
-  net.run_until(SimTime::from_seconds(5.0));
-  std::uint64_t at_stop = cbr.packets_sent();
-  EXPECT_GT(at_stop, 50u);
-  EXPECT_LT(at_stop, 150u);  // nothing after t = 1 s
-}
-
 TEST(CbrBackgroundTraffic, DegradesTcpThroughput) {
   // TCP alone vs TCP + CBR cross-load on a 2-hop chain.
   auto run = [](bool with_cbr) {

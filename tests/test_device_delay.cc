@@ -56,8 +56,7 @@ TEST(QueueGradient, RisingQueueCapsDrai) {
   Channel channel(sim, PhyParams{});
   Node a(sim, channel, 0, {0, 0});
   DraiConfig cfg;
-  cfg.use_queue_gradient = true;
-  cfg.gradient_stabilize = SegmentsPerSecond(5.0);
+  cfg.use_queue_gradient = true;  // caps at 5 pkt/s of queue growth
   BandwidthEstimator est(sim, a.device(), cfg);
   est.start();
 

@@ -108,19 +108,18 @@ TEST(BandwidthEstimator, BusyMediumLowersDrai) {
 TEST(BandwidthEstimator, FullQueueForcesMarking) {
   Simulator sim{1};
   Channel channel(sim, PhyParams{});
-  NodeConfig cfg;
-  cfg.ifq_capacity = 10;
-  Node a(sim, channel, 0, {0, 0}, cfg);
+  Node a(sim, channel, 0, {0, 0});
   auto ra = std::make_unique<StaticRouting>(a);
   ra->add_route(1, 1);  // next hop does not exist: queue backs up
   a.set_routing(std::move(ra));
 
   BandwidthEstimator est(sim, a.device());
   est.start();
-  for (int i = 0; i < 10; ++i) {
+  for (std::size_t i = 0; i < kIfqCapacity; ++i) {
     a.send(a.new_packet(1, IpProto::kNone, 1500));
   }
-  // Queue is now (nearly) full: deceleration region, marking on.
+  // The MAC holds the first packet and the IFQ the other 49: the queue is
+  // nearly full, deceleration region, marking on.
   EXPECT_LE(est.current_drai(), kDraiModerateDecel);
   EXPECT_TRUE(est.should_mark());
 }

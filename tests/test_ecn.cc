@@ -30,11 +30,11 @@ class RedTest : public ::testing::Test {
   std::unique_ptr<Node> node;
 };
 
+// The marker runs with its shipped calibration: EWMA weight 0.05, min_th 3,
+// max_th 10 packets, max_p 0.2.
 TEST_F(RedTest, NeverMarksBelowMinThreshold) {
-  RedParams p;
-  p.min_th = 5;
-  RedEcnMarker red(sim, node->device(), p);
-  fill_queue(3);
+  RedEcnMarker red(sim, node->device());
+  fill_queue(2);
   for (int i = 0; i < 1000; ++i) {
     EXPECT_FALSE(red.should_mark());
   }
@@ -42,33 +42,27 @@ TEST_F(RedTest, NeverMarksBelowMinThreshold) {
 }
 
 TEST_F(RedTest, AlwaysMarksAboveMaxThreshold) {
-  RedParams p;
-  p.weight = 1.0;  // avg == instantaneous for a crisp test
-  p.min_th = 5;
-  p.max_th = 15;
-  RedEcnMarker red(sim, node->device(), p);
+  RedEcnMarker red(sim, node->device());
   fill_queue(20);
+  // Let the average climb past max_th (20 * (1 - 0.95^100) ~ 19.9).
+  for (int i = 0; i < 100; ++i) red.should_mark();
+  ASSERT_GT(red.avg_queue(), 10.0);
   for (int i = 0; i < 100; ++i) {
     EXPECT_TRUE(red.should_mark());
   }
 }
 
 TEST_F(RedTest, MarkingProbabilityGrowsWithAverage) {
-  RedParams p;
-  p.weight = 1.0;
-  p.min_th = 5;
-  p.max_th = 25;
-  p.max_p = 0.2;
-  RedEcnMarker low(sim, node->device(), p);
-  fill_queue(8);  // just above min_th
+  RedEcnMarker low(sim, node->device());
+  fill_queue(4);  // just above min_th
   int low_marks = 0;
   for (int i = 0; i < 3000; ++i) {
     if (low.should_mark()) ++low_marks;
   }
-  // Drain and refill closer to max_th.
+  // Drain and refill close to max_th.
   while (!node->device().queue().empty()) node->device().queue().dequeue();
-  RedEcnMarker high(sim, node->device(), p);
-  fill_queue(22);
+  RedEcnMarker high(sim, node->device());
+  fill_queue(9);
   int high_marks = 0;
   for (int i = 0; i < 3000; ++i) {
     if (high.should_mark()) ++high_marks;
@@ -78,9 +72,7 @@ TEST_F(RedTest, MarkingProbabilityGrowsWithAverage) {
 }
 
 TEST_F(RedTest, AverageTracksQueueSmoothly) {
-  RedParams p;
-  p.weight = 0.1;
-  RedEcnMarker red(sim, node->device(), p);
+  RedEcnMarker red(sim, node->device());
   fill_queue(10);
   for (int i = 0; i < 5; ++i) red.should_mark();
   double early = red.avg_queue();
@@ -91,7 +83,7 @@ TEST_F(RedTest, AverageTracksQueueSmoothly) {
 }
 
 TEST_F(RedTest, NeverGivesRateAdvice) {
-  RedEcnMarker red(sim, node->device(), RedParams{});
+  RedEcnMarker red(sim, node->device());
   EXPECT_EQ(red.current_drai(), kDraiAggressiveAccel);
 }
 

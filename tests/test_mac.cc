@@ -28,10 +28,10 @@ class MacTest : public ::testing::Test {
     std::vector<NodeId> link_failures;
   };
 
-  Station& add_station(NodeId id, Position pos, MacParams params = {}) {
+  Station& add_station(NodeId id, Position pos) {
     auto st = std::make_unique<Station>();
     st->phy = std::make_unique<WirelessPhy>(sim, channel, id, pos);
-    st->mac = std::make_unique<Mac80211>(sim, *st->phy, params);
+    st->mac = std::make_unique<Mac80211>(sim, *st->phy);
     Station* raw = st.get();
     st->mac->set_rx_callback(
         [raw](PacketPtr pkt) { raw->received.push_back(std::move(pkt)); });
@@ -58,27 +58,20 @@ class MacTest : public ::testing::Test {
 TEST_F(MacTest, UnicastDeliversWithRtsCtsAndAck) {
   Station& a = add_station(0, {0, 0});
   Station& b = add_station(1, {200, 0});
-  a.mac->transmit(ip_packet(1000, 0, 1), 1);
-  sim.run_until(SimTime::from_ms(100));
-  ASSERT_EQ(b.received.size(), 1u);
+  // Every unicast frame opens with RTS, a small one too.
+  for (std::uint32_t bytes : {1000u, 100u}) {
+    a.mac->transmit(ip_packet(bytes, 0, 1), 1);
+    sim.run_until(sim.now() + SimTime::from_ms(100));
+    EXPECT_TRUE(a.mac->idle());
+  }
+  ASSERT_EQ(b.received.size(), 2u);
   EXPECT_EQ(b.received[0]->size_bytes, 1000u);
-  EXPECT_EQ(a.tx_done_ok, 1);
+  EXPECT_EQ(b.received[1]->size_bytes, 100u);
+  EXPECT_EQ(a.tx_done_ok, 2);
   EXPECT_EQ(a.tx_done_fail, 0);
-  EXPECT_EQ(a.mac->rts_sent(), 1u);   // RTS threshold 0: always RTS
-  EXPECT_EQ(a.mac->data_frames_sent(), 1u);
+  EXPECT_EQ(a.mac->rts_sent(), 2u);
+  EXPECT_EQ(a.mac->data_frames_sent(), 2u);
   EXPECT_EQ(a.mac->retries(), 0u);
-  EXPECT_TRUE(a.mac->idle());
-}
-
-TEST_F(MacTest, RtsThresholdSkipsRtsForSmallFrames) {
-  MacParams mp;
-  mp.rts_threshold = Bytes(500);
-  Station& a = add_station(0, {0, 0}, mp);
-  Station& b = add_station(1, {200, 0}, mp);
-  a.mac->transmit(ip_packet(100, 0, 1), 1);
-  sim.run_until(SimTime::from_ms(100));
-  ASSERT_EQ(b.received.size(), 1u);
-  EXPECT_EQ(a.mac->rts_sent(), 0u);
 }
 
 TEST_F(MacTest, BroadcastDeliversToAllNeighborsWithoutAck) {

@@ -35,7 +35,7 @@ class MacTimingTest : public ::testing::Test {
   Station& add(NodeId id, Position pos) {
     auto st = std::make_unique<Station>();
     st->phy = std::make_unique<WirelessPhy>(sim, channel, id, pos);
-    st->mac = std::make_unique<Mac80211>(sim, *st->phy, MacParams{});
+    st->mac = std::make_unique<Mac80211>(sim, *st->phy);
     Station* raw = st.get();
     st->mac->set_rx_callback([raw, this](PacketPtr pkt) {
       raw->rx.emplace_back(sim.now(), std::move(pkt));
@@ -115,11 +115,10 @@ TEST_F(MacTimingTest, RetryTimeoutAndBackoffBounds) {
   a.mac->transmit(ip_packet(1000, 0, 9), 9);
   sim.run_until(SimTime::from_seconds(10));
   ASSERT_EQ(a.tx_done_times.size(), 1u);
-  MacParams mp;
   SimTime rts = a.phy->tx_duration(Bytes(kMacRtsBytes), true);
   SimTime cts = a.phy->tx_duration(Bytes(kMacCtsBytes), true);
-  SimTime timeout = mp.sifs + cts + mp.timeout_guard;
-  SimTime floor = 7 * (mp.difs + rts + timeout);
+  SimTime timeout = kMacSifs + cts + kMacTimeoutGuard;
+  SimTime floor = kMacShortRetryLimit * (kMacDifs + rts + timeout);
   // Max backoff: 31+63+127+255+511+1023+1023 slots of 20 us.
   SimTime ceil = floor + SimTime::from_us(20 * (31 + 63 + 127 + 255 + 511 +
                                                 1023 + 1023));
@@ -175,7 +174,7 @@ struct Countdown {
   SimTime attempt;        // the second frame's start
   std::uint64_t events;   // executed from queueing to the second start
   std::int64_t slots() const {
-    return (attempt - first_slot) / MacParams{}.slot;
+    return (attempt - first_slot) / kMacSlot;
   }
 };
 
@@ -183,7 +182,7 @@ Countdown run_countdown(std::uint64_t seed, std::optional<SimTime> freeze) {
   Simulator sim(seed);
   Channel channel(sim, PhyParams{});
   WirelessPhy phy(sim, channel, 0, {0, 0});
-  Mac80211 mac(sim, phy, MacParams{});
+  Mac80211 mac(sim, phy);
   WirelessPhy observer(sim, channel, 1, {0, 0});
   std::vector<std::pair<SimTime, std::uint64_t>> starts;
   observer.set_channel_state_callback([&](bool busy) {
@@ -204,13 +203,13 @@ Countdown run_countdown(std::uint64_t seed, std::optional<SimTime> freeze) {
   sim.run_until(kQueued + SimTime::from_ms(100));
   EXPECT_EQ(starts.size(), 2u) << "seed " << seed;
   if (starts.size() != 2) return {};
-  return {kQueued + MacParams{}.difs, starts[1].first,
+  return {kQueued + kMacDifs, starts[1].first,
           starts[1].second - queued_events};
 }
 
 TEST(MacBackoff, FreezeSpendsEverySlotWhoseBoundaryHasPassed) {
-  const SimTime slot = MacParams{}.slot;
-  const SimTime difs = MacParams{}.difs;
+  const SimTime slot = kMacSlot;
+  const SimTime difs = kMacDifs;
   std::uint64_t seed = 1;
   Countdown free_run = run_countdown(seed, std::nullopt);
   while (free_run.slots() < 3) {

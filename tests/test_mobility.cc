@@ -24,18 +24,6 @@ TEST(LinearMobilityTest, MovesAtConfiguredVelocity) {
   EXPECT_NEAR(p.y, -50.0, 1.0);
 }
 
-TEST(LinearMobilityTest, StopsAtStopTime) {
-  Network net(1);
-  Node& n = net.add_node({0, 0});
-  LinearMobility::Config cfg;
-  cfg.vx = MetersPerSecond(10.0);
-  cfg.stop_after = SimTime::from_seconds(2.0);
-  LinearMobility mob(net.sim(), n, cfg);
-  mob.start();
-  net.run_until(SimTime::from_seconds(10));
-  EXPECT_NEAR(n.device().phy().position().x, 20.0, 2.0);
-}
-
 TEST(RandomWaypointTest, StaysInsideTheArena) {
   Network net(7);
   Node& n = net.add_node({500, 500});

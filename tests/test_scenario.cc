@@ -61,14 +61,12 @@ TEST(Table51, DefaultParametersMatchThePaper) {
   PhyParams phy;
   EXPECT_EQ(phy.data_rate, BitsPerSecond(2'000'000));
   EXPECT_DOUBLE_EQ(phy.rx_range.value(), 250.0);
-  NodeConfig node;
-  EXPECT_EQ(node.ifq_capacity, 50u);
-  MacParams mac;
-  EXPECT_EQ(mac.cw_min, 31u);
-  EXPECT_EQ(mac.cw_max, 1023u);
-  EXPECT_EQ(mac.slot, SimTime::from_us(20));
-  EXPECT_EQ(mac.sifs, SimTime::from_us(10));
-  EXPECT_EQ(mac.difs, SimTime::from_us(50));
+  EXPECT_EQ(kIfqCapacity, 50u);
+  EXPECT_EQ(kMacCwMin, 31u);
+  EXPECT_EQ(kMacCwMax, 1023u);
+  EXPECT_EQ(kMacSlot, SimTime::from_us(20));
+  EXPECT_EQ(kMacSifs, SimTime::from_us(10));
+  EXPECT_EQ(kMacDifs, SimTime::from_us(50));
 }
 
 TEST(Table51, SegmentSizeMatchesThePaper) {
