@@ -591,9 +591,7 @@ double run_once(TcpVariant v, bool mobile, double max_speed,
   tc.dst_port = 2000;
   tc.window = 16;
   auto agent = make_tcp_agent(v, net.sim(), net.node(0), tc);
-  TcpSink::Config sc;
-  sc.port = 2000;
-  TcpSink sink(net.sim(), net.node(hops), sc);
+  TcpSink sink(net.sim(), net.node(hops), 2000);
   sink.start();
   TcpAgent* raw = agent.get();
   net.sim().schedule_at(SimTime::zero(), [raw] { raw->start(); });

@@ -36,9 +36,7 @@ int main(int argc, char** argv) {
   tc.dst_port = 2000;
   tc.window = 16;
   auto agent = make_tcp_agent(variant, net.sim(), net.node(0), tc);
-  TcpSink::Config sc;
-  sc.port = 2000;
-  TcpSink sink(net.sim(), net.node(2), sc);
+  TcpSink sink(net.sim(), net.node(2), 2000);
   sink.start();
   ThroughputSampler sampler(SimTime::from_seconds(1.0));
   sampler.attach(sink);

@@ -12,12 +12,11 @@
 namespace muzha {
 
 TcpMuzha::TcpMuzha(Simulator& sim, Node& node, TcpConfig cfg)
-    : TcpAgent(sim, node, [&cfg] {
-        // Muzha has no slow start: sessions enter CA directly with a small
-        // initial window (Sec. 4.8).
-        if (cfg.initial_cwnd < Segments(2.0)) cfg.initial_cwnd = Segments(2.0);
-        return cfg;
-      }()) {
+    : TcpAgent(sim, node, cfg) {
+  // Muzha has no slow start: sessions enter CA directly with a small initial
+  // window (Sec. 4.8). No cwnd listener is attached yet, so this traces
+  // nothing.
+  set_cwnd(Segments(2.0));
   // ssthresh is meaningless for Muzha; park it out of the way so base-class
   // helpers never mistake CA for slow start.
   set_ssthresh(Segments(0.0));

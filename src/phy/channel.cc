@@ -55,7 +55,7 @@ void Channel::transmit(const WirelessPhy& src, const Packet& pkt,
     // Cell side == cs_range, so the 3x3 neighborhood is a superset of the
     // delivery disc; deliver() re-applies the exact range check. Sorting by
     // the attach-order key restores brute-force scan order, which fixes both
-    // the schedule_in order and the error-model RNG draw order.
+    // the schedule_in order and the random-loss RNG draw order.
     scratch_.clear();
     grid_.gather(sp, scratch_);
     std::sort(scratch_.begin(), scratch_.end(),
@@ -78,8 +78,9 @@ void Channel::deliver(WirelessPhy* rx, Position src_pos, Position rx_pos,
   PacketPtr copy;
   if (decodable) {
     copy = clone_packet(pkt);
+    // No draw at rate 0: chance(0) would still consume one.
     pre_corrupted =
-        error_model_->should_corrupt(pkt, dist, sim_.now(), sim_.rng());
+        loss_rate_.value() > 0.0 && sim_.rng().chance(loss_rate_.value());
     if (pre_corrupted) ++frames_corrupted_by_error_;
   }
   SimTime prop = to_sim_time(dist / params_.propagation);

@@ -12,23 +12,22 @@
 //  - kSpatialIndex (default): a uniform grid keyed on cs_range limits the
 //    scan to the 3x3 cell neighborhood of the transmitter — O(neighbors).
 //    Candidates are sorted by attach-order key before delivery, so the event
-//    schedule (and every RNG draw in the error model) is bit-identical to
+//    schedule (and every random-loss RNG draw) is bit-identical to
 //    the brute-force scan.
 //  - kBruteForce: the original linear scan over every attached PHY. Kept as
 //    the oracle for the differential tests in test_channel_index.cc.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "phy/error_model.h"
 #include "phy/phy_params.h"
 #include "phy/position.h"
 #include "phy/spatial_grid.h"
 #include "pkt/packet.h"
 #include "sim/sim_time.h"
 #include "sim/simulator.h"
+#include "sim/units.h"
 
 namespace muzha {
 
@@ -43,7 +42,6 @@ class Channel {
       : sim_(sim),
         params_(params),
         mode_(mode),
-        error_model_(new NoErrorModel),
         grid_(params.cs_range) {}
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
@@ -67,9 +65,9 @@ class Channel {
 
   std::size_t attached_count() const { return phys_.size(); }
 
-  void set_error_model(std::unique_ptr<ErrorModel> em) {
-    error_model_ = std::move(em);
-  }
+  // Random loss: every decodable frame arrives corrupted with probability
+  // `p`, independently of queueing (DESIGN.md "Random loss"). Default 0.
+  void set_loss_rate(Probability p) { loss_rate_ = p; }
 
   // Called by a transmitting PHY at TX start. `duration` is on-air time.
   void transmit(const WirelessPhy& src, const Packet& pkt, SimTime duration);
@@ -90,7 +88,7 @@ class Channel {
   Simulator& sim_;
   PhyParams params_;
   ChannelMode mode_;
-  std::unique_ptr<ErrorModel> error_model_;
+  Probability loss_rate_;
   std::vector<WirelessPhy*> phys_;  // attach order; erase preserves order
   SpatialGrid grid_;
   std::vector<SpatialGrid::Entry> scratch_;  // gather buffer, reused

@@ -10,7 +10,6 @@
 #include "core/tcp_muzha.h"
 #include "net/node.h"
 #include "phy/channel.h"
-#include "phy/error_model.h"
 #include "phy/position.h"
 #include "pkt/packet.h"
 #include "relwork/adtcp.h"
@@ -227,8 +226,7 @@ Stack build_stack(const ExperimentConfig& cfg, Network& net,
   }
 
   if (cfg.uniform_error_rate > 0.0) {
-    net.set_error_model(std::make_unique<UniformErrorModel>(
-        Probability(cfg.uniform_error_rate)));
+    net.channel().set_loss_rate(Probability(cfg.uniform_error_rate));
   }
 
   // Flows. Ports and flow ids are global indices, so the two halves of a
@@ -256,12 +254,12 @@ Stack build_stack(const ExperimentConfig& cfg, Network& net,
       }
     }
     if (std::size_t dst = local_index[f.dst]; dst != SIZE_MAX) {
-      TcpSink::Config sc;
-      sc.port = tc.dst_port;
       if (variant.adtcp_sink) {
-        inst.sink = std::make_unique<AdtcpSink>(net.sim(), net.node(dst), sc);
+        inst.sink = std::make_unique<AdtcpSink>(net.sim(), net.node(dst),
+                                                tc.dst_port);
       } else {
-        inst.sink = std::make_unique<TcpSink>(net.sim(), net.node(dst), sc);
+        inst.sink =
+            std::make_unique<TcpSink>(net.sim(), net.node(dst), tc.dst_port);
       }
       inst.sink->start();
       inst.sampler =

@@ -9,7 +9,6 @@
 #include "net/agent.h"
 #include "net/node.h"
 #include "phy/channel.h"
-#include "phy/error_model.h"
 #include "phy/position.h"
 #include "pkt/packet.h"
 #include "routing/static_routing.h"
@@ -54,10 +53,6 @@ class Network {
   // Attaches RED/ECN single-bit markers instead (the paper's Sec. 3.2
   // comparison point). Mutually exclusive with enable_muzha_routers.
   void enable_red_ecn_routers();
-
-  void set_error_model(std::unique_ptr<ErrorModel> em) {
-    channel_.set_error_model(std::move(em));
-  }
 
   void run_until(SimTime t) { sim_.run_until(t); }
 

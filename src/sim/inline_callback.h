@@ -9,8 +9,9 @@
 // InlineFunction fixes both:
 //
 //  * 48 bytes of inline storage — every callback lambda in the stack (a
-//    `this` pointer plus a few scalars or one PacketPtr) fits without
-//    touching the heap. Larger callables still work via a heap fallback.
+//    `this` pointer plus a few scalars or one PacketPtr) fits, and nothing
+//    touches the heap. A larger callable (or an over-aligned one, or one
+//    whose move can throw) does not compile.
 //  * move-only semantics — unique_ptr captures are taken directly.
 //
 // Type erasure uses two raw function pointers (invoke + manage) instead of a
@@ -25,8 +26,8 @@
 namespace muzha {
 
 // Inline capture budget. 48 bytes holds a `this` pointer plus five words of
-// captures; the allocation-counting test pins that schedule/fire of every
-// stack callback stays heap-free at this size.
+// captures; tests/compile_fail/oversized_event_callback.cc pins that a
+// seven-word callable is rejected.
 inline constexpr std::size_t kInlineCallbackSize = 48;
 
 template <typename Signature>
@@ -43,17 +44,7 @@ class InlineFunction<R(Args...)> {
             typename = std::enable_if_t<
                 !std::is_same_v<D, InlineFunction> &&
                 std::is_invocable_r_v<R, D&, Args...>>>
-  InlineFunction(F&& f) {
-    if constexpr (fits_inline<D>()) {
-      ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
-      invoke_ = &inline_invoke<D>;
-      manage_ = &inline_manage<D>;
-    } else {
-      *reinterpret_cast<D**>(storage_) = new D(std::forward<F>(f));
-      invoke_ = &heap_invoke<D>;
-      manage_ = &heap_manage<D>;
-    }
-  }
+  InlineFunction(F&& f) { emplace(std::forward<F>(f)); }
 
   InlineFunction(InlineFunction&& other) noexcept { move_from(other); }
 
@@ -81,15 +72,7 @@ class InlineFunction<R(Args...)> {
                 std::is_invocable_r_v<R, D&, Args...>>>
   InlineFunction& operator=(F&& f) {
     reset();
-    if constexpr (fits_inline<D>()) {
-      ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
-      invoke_ = &inline_invoke<D>;
-      manage_ = &inline_manage<D>;
-    } else {
-      *reinterpret_cast<D**>(storage_) = new D(std::forward<F>(f));
-      invoke_ = &heap_invoke<D>;
-      manage_ = &heap_manage<D>;
-    }
+    emplace(std::forward<F>(f));
     return *this;
   }
 
@@ -104,8 +87,9 @@ class InlineFunction<R(Args...)> {
     return invoke_(storage_, std::forward<Args>(args)...);
   }
 
-  // True when the callable is stored in the inline buffer (no heap). Exposed
-  // so tests can pin the zero-allocation guarantee per callable type.
+  // True when the callable fits the inline buffer, i.e. when an
+  // InlineFunction can hold it at all. Exposed so tests can pin capture
+  // shapes.
   template <typename F>
   static constexpr bool stored_inline() {
     return fits_inline<std::decay_t<F>>();
@@ -134,19 +118,15 @@ class InlineFunction<R(Args...)> {
     f->~D();
   }
 
-  template <typename D>
-  static R heap_invoke(unsigned char* s, Args... args) {
-    return (**reinterpret_cast<D**>(s))(std::forward<Args>(args)...);
-  }
-
-  template <typename D>
-  static void heap_manage(Op op, unsigned char* self, unsigned char* dest) {
-    D** slot = reinterpret_cast<D**>(self);
-    if (op == Op::kMoveTo) {
-      *reinterpret_cast<D**>(dest) = *slot;
-    } else {
-      delete *slot;
-    }
+  template <typename F, typename D = std::decay_t<F>>
+  void emplace(F&& f) {
+    static_assert(fits_inline<D>(),
+                  "callback exceeds kInlineCallbackSize, is over-aligned or "
+                  "has a throwing move: capture less (e.g. a pointer to the "
+                  "state)");
+    ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
+    invoke_ = &inline_invoke<D>;
+    manage_ = &inline_manage<D>;
   }
 
   void move_from(InlineFunction& other) noexcept {

@@ -26,12 +26,12 @@
 // (O(log n), no tombstones, no lazy skip) and bumps the generation so stale
 // handles — including the id of an event that already fired — are no-ops.
 //
-// Callbacks are InlineFunction<void()>: every typical capture list is stored
-// inline, so schedule/fire performs zero heap allocations once the pool has
-// warmed up. The schedule/fire/cancel path is defined inline in this header:
-// event dispatch bounds whole-stack simulation rate, and the call sites
-// (run loops, protocol timers) only optimize it when they can see through
-// it.
+// Callbacks are InlineFunction<void()>: every capture list is stored inline
+// (a larger one does not compile), so schedule/fire performs zero heap
+// allocations once the pool has warmed up. The schedule/fire/cancel path is
+// defined inline in this header: event dispatch bounds whole-stack
+// simulation rate, and the call sites (run loops, protocol timers) only
+// optimize it when they can see through it.
 #pragma once
 
 #include <cstddef>

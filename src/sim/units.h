@@ -1,12 +1,12 @@
 // Compile-time unit safety: strong quantity types for the simulator.
 //
 // The paper's model is built from dimensioned quantities — meters of
-// carrier-sense range, seconds of Gilbert-model dwell time, bits-per-second
-// of channel rate, segments of TCP window — and passing them as bare
+// carrier-sense range, seconds of Vegas base RTT, bits-per-second of
+// channel rate, segments of TCP window — and passing them as bare
 // `double` lets a swapped or mis-scaled argument compile silently. Each
 // physical dimension gets its own phantom-typed Quantity instantiation with
 // only dimensionally sound operators, so `Meters + Seconds`, an implicit
-// `double -> Dbm`, or a `Bytes` handed to a `Segments` parameter is a
+// `double -> Meters`, or a `Bytes` handed to a `Segments` parameter is a
 // compile error (see tests/compile_fail/ for the negative-compilation
 // suite). Zero overhead: every type is a trivially copyable wrapper the
 // same size as its representation, and all operators are constexpr.
@@ -20,7 +20,6 @@
 //   Bits / BitsPerSecond        -> Seconds       (serialization delay)
 //   Segments / Seconds          -> SegmentsPerSecond
 //   SegmentsPerSecond * Seconds -> Segments
-//   to_milliwatts(Dbm) / to_dbm(MilliWatts)      (log <-> linear power)
 //   to_sim_time(Seconds) / to_seconds(SimTime)   (checked, integer-ns clock)
 #pragma once
 
@@ -42,8 +41,6 @@ struct BitCount {};         // bits
 struct DataRate {};         // bits / second
 struct SegmentCount {};     // TCP segments (the window currency)
 struct SegmentRate {};      // segments / second
-struct PowerLog {};         // dBm
-struct PowerLinear {};      // milliwatts
 }  // namespace unit_dim
 
 // One-dimensional quantity: a `Rep` tagged with a phantom dimension. Only
@@ -111,8 +108,6 @@ using Bits = Quantity<unit_dim::BitCount, std::int64_t>;
 using BitsPerSecond = Quantity<unit_dim::DataRate>;
 using Segments = Quantity<unit_dim::SegmentCount>;
 using SegmentsPerSecond = Quantity<unit_dim::SegmentRate>;
-using Dbm = Quantity<unit_dim::PowerLog>;
-using MilliWatts = Quantity<unit_dim::PowerLinear>;
 
 // Every quantity is layout- and cost-identical to its representation.
 static_assert(std::is_trivially_copyable_v<Meters> &&
@@ -127,10 +122,6 @@ static_assert(std::is_trivially_copyable_v<Segments> &&
               sizeof(Segments) == sizeof(double));
 static_assert(std::is_trivially_copyable_v<SegmentsPerSecond> &&
               sizeof(SegmentsPerSecond) == sizeof(double));
-static_assert(std::is_trivially_copyable_v<Dbm> &&
-              sizeof(Dbm) == sizeof(double));
-static_assert(std::is_trivially_copyable_v<MilliWatts> &&
-              sizeof(MilliWatts) == sizeof(double));
 static_assert(std::is_trivially_copyable_v<Bytes> &&
               sizeof(Bytes) == sizeof(std::int64_t));
 static_assert(std::is_trivially_copyable_v<Bits> &&
@@ -170,7 +161,6 @@ constexpr Meters operator*(Seconds t, MetersPerSecond v) {
 }
 
 constexpr Bits to_bits(Bytes b) { return Bits(b.value() * 8); }
-constexpr Bytes to_bytes(Bits b) { return Bytes(b.value() / 8); }
 constexpr BitsPerSecond operator/(Bits b, Seconds t) {
   return BitsPerSecond(static_cast<double>(b.value()) / t.value());
 }
@@ -188,17 +178,6 @@ constexpr Segments operator*(Seconds t, SegmentsPerSecond r) {
   return Segments(r.value() * t.value());
 }
 
-// Log <-> linear power. dBm is a logarithmic scale, so additive arithmetic
-// on Dbm values means multiplying powers — convert to MilliWatts for
-// anything beyond comparisons and dB offsets.
-inline MilliWatts to_milliwatts(Dbm p) {
-  return MilliWatts(std::pow(10.0, p.value() / 10.0));
-}
-inline Dbm to_dbm(MilliWatts p) {
-  MUZHA_DCHECK(p.value() > 0.0, "dBm of non-positive power is undefined");
-  return Dbm(10.0 * std::log10(p.value()));
-}
-
 // --- Seconds <-> SimTime (checked) -----------------------------------------
 //
 // SimTime is the integer-nanosecond event clock; Seconds is the floating
@@ -214,78 +193,5 @@ inline SimTime to_sim_time(Seconds s) {
   return SimTime::from_seconds(s.value());
 }
 constexpr Seconds to_seconds(SimTime t) { return Seconds(t.to_seconds()); }
-
-// --- User-defined literals -------------------------------------------------
-//
-// `using namespace muzha;` (or muzha::unit_literals) makes `250.0_m`,
-// `1.0_s`, `2.0_Mbps` well-typed constants.
-
-inline namespace unit_literals {
-
-constexpr Meters operator""_m(long double v) {
-  return Meters(static_cast<double>(v));
-}
-constexpr Meters operator""_m(unsigned long long v) {
-  return Meters(static_cast<double>(v));
-}
-constexpr Meters operator""_km(long double v) {
-  return Meters(static_cast<double>(v) * 1000.0);
-}
-constexpr Seconds operator""_s(long double v) {
-  return Seconds(static_cast<double>(v));
-}
-constexpr Seconds operator""_s(unsigned long long v) {
-  return Seconds(static_cast<double>(v));
-}
-constexpr Seconds operator""_ms(long double v) {
-  return Seconds(static_cast<double>(v) * 1e-3);
-}
-constexpr Seconds operator""_us(long double v) {
-  return Seconds(static_cast<double>(v) * 1e-6);
-}
-constexpr MetersPerSecond operator""_mps(long double v) {
-  return MetersPerSecond(static_cast<double>(v));
-}
-constexpr MetersPerSecond operator""_mps(unsigned long long v) {
-  return MetersPerSecond(static_cast<double>(v));
-}
-constexpr BitsPerSecond operator""_bps(long double v) {
-  return BitsPerSecond(static_cast<double>(v));
-}
-constexpr BitsPerSecond operator""_bps(unsigned long long v) {
-  return BitsPerSecond(static_cast<double>(v));
-}
-constexpr BitsPerSecond operator""_kbps(long double v) {
-  return BitsPerSecond(static_cast<double>(v) * 1e3);
-}
-constexpr BitsPerSecond operator""_kbps(unsigned long long v) {
-  return BitsPerSecond(static_cast<double>(v) * 1e3);
-}
-constexpr BitsPerSecond operator""_Mbps(long double v) {
-  return BitsPerSecond(static_cast<double>(v) * 1e6);
-}
-constexpr BitsPerSecond operator""_Mbps(unsigned long long v) {
-  return BitsPerSecond(static_cast<double>(v) * 1e6);
-}
-constexpr Bytes operator""_B(unsigned long long v) {
-  return Bytes(static_cast<std::int64_t>(v));
-}
-constexpr Segments operator""_seg(long double v) {
-  return Segments(static_cast<double>(v));
-}
-constexpr Segments operator""_seg(unsigned long long v) {
-  return Segments(static_cast<double>(v));
-}
-constexpr Dbm operator""_dBm(long double v) {
-  return Dbm(static_cast<double>(v));
-}
-constexpr Dbm operator""_dBm(unsigned long long v) {
-  return Dbm(static_cast<double>(v));
-}
-constexpr MilliWatts operator""_mW(long double v) {
-  return MilliWatts(static_cast<double>(v));
-}
-
-}  // namespace unit_literals
 
 }  // namespace muzha

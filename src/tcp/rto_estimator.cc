@@ -30,13 +30,13 @@ void RtoEstimator::backoff() {
 void RtoEstimator::reset_backoff() {
   if (backoff_exponent_ == 0) return;
   backoff_exponent_ = 0;
-  rto_ = has_sample_ ? srtt_ + 4 * rttvar_ : cfg_.initial_rto;
+  rto_ = has_sample_ ? srtt_ + 4 * rttvar_ : kInitialRto;
   clamp();
 }
 
 void RtoEstimator::clamp() {
-  if (rto_ < cfg_.min_rto) rto_ = cfg_.min_rto;
-  if (rto_ > cfg_.max_rto) rto_ = cfg_.max_rto;
+  if (rto_ < kMinRto) rto_ = kMinRto;
+  if (rto_ > kMaxRto) rto_ = kMaxRto;
 }
 
 }  // namespace muzha

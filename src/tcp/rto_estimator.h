@@ -7,16 +7,14 @@
 
 namespace muzha {
 
-struct RtoConfig {
-  SimTime initial_rto = SimTime::from_seconds(3.0);
-  SimTime min_rto = SimTime::from_ms(200);
-  SimTime max_rto = SimTime::from_seconds(60.0);
-};
+// The RTO before the first RTT sample, and the floor and cap that clamp
+// every RTO.
+inline constexpr SimTime kInitialRto = SimTime::from_seconds(3.0);
+inline constexpr SimTime kMinRto = SimTime::from_ms(200);
+inline constexpr SimTime kMaxRto = SimTime::from_seconds(60.0);
 
 class RtoEstimator {
  public:
-  explicit RtoEstimator(RtoConfig cfg = {}) : cfg_(cfg), rto_(cfg.initial_rto) {}
-
   // Feeds one round-trip sample (never from a retransmitted segment).
   void sample(SimTime rtt);
 
@@ -33,14 +31,13 @@ class RtoEstimator {
   SimTime rttvar() const { return rttvar_; }
   bool has_sample() const { return has_sample_; }
   // Number of consecutive backoffs since the last sample or reset: the RTO
-  // is estimate * 2^backoff_exponent, saturated at max_rto.
+  // is estimate * 2^backoff_exponent, saturated at kMaxRto.
   int backoff_exponent() const { return backoff_exponent_; }
 
  private:
   void clamp();
 
-  RtoConfig cfg_;
-  SimTime rto_;
+  SimTime rto_ = kInitialRto;
   SimTime srtt_;
   SimTime rttvar_;
   bool has_sample_ = false;

@@ -27,8 +27,6 @@ TcpAgent::TcpAgent(Simulator& sim, Node& node, TcpConfig cfg)
     : sim_(sim),
       node_(node),
       cfg_(cfg),
-      cwnd_(cfg.initial_cwnd),
-      rto_(cfg.rto),
       rtx_timer_(sim, [this] { handle_timeout(); }) {
   MUZHA_ASSERT(cfg_.dst != kInvalidNodeId, "TCP agent needs a destination");
   MUZHA_ASSERT(cfg_.window >= 1, "window_ must be at least 1");
@@ -64,7 +62,6 @@ void TcpAgent::open_cwnd() {
 
 void TcpAgent::send_much() {
   while (t_seqno_ <= highest_ack_ + effective_window()) {
-    if (cfg_.max_packets >= 0 && t_seqno_ >= cfg_.max_packets) break;
     output(t_seqno_, /*is_retx=*/false);
     ++t_seqno_;
   }
@@ -144,11 +141,8 @@ void TcpAgent::receive(PacketPtr pkt) {
 }
 
 void TcpAgent::handle_timeout() {
-  if (outstanding() <= 0 &&
-      (cfg_.max_packets < 0 || highest_ack_ + 1 < cfg_.max_packets)) {
-    // Window emptied by ACK reordering; nothing to recover.
-    return;
-  }
+  // Window emptied by ACK reordering; nothing to recover.
+  if (outstanding() <= 0) return;
   ++timeouts_;
   rto_.backoff();
   dupacks_ = 0;

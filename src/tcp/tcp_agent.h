@@ -35,10 +35,6 @@ struct TcpConfig {
   Bytes packet_size = Bytes(1500);
   // Advertised window cap in segments (NS-2 `window_`).
   int window = 32;
-  // -1 = unbounded source (FTP); otherwise stop after this many segments.
-  std::int64_t max_packets = -1;
-  RtoConfig rto;
-  Segments initial_cwnd = Segments(1.0);
 };
 
 // Duplicate ACKs that trigger fast retransmit (RFC 5681).
@@ -147,7 +143,7 @@ class TcpAgent : public Agent {
   Node& node_;
   TcpConfig cfg_;
 
-  Segments cwnd_;
+  Segments cwnd_ = Segments(1.0);
   Segments ssthresh_ = Segments(64.0);
   std::int64_t t_seqno_ = 0;      // next new segment to send
   std::int64_t highest_ack_ = -1;  // highest cumulatively ACKed segment

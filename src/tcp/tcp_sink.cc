@@ -17,22 +17,13 @@ constexpr std::size_t kSackBlocksPerAck = 3;
 
 }  // namespace
 
-TcpSink::TcpSink(Simulator& sim, Node& node, Config cfg)
-    : sim_(sim),
-      node_(node),
-      cfg_(cfg),
-      delack_timer_(sim, [this] { on_delack_timer(); }) {}
-
-void TcpSink::on_delack_timer() {
-  if (!pending_ack_data_) return;
-  PacketPtr data = std::move(pending_ack_data_);
-  send_ack(*data, /*is_dup=*/false);
-}
+TcpSink::TcpSink(Simulator& sim, Node& node, std::uint16_t port)
+    : sim_(sim), node_(node), port_(port) {}
 
 void TcpSink::start() {
   if (started_) return;
   started_ = true;
-  node_.register_agent(cfg_.port, *this);
+  node_.register_agent(port_, *this);
 }
 
 void TcpSink::receive(PacketPtr pkt) {
@@ -65,25 +56,6 @@ void TcpSink::receive(PacketPtr pkt) {
     is_dup = true;
   }
 
-  if (cfg_.delayed_acks && !is_dup) {
-    if (pending_ack_data_) {
-      // Second in-order segment: release one cumulative ACK for both.
-      pending_ack_data_.reset();
-      delack_timer_.cancel();
-      send_ack(*pkt, /*is_dup=*/false);
-    } else {
-      ++acks_delayed_;
-      pending_ack_data_ = std::move(pkt);
-      delack_timer_.schedule_in(cfg_.delack_timeout);
-    }
-    return;
-  }
-  if (cfg_.delayed_acks && pending_ack_data_) {
-    // An out-of-order arrival flushes any withheld ACK first.
-    PacketPtr held = std::move(pending_ack_data_);
-    delack_timer_.cancel();
-    send_ack(*held, /*is_dup=*/false);
-  }
   send_ack(*pkt, is_dup);
 }
 
@@ -128,7 +100,7 @@ void TcpSink::send_ack(const Packet& data, bool is_dup) {
   PacketPtr ack = node_.new_packet(data.ip.src, IpProto::kTcp, kAckBytes);
   TcpHeader h;
   h.flow = data.tcp().flow;
-  h.src_port = cfg_.port;
+  h.src_port = port_;
   h.dst_port = data.tcp().src_port;
   h.is_ack = true;
   h.seqno = next_expected_ - 1;

@@ -19,22 +19,12 @@
 #include "pkt/packet.h"
 #include "sim/sim_time.h"
 #include "sim/simulator.h"
-#include "sim/timer.h"
 
 namespace muzha {
 
 class TcpSink : public Agent {
  public:
-  struct Config {
-    std::uint16_t port = 0;
-    // RFC 1122 delayed ACKs: acknowledge every second in-order segment, or
-    // after `delack_timeout`, whichever comes first. Out-of-order and
-    // duplicate arrivals are always acknowledged immediately (RFC 5681).
-    bool delayed_acks = false;
-    SimTime delack_timeout = SimTime::from_ms(100);
-  };
-
-  TcpSink(Simulator& sim, Node& node, Config cfg);
+  TcpSink(Simulator& sim, Node& node, std::uint16_t port);
   ~TcpSink() override = default;
 
   // Registers on the node's port.
@@ -47,7 +37,6 @@ class TcpSink : public Agent {
   std::uint64_t duplicates_received() const { return duplicates_; }
   std::uint64_t out_of_order_received() const { return out_of_order_; }
   std::uint64_t acks_sent() const { return acks_sent_; }
-  std::uint64_t acks_delayed() const { return acks_delayed_; }
 
   // Fires whenever new in-order segments are delivered; `count` segments of
   // `bytes` each. Used by throughput samplers.
@@ -67,24 +56,18 @@ class TcpSink : public Agent {
  private:
   void send_ack(const Packet& data, bool is_dup);
   void fill_sacks(TcpHeader& ack, std::int64_t trigger_seq) const;
-  void on_delack_timer();
 
   Simulator& sim_;
   Node& node_;
-  Config cfg_;
+  std::uint16_t port_;
   std::int64_t next_expected_ = 0;
   std::set<std::int64_t> out_of_order_buf_;
   std::uint64_t duplicates_ = 0;
   std::uint64_t out_of_order_ = 0;
   std::uint64_t acks_sent_ = 0;
-  std::uint64_t acks_delayed_ = 0;
   std::uint32_t dup_seq_ = 0;  // TCP-DOOR duplicate-ACK stream sequence
   DeliveryListener on_delivery_;
   bool started_ = false;
-
-  // Delayed-ACK state: the data packet whose ACK is being withheld.
-  Timer delack_timer_;
-  PacketPtr pending_ack_data_;
 };
 
 }  // namespace muzha

@@ -6,5 +6,7 @@ using namespace muzha;
 Seconds propagation_delay() {
   return Meters(250.0) / MetersPerSecond(3.0e8);
 }
-Seconds serialization_delay() { return to_bits(Bytes(1500)) / 2_Mbps; }
+Seconds serialization_delay() {
+  return to_bits(Bytes(1500)) / BitsPerSecond(2e6);
+}
 Segments grown(Segments w) { return w + Segments(1.0); }

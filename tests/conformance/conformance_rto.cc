@@ -1,6 +1,6 @@
 // Golden RTO-backoff conformance: the full exponential series is pinned both
 // at the estimator level and end-to-end through the step DSL — doubling per
-// timeout, saturation at max_rto, and the reset to the estimate on forward
+// timeout, saturation at kMaxRto, and the reset to the estimate on forward
 // progress (a new cumulative ACK).
 #include <gtest/gtest.h>
 
@@ -38,17 +38,17 @@ TEST(RtoGolden, EstimatorBackoffLadderAndReset) {
 }
 
 TEST(RtoGolden, EstimatorSaturatesAtMaxRtoWhileExponentKeepsCounting) {
-  RtoConfig cfg;
-  cfg.max_rto = SimTime::from_seconds(1.0);
-  RtoEstimator est(cfg);
-  est.sample(SimTime::from_ms(100));
-  est.backoff();  // 600ms
-  est.backoff();  // 1200ms -> capped at 1s
-  EXPECT_EQ(est.rto(), SimTime::from_seconds(1.0));
-  EXPECT_EQ(est.backoff_exponent(), 2);
+  RtoEstimator est;
+  est.sample(SimTime::from_ms(100));  // 300ms
+  for (int k = 1; k <= 7; ++k) est.backoff();
+  EXPECT_EQ(est.rto(), SimTime::from_ms(38400));  // 300ms * 2^7
+  est.backoff();  // 76.8s -> capped at 60s
+  EXPECT_EQ(est.rto(), kMaxRto);
+  EXPECT_EQ(est.rto(), SimTime::from_seconds(60.0));
+  EXPECT_EQ(est.backoff_exponent(), 8);
   est.backoff();  // stays capped
-  EXPECT_EQ(est.rto(), SimTime::from_seconds(1.0));
-  EXPECT_EQ(est.backoff_exponent(), 3);
+  EXPECT_EQ(est.rto(), SimTime::from_seconds(60.0));
+  EXPECT_EQ(est.backoff_exponent(), 9);
   est.reset_backoff();
   EXPECT_EQ(est.rto(), SimTime::from_ms(300));
 }
@@ -88,18 +88,23 @@ TEST(RtoGolden, AgentBackoffLadderPinnedThroughStepDsl) {
 }
 
 TEST(RtoGolden, AgentRtoSaturatesAtConfiguredCap) {
-  TcpConfig cfg;
-  cfg.rto.max_rto = SimTime::from_seconds(1.0);
-  StepHarness<TcpTahoe> h(cfg);
+  StepHarness<TcpTahoe> h;
   h << Push{} << Tick{Seconds(1.0)}                  //
     << InjectAck{.seq = 0, .rtt = Seconds(0.1)}      //
     << ExpectRto{Seconds(0.3)} << DrainSegments{}    // timer at t=1.3
     << Tick{Seconds(0.35)}                           // t=1.35, timeout 1.3
-    << ExpectRtoBackoff{1} << ExpectRto{Seconds(0.6)}
-    << Tick{Seconds(0.6)}                            // t=1.95, timeout 1.9
-    << ExpectRtoBackoff{2} << ExpectRto{Seconds(1.0)}  // 1.2s capped to 1s
-    << Tick{Seconds(1.0)}                            // t=2.95, timeout 2.9
-    << ExpectRtoBackoff{3} << ExpectRto{Seconds(1.0)}  // stays capped
+    << ExpectRtoBackoff{1} << ExpectRto{Seconds(0.6)};
+  // Each later tick is the current RTO, so it lands 50 ms after the next
+  // timeout: 1.9, 3.1, 5.5, 10.3, 19.9 and 39.1 s.
+  for (int k = 2; k <= 7; ++k) {
+    const double rto = 0.3 * (1 << (k - 1));
+    h << Tick{Seconds(rto)} << ExpectRtoBackoff{k}
+      << ExpectRto{Seconds(2 * rto)};
+  }
+  h << Tick{Seconds(38.4)}                           // t=77.55, timeout 77.5
+    << ExpectRtoBackoff{8} << ExpectRto{Seconds(60.0)}  // 76.8s capped
+    << Tick{Seconds(60.0)}                           // t=137.55
+    << ExpectRtoBackoff{9} << ExpectRto{Seconds(60.0)}  // stays capped
     << DrainSegments{}                               //
     << InjectAck{.seq = 1}                           //
     << ExpectRtoBackoff{0} << ExpectRto{Seconds(0.3)};

@@ -140,7 +140,7 @@ struct Push {
   }
 };
 
-// Advances the simulated clock (fires RTO and delayed-ACK timers).
+// Advances the simulated clock (fires RTO timers).
 struct Tick {
   Seconds dt{0.0};
   std::string describe() const {

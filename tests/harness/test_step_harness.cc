@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "tcp/tcp_variants.h"
-#include "tests/harness/sink_harness.h"
 
 namespace muzha {
 namespace {
@@ -101,18 +100,6 @@ TEST(StepHarnessTap, DrainSegmentsDiscardsCapturedOutput) {
   StepHarness<TcpNewReno> h(cfg);
   h << Push{} << InjectAck{.seq = 0} << InjectAck{.seq = 1}  //
     << DrainSegments{} << ExpectNoSegment{};
-}
-
-TEST(SinkStepHarnessDiagnostics, FailingStepPrintsFullExecutedScript) {
-  SinkStepHarness h;
-  std::string msg = capture_failure_message([&] {
-    h << InjectData{0}            // delayed-ACK sink withholds the ACK
-      << Tick{Seconds(0.010)}     //
-      << ExpectAck{0};            // deliberately early: still withheld
-  });
-  EXPECT_NE(msg.find("InjectData{seq=0}"), std::string::npos) << msg;
-  EXPECT_NE(msg.find(">>> step 3"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("no ACK was sent"), std::string::npos) << msg;
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 // which all of it happens) must match event for event. The brute-force scan
 // is the oracle: anything the grid gets wrong — a missed boundary receiver,
 // a stale cell after a move, a candidate visited out of attach order (which
-// would permute error-model RNG draws) — shows up as a log diff.
+// would permute random-loss RNG draws) — shows up as a log diff.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "phy/channel.h"
-#include "phy/error_model.h"
 #include "phy/spatial_grid.h"
 #include "phy/wireless_phy.h"
 #include "sim/rng.h"
@@ -42,10 +41,7 @@ class World {
   World(ChannelMode mode, std::uint64_t seed,
         const std::vector<Position>& positions, double error_rate)
       : sim_(seed), channel_(sim_, PhyParams{}, mode) {
-    if (error_rate > 0.0) {
-      channel_.set_error_model(
-          std::make_unique<UniformErrorModel>(Probability(error_rate)));
-    }
+    channel_.set_loss_rate(Probability(error_rate));
     phys_.reserve(positions.size());
     for (std::size_t i = 0; i < positions.size(); ++i) {
       phys_.push_back(std::make_unique<WirelessPhy>(
@@ -172,7 +168,7 @@ TEST(ChannelIndexDifferential, RandomizedSparseFieldWithMobility) {
 }
 
 TEST(ChannelIndexDifferential, RandomizedWithErrorModel) {
-  // The error model draws once per decodable receiver, in delivery order; a
+  // Random loss draws once per decodable receiver, in delivery order; a
   // permuted candidate order would de-synchronise the corruption pattern
   // even if the delivery *set* matched.
   run_differential(random_positions(50, Meters(2000.0), 33), 33, 0.3,

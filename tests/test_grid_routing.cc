@@ -33,9 +33,7 @@ TEST_F(GridTest, CornerToCornerDelivers) {
   tc.dst_port = 2000;
   tc.window = 8;
   TcpNewReno agent(net->sim(), net->node(0), tc);
-  TcpSink::Config sc;
-  sc.port = 2000;
-  TcpSink sink(net->sim(), net->node(8), sc);
+  TcpSink sink(net->sim(), net->node(8), 2000);
   sink.start();
   net->sim().schedule_at(SimTime::zero(), [&] { agent.start(); });
   net->run_until(SimTime::from_seconds(10));
@@ -54,9 +52,7 @@ TEST_F(GridTest, RoutesAroundDepartedRelay) {
   tc.dst_port = 2000;
   tc.window = 8;
   TcpNewReno agent(net->sim(), net->node(0), tc);
-  TcpSink::Config sc;
-  sc.port = 2000;
-  TcpSink sink(net->sim(), net->node(8), sc);
+  TcpSink sink(net->sim(), net->node(8), 2000);
   sink.start();
   net->sim().schedule_at(SimTime::zero(), [&] { agent.start(); });
   net->run_until(SimTime::from_seconds(5));
@@ -87,9 +83,7 @@ TEST_F(GridTest, CrossTrafficOnDisjointPathsCoexists) {
   ta.dst_port = 2000;
   ta.window = 8;
   TcpNewReno a(net->sim(), net->node(0), ta);
-  TcpSink::Config sa;
-  sa.port = 2000;
-  TcpSink sink_a(net->sim(), net->node(2), sa);
+  TcpSink sink_a(net->sim(), net->node(2), 2000);
   sink_a.start();
 
   TcpConfig tb;
@@ -98,9 +92,7 @@ TEST_F(GridTest, CrossTrafficOnDisjointPathsCoexists) {
   tb.dst_port = 2001;
   tb.window = 8;
   TcpNewReno b(net->sim(), net->node(6), tb);
-  TcpSink::Config sb;
-  sb.port = 2001;
-  TcpSink sink_b(net->sim(), net->node(8), sb);
+  TcpSink sink_b(net->sim(), net->node(8), 2001);
   sink_b.start();
 
   net->sim().schedule_at(SimTime::zero(), [&] { a.start(); });

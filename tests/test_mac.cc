@@ -113,7 +113,7 @@ TEST_F(MacTest, RetryExhaustionReportsLinkFailure) {
 }
 
 TEST_F(MacTest, RetriesRecoverFromTransientLoss) {
-  channel.set_error_model(std::make_unique<UniformErrorModel>(Probability(0.4)));
+  channel.set_loss_rate(Probability(0.4));
   Station& a = add_station(0, {0, 0});
   Station& b = add_station(1, {200, 0});
   int delivered = 0;
@@ -131,7 +131,7 @@ TEST_F(MacTest, RetriesRecoverFromTransientLoss) {
 TEST_F(MacTest, DuplicateSuppressionOnRetriedData) {
   // Drop many frames so MAC-level ACKs get lost and data is retried; the
   // receiver must deliver each MSDU at most once.
-  channel.set_error_model(std::make_unique<UniformErrorModel>(Probability(0.3)));
+  channel.set_loss_rate(Probability(0.3));
   Station& a = add_station(0, {0, 0});
   Station& b = add_station(1, {200, 0});
   const int n = 20;

@@ -75,9 +75,7 @@ TEST(MobilityIntegration, FlowSurvivesRelayExcursion) {
   tc.dst_port = 2000;
   tc.window = 8;
   TcpNewReno agent(net.sim(), net.node(0), tc);
-  TcpSink::Config sc;
-  sc.port = 2000;
-  TcpSink sink(net.sim(), net.node(2), sc);
+  TcpSink sink(net.sim(), net.node(2), 2000);
   sink.start();
   net.sim().schedule_at(SimTime::zero(), [&] { agent.start(); });
 

@@ -1,9 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <vector>
+#include <memory>
 
 #include "phy/channel.h"
-#include "phy/error_model.h"
 #include "phy/wireless_phy.h"
 #include "sim/simulator.h"
 
@@ -171,8 +170,7 @@ TEST_F(PhyTest, CarrierBusyDuringOwnTx) {
 }
 
 TEST_F(PhyTest, UniformErrorModelCorruptsFrames) {
-  channel.set_error_model(
-      std::make_unique<UniformErrorModel>(Probability(1.0)));
+  channel.set_loss_rate(Probability(1.0));
   WirelessPhy a(sim, channel, 0, {0, 0});
   WirelessPhy b(sim, channel, 1, {250, 0});
   RxLog log;
@@ -257,80 +255,6 @@ TEST_F(PhyTest, MovedReceiverTracksIndexAcrossCells) {
   a.start_tx(data_packet(100), false);
   sim.run();
   EXPECT_EQ(log.ok, 2);
-}
-
-TEST(ErrorModel, BerScalesWithFrameSize) {
-  Rng rng(1);
-  BerErrorModel em(Probability(1e-4));
-  Packet small;
-  small.size_bytes = 40;
-  Packet big;
-  big.size_bytes = 1460;
-  int small_bad = 0, big_bad = 0;
-  for (int i = 0; i < 4000; ++i) {
-    if (em.should_corrupt(small, Meters(0.0), SimTime(), rng)) ++small_bad;
-    if (em.should_corrupt(big, Meters(0.0), SimTime(), rng)) ++big_bad;
-  }
-  EXPECT_GT(big_bad, small_bad * 5);
-}
-
-TEST(ErrorModel, GilbertElliottProducesBursts) {
-  Rng rng(1);
-  GilbertElliottErrorModel::Config cfg;
-  cfg.mean_good = Seconds(0.5);
-  cfg.mean_bad = Seconds(0.1);
-  cfg.bad_loss_prob = Probability(1.0);
-  GilbertElliottErrorModel em(cfg);
-  Packet p;
-  p.size_bytes = 100;
-  int losses = 0, transitions = 0;
-  bool prev = false;
-  for (int i = 0; i < 10000; ++i) {
-    SimTime now = SimTime::from_us(i * 1000);
-    bool bad = em.should_corrupt(p, Meters(0.0), now, rng);
-    if (bad) ++losses;
-    if (bad != prev) ++transitions;
-    prev = bad;
-  }
-  EXPECT_GT(losses, 300);       // ~1/6 of the time in BAD
-  EXPECT_LT(losses, 4000);
-  EXPECT_LT(transitions, losses);  // losses cluster in bursts
-}
-
-// Regression pin for the clock-owning Gilbert-Elliott rewrite: the model now
-// advances its own SimTime state machine from the `now` passed to
-// should_corrupt(), so the burst structure is a pure function of (seed,
-// sample times). Pins the first state transitions and the loss count so a
-// future refactor of the exponential dwell sampling is caught.
-TEST(ErrorModel, GilbertElliottDeterministicStateSequence) {
-  Rng rng(7);
-  GilbertElliottErrorModel::Config cfg;
-  cfg.mean_good = Seconds(1.0);
-  cfg.mean_bad = Seconds(0.05);
-  cfg.bad_loss_prob = Probability(1.0);
-  GilbertElliottErrorModel em(cfg);
-  Packet p;
-  p.size_bytes = 100;
-  EXPECT_FALSE(em.in_bad_state());
-  std::vector<int> bad_onsets;  // sample index where GOOD->BAD was observed
-  bool prev = false;
-  int losses = 0;
-  for (int i = 0; i < 20000; ++i) {
-    SimTime now = SimTime::from_us(i * 500);  // 0.5 ms sampling grid
-    bool bad = em.should_corrupt(p, Meters(0.0), now, rng);
-    if (bad) ++losses;
-    if (bad && !prev) bad_onsets.push_back(i);
-    prev = bad;
-  }
-  // Golden values for (seed 7, this config, 0.5 ms grid). These pin the
-  // dwell-time sampling order; any change to the state machine moves them.
-  ASSERT_GE(bad_onsets.size(), 3u);
-  // The model toggles GOOD->BAD on the very first sample (state_until_
-  // starts at t=0), so onset 0 is part of the pinned behaviour.
-  EXPECT_EQ(bad_onsets[0], 0);
-  EXPECT_EQ(bad_onsets[1], 2256);
-  EXPECT_EQ(bad_onsets[2], 3898);
-  EXPECT_EQ(losses, 1202);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Property-based sweeps (parameterized gtest): invariants that must hold for
 // every (variant, hops, window, seed) combination.
 #include <cctype>
+#include <ostream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -16,13 +18,15 @@ struct SweepParam {
   std::uint64_t seed;
 };
 
-std::string param_name(const ::testing::TestParamInfo<SweepParam>& info) {
-  const SweepParam& p = info.param;
+// Names each instance (through PrintToStringParamName below) and prints the
+// parameter into every discovered ctest name. Without this overload gtest
+// dumps the struct's bytes, and the padding bytes are not initialised, so
+// the names would vary from build to build.
+void PrintTo(const SweepParam& p, std::ostream* os) {
   std::string name = variant_name(p.variant);
   // gtest parameter names must be alphanumeric.
   std::erase_if(name, [](char c) { return !std::isalnum(c); });
-  return name + "_h" + std::to_string(p.hops) + "_w" +
-         std::to_string(p.window) + "_s" + std::to_string(p.seed);
+  *os << name << "_h" << p.hops << "_w" << p.window << "_s" << p.seed;
 }
 
 class SingleFlowSweep : public ::testing::TestWithParam<SweepParam> {};
@@ -84,7 +88,7 @@ INSTANTIATE_TEST_SUITE_P(
         SweepParam{TcpVariant::kDoor, 8, 8, 2},
         SweepParam{TcpVariant::kJersey, 8, 32, 2},
         SweepParam{TcpVariant::kRoVegas, 8, 8, 2}),
-    param_name);
+    ::testing::PrintToStringParamName());
 
 // ---------------------------------------------------------------------------
 

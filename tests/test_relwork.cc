@@ -171,9 +171,7 @@ class AdtcpSinkTest : public ::testing::Test {
     auto rd = std::make_unique<StaticRouting>(*dst);
     rd->add_route(0, 0);
     dst->set_routing(std::move(rd));
-    TcpSink::Config sc;
-    sc.port = 2000;
-    sink = std::make_unique<AdtcpSink>(sim, *dst, sc);
+    sink = std::make_unique<AdtcpSink>(sim, *dst, 2000);
     sink->start();
   }
 

@@ -38,24 +38,25 @@ TEST(RtoEstimator, SpikesInflateRto) {
 }
 
 TEST(RtoEstimator, BackoffDoublesAndClampsAtMax) {
-  RtoConfig cfg;
-  cfg.max_rto = SimTime::from_seconds(10.0);
-  RtoEstimator e(cfg);
+  RtoEstimator e;
+  EXPECT_EQ(e.rto(), kInitialRto);
   EXPECT_EQ(e.rto(), SimTime::from_seconds(3.0));
+  for (double s : {6.0, 12.0, 24.0, 48.0}) {
+    e.backoff();
+    EXPECT_EQ(e.rto(), SimTime::from_seconds(s));
+  }
+  e.backoff();  // 96 s
+  EXPECT_EQ(e.rto(), kMaxRto);
+  EXPECT_EQ(e.rto(), SimTime::from_seconds(60.0));  // clamped
   e.backoff();
-  EXPECT_EQ(e.rto(), SimTime::from_seconds(6.0));
-  e.backoff();
-  EXPECT_EQ(e.rto(), SimTime::from_seconds(10.0));  // clamped
-  e.backoff();
-  EXPECT_EQ(e.rto(), SimTime::from_seconds(10.0));
+  EXPECT_EQ(e.rto(), SimTime::from_seconds(60.0));
 }
 
 TEST(RtoEstimator, MinRtoFloorRespected) {
-  RtoConfig cfg;
-  cfg.min_rto = SimTime::from_ms(500);
-  RtoEstimator e(cfg);
+  RtoEstimator e;
   for (int i = 0; i < 50; ++i) e.sample(SimTime::from_ms(10));
-  EXPECT_EQ(e.rto(), SimTime::from_ms(500));
+  EXPECT_EQ(e.rto(), kMinRto);
+  EXPECT_EQ(e.rto(), SimTime::from_ms(200));
 }
 
 TEST(RtoEstimator, BackoffExponentCountsConsecutiveTimeouts) {

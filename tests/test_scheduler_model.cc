@@ -192,14 +192,17 @@ void run_model_check(std::uint64_t seed, int ops) {
       const int starter = next_token++;
       const int chain = next_token++;
       const std::size_t chain_index = real_ids.size() + 1;
-      chain_of_starter[starter] = {step_ns, links, chain, chain_index};
+      ChainSpec& spec = chain_of_starter[starter];
+      spec = {step_ns, links, chain, chain_index};
+      // Map nodes never move, so the starter captures a pointer to its spec
+      // and stays within the inline callback budget.
       real_ids.push_back(sched.schedule_in(
-          SimTime::from_ns(delay),
-          [&, starter, chain, step_ns, links, chain_index] {
+          SimTime::from_ns(delay), [&, starter, spec = &spec] {
             fired_real.push_back(starter);
-            const SimTime step = SimTime::from_ns(step_ns);
-            real_ids[chain_index] = sched.schedule_chain_end(
-                sched.now() + step * links, step, links, record(chain));
+            const SimTime step = SimTime::from_ns(spec->step_ns);
+            real_ids[spec->id_index] = sched.schedule_chain_end(
+                sched.now() + step * spec->links, step, spec->links,
+                record(spec->token));
           }));
       ref_ids.push_back(ref.schedule_at(ref.now_ns() + delay, starter));
       real_ids.push_back(kInvalidEventId);

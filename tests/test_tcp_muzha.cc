@@ -177,13 +177,5 @@ TEST(TcpMuzhaTest, DupAcksBeyondThresholdKeepPipeFed) {
   EXPECT_GE(h.agent().packets_sent(), sent);
 }
 
-TEST(TcpMuzhaTest, InitialCwndConfigurableAboveTwo) {
-  TcpConfig cfg;
-  cfg.initial_cwnd = Segments(4.0);
-  TcpHarness<TcpMuzha> h(cfg);
-  h.start();
-  EXPECT_DOUBLE_EQ(h.agent().cwnd().value(), 4.0);
-}
-
 }  // namespace
 }  // namespace muzha

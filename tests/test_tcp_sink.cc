@@ -30,9 +30,7 @@ class SinkTest : public ::testing::Test {
     sink_node->set_routing(std::move(rd));
 
     sender_node->register_agent(1000, acks);
-    TcpSink::Config sc;
-    sc.port = 2000;
-    sink = std::make_unique<TcpSink>(sim, *sink_node, sc);
+    sink = std::make_unique<TcpSink>(sim, *sink_node, 2000);
     sink->start();
   }
 

@@ -45,19 +45,6 @@ TEST(TcpBase, WindowCapRespected) {
   EXPECT_LE(h.agent().next_seq() - 1 - h.agent().highest_ack(), 4);
 }
 
-TEST(TcpBase, MaxPacketsStopsTheSource) {
-  TcpConfig cfg;
-  cfg.max_packets = 5;
-  StepHarness<TcpNewReno> h(cfg);
-  h << Push{};
-  ack_each(h, 3);
-  h << DrainSegments{}      //
-    << InjectAck{.seq = 4}  // the source is out of data
-    << ExpectNoSegment{}    //
-    << ExpectNextSeq{5};
-  EXPECT_EQ(h.agent().packets_sent(), 5u);
-}
-
 TEST(TcpBase, CumulativeAckAdvancesPastHoles) {
   TcpConfig cfg;
   cfg.window = 16;

@@ -5,9 +5,10 @@
 #
 # Runs a syntax-only compile of the fixture and FAILS (so the surrounding
 # ctest fails) iff the fixture COMPILES. Each fixture in tests/compile_fail/
-# holds exactly one unit-misuse expression that the quantity types in
-# sim/units.h must reject; a fixture that starts compiling means a hole was
-# opened in the dimensional API. The harness itself is validated by running
+# holds exactly one expression the API must reject: a unit misuse against
+# the quantity types in sim/units.h, or an event callback over the inline
+# budget of sim/inline_callback.h. A fixture that starts compiling means a
+# hole was opened in that API. The harness itself is validated by running
 # it over the compiling control fixture under WILL_FAIL (see
 # tests/compile_fail/CMakeLists.txt).
 
@@ -31,8 +32,8 @@ execute_process(
 
 if(compile_result EQUAL 0)
   message(FATAL_ERROR
-    "${SRC} compiled cleanly, but it contains a unit misuse that "
-    "sim/units.h is supposed to reject at compile time.")
+    "${SRC} compiled cleanly, but it contains an expression that the "
+    "API is supposed to reject at compile time.")
 endif()
 
 message(STATUS "${SRC} failed to compile, as intended")
