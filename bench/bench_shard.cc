@@ -27,8 +27,10 @@
 // bit-identical work.
 #include <benchmark/benchmark.h>
 
+#include <charconv>
 #include <cstdio>
 #include <string_view>
+#include <system_error>
 
 #include "scenario/city.h"
 #include "scenario/experiment.h"
@@ -40,7 +42,6 @@ using namespace muzha;
 constexpr int kDistricts = 4;
 
 int g_shards = 1;
-int g_jobs = 0;  // 0 = one worker per shard
 
 ExperimentConfig city_run_config(int nodes) {
   ExperimentConfig cfg;
@@ -56,8 +57,7 @@ ExperimentConfig city_run_config(int nodes) {
   cfg.seed = 12345;
   cfg.flows = make_random_district_flows(8, cfg.field, TcpVariant::kMuzha,
                                          777, SimTime::from_ms(500));
-  cfg.shards = g_shards;
-  cfg.shard_jobs = g_jobs;
+  cfg.shards = g_shards;  // shard_jobs stays 0: one thread per shard
   return cfg;
 }
 
@@ -72,9 +72,10 @@ void BM_CityRun(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-// UseRealTime is load-bearing: at shards > 1 the main thread sleeps on the
-// phase barrier while workers burn the CPU, so the default CPU-time rate
-// would be meaningless. Wall clock is the quantity sharding improves.
+// UseRealTime is load-bearing: at shards > 1 the main thread runs only its
+// own share of the shards, so CPU time would count that share alone and
+// the default CPU-time rate would be meaningless. Wall clock is the
+// quantity sharding improves.
 BENCHMARK(BM_CityRun)
     ->ArgNames({"nodes"})
     ->Arg(1000)
@@ -85,8 +86,8 @@ BENCHMARK(BM_CityRun)
 
 // Custom main, same contract as bench_channel.cc: sanitized builds refuse
 // to write --benchmark_out files (sanitizer timings must never become
-// baselines), plus --shards/--jobs consumed before benchmark's own flag
-// parsing.
+// baselines), plus --shards consumed before benchmark's own flag parsing.
+// A --shards value that is not a whole number in [1, kDistricts] exits 2.
 int main(int argc, char** argv) {
   int out = 1;
   for (int in = 1; in < argc; ++in) {
@@ -101,23 +102,18 @@ int main(int argc, char** argv) {
     }
 #endif
     if (arg.rfind("--shards=", 0) == 0) {
-      g_shards = std::atoi(arg.substr(9).data());
-      if (g_shards < 1 || g_shards > kDistricts) {
+      const std::string_view value = arg.substr(9);
+      const char* end = value.data() + value.size();
+      auto [ptr, ec] = std::from_chars(value.data(), end, g_shards);
+      if (ec != std::errc() || ptr != end || g_shards < 1 ||
+          g_shards > kDistricts) {
         std::fprintf(stderr,
-                     "bench_shard: --shards must be in [1, %d], the city's "
-                     "district count\n",
+                     "bench_shard: --shards must be a whole number in "
+                     "[1, %d], the city's district count\n",
                      kDistricts);
-        return 1;
+        return 2;
       }
       continue;  // strip: benchmark would reject the unknown flag
-    }
-    if (arg.rfind("--jobs=", 0) == 0) {
-      g_jobs = std::atoi(arg.substr(7).data());
-      if (g_jobs < 0) {
-        std::fprintf(stderr, "bench_shard: --jobs must be >= 0\n");
-        return 1;
-      }
-      continue;
     }
     argv[out++] = argv[in];
   }

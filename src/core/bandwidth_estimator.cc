@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/drai.h"
+#include "net/agent.h"
 #include "net/wireless_device.h"
 #include "pkt/packet.h"
 #include "sim/sim_time.h"
@@ -49,7 +50,7 @@ void BandwidthEstimator::sample() {
   sim_.schedule_in(cfg_.sample_interval, [this] { sample(); });
 }
 
-std::uint8_t BandwidthEstimator::current_drai() {
+std::uint8_t BandwidthEstimator::current_drai() const {
   std::uint8_t level =
       compute_drai(device_.queue().occupancy(), util_ewma_, cfg_);
   if (cfg_.use_queue_gradient) {
@@ -64,8 +65,9 @@ std::uint8_t BandwidthEstimator::current_drai() {
   return level;
 }
 
-bool BandwidthEstimator::should_mark() {
-  return current_drai() <= kDraiModerateDecel;
+DraiStamp BandwidthEstimator::stamp() {
+  const std::uint8_t drai = current_drai();
+  return {drai, drai <= kDraiModerateDecel};
 }
 
 }  // namespace muzha

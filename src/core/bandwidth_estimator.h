@@ -23,9 +23,10 @@ class BandwidthEstimator final : public DraiSource {
   // Begins periodic utilization sampling.
   void start();
 
-  // DraiSource: queried by the node when stamping forwarded TCP packets.
-  std::uint8_t current_drai() override;
-  bool should_mark() override;
+  // The DRAI level the estimator publishes now.
+  std::uint8_t current_drai() const;
+  // DraiSource: the current DRAI, marked at moderate deceleration or below.
+  DraiStamp stamp() override;
 
   double utilization() const { return util_ewma_; }
   // Queue growth rate (EWMA); meaningful once started.

@@ -12,14 +12,22 @@ class Agent {
   virtual void receive(PacketPtr pkt) = 0;
 };
 
+// One router's answer for one forwarded TCP packet: its DRAI level and
+// whether it marks the packet as congested.
+struct DraiStamp {
+  std::uint8_t drai;
+  bool mark;
+};
+
 // Provider of the local DRAI value and congestion-mark decision, implemented
-// by the Muzha bandwidth estimator (src/core). Nodes without one forward
-// packets untouched, modelling routers that do not speak Muzha.
+// by the Muzha bandwidth estimator (src/core) and the RED/ECN marker
+// (src/relwork). Nodes without one forward packets untouched, modelling
+// routers that do not speak Muzha.
 class DraiSource {
  public:
   virtual ~DraiSource() = default;
-  virtual std::uint8_t current_drai() = 0;
-  virtual bool should_mark() = 0;
+  // Queried once per forwarded TCP packet.
+  virtual DraiStamp stamp() = 0;
 };
 
 }  // namespace muzha

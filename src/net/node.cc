@@ -69,11 +69,11 @@ void Node::device_send(PacketPtr pkt, NodeId next_hop) {
 
 void Node::stamp_drai(Packet& pkt) {
   if (drai_source_ == nullptr || pkt.ip.proto != IpProto::kTcp) return;
-  std::uint8_t drai = drai_source_->current_drai();
-  MUZHA_DCHECK(drai >= kDraiAggressiveDecel && drai <= kDraiAggressiveAccel,
+  const DraiStamp s = drai_source_->stamp();
+  MUZHA_DCHECK(s.drai >= kDraiAggressiveDecel && s.drai <= kDraiAggressiveAccel,
                "router published a DRAI outside the 5-level range");
-  pkt.ip.avbw_s = std::min(pkt.ip.avbw_s, drai);
-  if (drai_source_->should_mark()) pkt.ip.congestion_marked = true;
+  pkt.ip.avbw_s = std::min(pkt.ip.avbw_s, s.drai);
+  if (s.mark) pkt.ip.congestion_marked = true;
 }
 
 void Node::on_device_rx(PacketPtr pkt) {

@@ -28,9 +28,12 @@ class RedEcnMarker final : public DraiSource {
  public:
   RedEcnMarker(Simulator& sim, WirelessDevice& device);
 
-  // Single-bit router: never gives rate advice.
-  std::uint8_t current_drai() override { return kDraiAggressiveAccel; }
-  bool should_mark() override;
+  // DraiSource: a single-bit router never gives rate advice, so the DRAI
+  // is always "maximum"; the mark is should_mark()'s.
+  DraiStamp stamp() override { return {kDraiAggressiveAccel, should_mark()}; }
+  // RED's decision for one arriving packet: updates the average queue and
+  // may draw from the simulation RNG.
+  bool should_mark();
 
   double avg_queue() const { return avg_; }
   std::uint64_t marks() const { return marks_; }

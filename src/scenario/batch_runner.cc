@@ -1,56 +1,20 @@
 #include "scenario/batch_runner.h"
 
-#include <atomic>
-#include <exception>
-#include <mutex>
-#include <thread>
-
 #include "scenario/experiment.h"
+#include "sim/shard_exec.h"
 
 namespace muzha {
 
 std::vector<ExperimentResult> run_batch(
     const std::vector<ExperimentConfig>& configs, int jobs) {
-  const std::size_t n = configs.size();
-  std::vector<ExperimentResult> results(n);
-  if (n == 0) return results;
-
-  std::size_t workers = jobs > 0 ? static_cast<std::size_t>(jobs)
-                                 : std::thread::hardware_concurrency();
-  if (workers == 0) workers = 1;
-  if (workers > n) workers = n;
-
-  if (workers == 1) {
-    // Run inline: identical semantics, no pool overhead, and keeps
-    // single-threaded debugging trivial.
-    for (std::size_t i = 0; i < n; ++i) results[i] = run_experiment(configs[i]);
-    return results;
-  }
-
-  // Each worker claims the next unstarted index and writes only its own
-  // result slot, so submission order is preserved by construction and no
-  // two threads ever touch the same element.
-  std::atomic<std::size_t> next{0};
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-  auto worker = [&] {
-    for (;;) {
-      // muzha-lint: allow(relaxed-atomic): ticket counter needs only increment atomicity; the result slots it indexes are published by the join below, not by this fetch_add
-      std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      try {
-        results[i] = run_experiment(configs[i]);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
+  std::vector<ExperimentResult> results(configs.size());
+  if (configs.empty()) return results;
+  // One item per config, each writing only its own result slot, so
+  // submission order holds by construction.
+  ShardExecutor(static_cast<int>(configs.size()), jobs).run_phase([&](int i) {
+    const auto slot = static_cast<std::size_t>(i);
+    results[slot] = run_experiment(configs[slot]);
+  });
   return results;
 }
 

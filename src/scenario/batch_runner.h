@@ -1,29 +1,23 @@
 // Parallel batch experiment execution.
 //
 // A BatchRunner takes a set of experiment points (topology x variant x ...)
-// and runs each one `replications` times on a fixed-size thread pool, one
-// isolated Simulator per run. Per-run seeds are derived deterministically
-// from (base_seed, point_index, replication) via SplitMix64, so a sweep's
-// results depend only on its point set and base seed — never on the number
-// of worker threads or on completion order. Results come back in submission
-// order. Every bench sweep sits on top of this.
+// and runs each one `replications` times, one isolated Simulator per run,
+// as one phase of the thread pool in sim/shard_exec.h: at most `jobs`
+// threads, started for the batch and joined before it returns. Per-run
+// seeds are derived deterministically from (base_seed, point_index,
+// replication) via SplitMix64, so a sweep's results depend only on its
+// point set and base seed — never on the number of threads or on
+// completion order. Results come back in submission order. Every bench
+// sweep sits on top of this.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "scenario/experiment.h"
+#include "sim/rng.h"
 
 namespace muzha {
-
-// SplitMix64 finalizer (Steele et al.); bijective on 64-bit values, used as
-// the mixing step of the per-run seed derivation.
-constexpr std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 // Seed for replication `replication` of point `point_index`: three chained
 // SplitMix64 rounds, one per component, so every (base, point, replication)
@@ -40,8 +34,9 @@ constexpr std::uint64_t derive_run_seed(std::uint64_t base_seed,
 
 // Low-level primitive: run `configs` (seeds already set by the caller) on at
 // most `jobs` threads and return results in submission order regardless of
-// completion order. jobs <= 0 means one thread per hardware core. Exceptions
-// thrown by a run are rethrown on the calling thread after the pool joins.
+// completion order. jobs <= 0 means one thread per hardware core. If a run
+// throws, the others still run, and its exception is rethrown on the
+// calling thread after the pool joins.
 std::vector<ExperimentResult> run_batch(const std::vector<ExperimentConfig>& configs,
                                         int jobs);
 

@@ -4,7 +4,6 @@
 
 #include "phy/position.h"
 #include "pkt/packet.h"
-#include "scenario/batch_runner.h"
 #include "scenario/experiment.h"
 #include "scenario/network.h"
 #include "sim/assert.h"

@@ -174,6 +174,9 @@ Stack build_stack(const ExperimentConfig& cfg, Network& net,
                   const std::vector<Position>& positions,
                   const std::vector<std::size_t>& members) {
   MUZHA_ASSERT(!cfg.flows.empty(), "experiment needs at least one flow");
+  // Written so that NaN fails too.
+  MUZHA_ASSERT(cfg.uniform_error_rate >= 0.0 && cfg.uniform_error_rate <= 1.0,
+               "uniform_error_rate must be in [0, 1]");
   Stack st;
   st.net = &net;
   // Global node index -> index in `net`; SIZE_MAX for another stack's node.

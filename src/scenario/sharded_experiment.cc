@@ -9,7 +9,6 @@
 #include "phy/channel.h"
 #include "phy/phy_params.h"
 #include "phy/position.h"
-#include "scenario/batch_runner.h"
 #include "scenario/city.h"
 #include "scenario/experiment.h"
 #include "scenario/network.h"
@@ -22,8 +21,8 @@ namespace muzha {
 
 namespace {
 
-// Everything one shard owns. Built, run and destroyed in executor phases,
-// so the shards take each step in parallel.
+// Everything one shard owns. Built and run in one executor phase and
+// destroyed in another, so the shards take each step in parallel.
 struct ShardState {
   std::unique_ptr<Network> net;
   Stack stack;
@@ -68,10 +67,12 @@ ExperimentResult run_sharded_experiment(const ExperimentConfig& cfg) {
     MUZHA_ASSERT(!m.empty(), "a shard ended up with no nodes");
   }
 
-  // --- Build, on each shard's sticky owner thread. Node ids are GLOBAL
-  // indices, and static routes are computed over the global positions.
+  // --- Build and run, one phase: each shard builds its Network on
+  // whichever thread claims it and runs it to the horizon there. The
+  // shards are decoupled, so each runs alone. Node ids are GLOBAL indices,
+  // and static routes are computed over the global positions.
   const int jobs = cfg.shard_jobs > 0 ? cfg.shard_jobs : K;
-  ShardExecutor exec(K, jobs);
+  const ShardExecutor exec(K, jobs);
   std::vector<std::unique_ptr<ShardState>> states(
       static_cast<std::size_t>(K));
   exec.run_phase([&](int s) {
@@ -82,23 +83,19 @@ ExperimentResult run_sharded_experiment(const ExperimentConfig& cfg) {
                                 : ChannelMode::kSpatialIndex);
     st->stack = build_stack(cfg, *st->net, gpos,
                             members[static_cast<std::size_t>(s)]);
+    st->net->run_until(cfg.duration);
     states[static_cast<std::size_t>(s)] = std::move(st);
   });
 
-  // --- Run: the shards are decoupled, so each runs to the horizon alone.
-  exec.run_phase([&states, &cfg](int s) {
-    states[static_cast<std::size_t>(s)]->net->run_until(cfg.duration);
-  });
-
-  // --- Collect. Pure reads; the workers are quiescent between phases, so
-  // the orchestrator may read every shard.
+  // --- Collect. Pure reads on the caller; the phase has joined its
+  // threads, so every shard is quiescent.
   std::vector<Stack*> stacks;
   stacks.reserve(states.size());
   for (auto& st : states) stacks.push_back(&st->stack);
   ExperimentResult result = collect(cfg, stacks);
 
-  // --- Teardown, in one more phase: the workers destroy the shards in
-  // parallel instead of the orchestrator freeing them one after another.
+  // --- Teardown, in one more phase: the threads free the shards'
+  // networks in parallel instead of the caller freeing them one by one.
   exec.run_phase(
       [&states](int s) { states[static_cast<std::size_t>(s)].reset(); });
   return result;

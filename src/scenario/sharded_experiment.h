@@ -5,7 +5,7 @@
 // to the `cfg.shards` shards contiguously — shard = district * K / D — for
 // static and mobile fields alike. Each shard owns the nodes of its districts
 // and runs them on a private Simulator (scheduler + RNG) — a full per-shard
-// Network — on a sticky worker thread (sim/shard_exec.h).
+// Network — on one thread of the pool in sim/shard_exec.h.
 //
 // Sharding covers decoupled districts only. Strips are full height, so the
 // gap between two shards is one district_gap, and it must be wider than
@@ -16,10 +16,11 @@
 // and with a propagation-delay lookahead they ran 25-59x slower than one
 // core (DESIGN.md "Sharded event cores"), so they are rejected up front.
 //
-// A sharded run is five steps: partition, build every shard through the
-// same build_stack() as a one-core run (scenario/stack.h), one
-// run_until(cfg.duration) phase, collect() and tear down. shards == 1 never
-// comes here: run_experiment() builds and runs it on the calling thread.
+// A sharded run is four steps: partition; one phase in which each shard
+// builds through the same build_stack() as a one-core run
+// (scenario/stack.h) and runs to cfg.duration on the same thread;
+// collect() on the caller; and a teardown phase. shards == 1 never comes
+// here: run_experiment() builds and runs it on the calling thread.
 //
 // Determinism: every shard's event core is sequential and seeded, and the
 // shards share nothing while they run, so results are bit-identical

@@ -2,7 +2,7 @@
 //
 // run_experiment() builds one Stack over every node on the calling thread;
 // run_sharded_experiment() builds one Stack per shard, over that shard's
-// nodes, on the shard's worker thread. Both read their results back through
+// nodes, on the pool thread that runs the shard. Both read their results back through
 // collect(), so topology, routing, router assistance, flows and result
 // fields each exist in exactly one place.
 #pragma once

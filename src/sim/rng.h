@@ -9,11 +9,18 @@
 
 namespace muzha {
 
+// SplitMix64 finalizer (Steele et al.); bijective on 64-bit values, used as
+// the mixing step of every seed derivation (per-run, per-shard, per-flow).
+constexpr std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 1) : engine_(seed) {}
-
-  void seed(std::uint64_t s) { engine_.seed(s); }
 
   // Uniform double in [0, 1).
   double uniform() {
@@ -28,11 +35,6 @@ class Rng {
   // Uniform integer in [lo, hi] inclusive.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
     return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
-  }
-
-  // Exponentially distributed double with the given mean.
-  double exponential(double mean) {
-    return std::exponential_distribution<double>(1.0 / mean)(engine_);
   }
 
   // Bernoulli trial with success probability p.

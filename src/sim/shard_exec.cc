@@ -1,6 +1,11 @@
 #include "sim/shard_exec.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cstddef>
+#include <exception>
+#include <thread>
+#include <vector>
 
 #include "sim/assert.h"
 
@@ -8,58 +13,37 @@ namespace muzha {
 
 ShardExecutor::ShardExecutor(int shards, int jobs) : shards_(shards) {
   MUZHA_ASSERT(shards >= 1, "ShardExecutor needs at least one shard");
-  const int n = std::min(shards, std::max(jobs, 1));
-  threads_.reserve(static_cast<std::size_t>(n));
-  for (int w = 0; w < n; ++w) {
-    threads_.emplace_back([this, w] { worker_main(w); });
+  if (jobs <= 0) {
+    jobs = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   }
+  threads_ = std::min(shards, jobs);
 }
 
-ShardExecutor::~ShardExecutor() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& t : threads_) t.join();
-}
-
-void ShardExecutor::run_phase(const std::function<void(int shard)>& fn) {
-  std::unique_lock<std::mutex> lock(mu_);
-  MUZHA_DCHECK(phase_fn_ == nullptr, "run_phase re-entered from a phase");
-  phase_fn_ = &fn;
-  workers_done_ = 0;
-  ++phase_gen_;
-  work_cv_.notify_all();
-  done_cv_.wait(lock, [this] {
-    return workers_done_ == static_cast<int>(threads_.size());
-  });
-  phase_fn_ = nullptr;
-}
-
-void ShardExecutor::worker_main(int worker) {
-  std::uint64_t seen_gen = 0;
-  for (;;) {
-    const std::function<void(int)>* fn = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock,
-                    [&] { return shutdown_ || phase_gen_ != seen_gen; });
-      if (shutdown_) return;
-      seen_gen = phase_gen_;
-      fn = phase_fn_;
+void ShardExecutor::run_phase(const std::function<void(int shard)>& fn) const {
+  // Each shard's error lands in its own slot, like its result, so the
+  // rethrown error does not depend on the thread schedule either.
+  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(shards_));
+  // The counter only hands out indices; the join below, not this
+  // fetch_add, publishes what the items wrote.
+  std::atomic<int> next{0};
+  auto work = [&] {
+    for (;;) {
+      const int s = next.fetch_add(1, std::memory_order_relaxed);
+      if (s >= shards_) return;
+      try {
+        fn(s);
+      } catch (...) {
+        errors[static_cast<std::size_t>(s)] = std::current_exception();
+      }
     }
-    // Each worker walks ITS shards in ascending order, outside the lock:
-    // workers run their disjoint shard sets concurrently.
-    const int stride = static_cast<int>(threads_.size());
-    for (int shard = worker; shard < shards_; shard += stride) {
-      (*fn)(shard);
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++workers_done_;
-    }
-    done_cv_.notify_one();
+  };
+  std::vector<std::thread> helpers;
+  helpers.reserve(static_cast<std::size_t>(threads_ - 1));
+  for (int t = 1; t < threads_; ++t) helpers.emplace_back(work);
+  work();
+  for (std::thread& t : helpers) t.join();
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
   }
 }
 

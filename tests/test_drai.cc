@@ -77,7 +77,7 @@ TEST(BandwidthEstimator, IdleMediumReportsAggressiveAccel) {
   sim.run_until(SimTime::from_seconds(1));
   EXPECT_DOUBLE_EQ(est.utilization(), 0.0);
   EXPECT_EQ(est.current_drai(), kDraiAggressiveAccel);
-  EXPECT_FALSE(est.should_mark());
+  EXPECT_FALSE(est.stamp().mark);
 }
 
 TEST(BandwidthEstimator, BusyMediumLowersDrai) {
@@ -121,7 +121,7 @@ TEST(BandwidthEstimator, FullQueueForcesMarking) {
   // The MAC holds the first packet and the IFQ the other 49: the queue is
   // nearly full, deceleration region, marking on.
   EXPECT_LE(est.current_drai(), kDraiModerateDecel);
-  EXPECT_TRUE(est.should_mark());
+  EXPECT_TRUE(est.stamp().mark);
 }
 
 TEST(BandwidthEstimator, UtilizationDecaysWhenTrafficStops) {

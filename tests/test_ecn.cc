@@ -84,7 +84,7 @@ TEST_F(RedTest, AverageTracksQueueSmoothly) {
 
 TEST_F(RedTest, NeverGivesRateAdvice) {
   RedEcnMarker red(sim, node->device());
-  EXPECT_EQ(red.current_drai(), kDraiAggressiveAccel);
+  EXPECT_EQ(red.stamp().drai, kDraiAggressiveAccel);
 }
 
 // ---------------------------------------------------------------------------

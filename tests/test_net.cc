@@ -122,8 +122,7 @@ class FixedDrai : public DraiSource {
  public:
   std::uint8_t drai = kDraiStabilize;
   bool mark = false;
-  std::uint8_t current_drai() override { return drai; }
-  bool should_mark() override { return mark; }
+  DraiStamp stamp() override { return {drai, mark}; }
 };
 
 TEST_F(NodeTest, StampsPathMinimumDrai) {

@@ -2,6 +2,7 @@
 // the Table 5.1 simulation parameters.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
 
 #include "scenario/experiment.h"
@@ -152,6 +153,20 @@ TEST(ExperimentApiDeath, RejectsOutOfRangeEndpoints) {
   cfg.hops = 2;
   cfg.flows.push_back({TcpVariant::kNewReno, 0, 99, SimTime::zero(), 8});
   EXPECT_DEATH(run_experiment(cfg), "out of range");
+}
+
+// A rate outside [0, 1] is a config error, not a lossless run (below 0)
+// or one that corrupts every frame (above 1, past Probability's
+// debug-only range check). NaN is outside too.
+TEST(ExperimentApiDeath, RejectsLossRateOutsideUnitInterval) {
+  for (double rate : {-0.5, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    ExperimentConfig cfg;
+    cfg.hops = 2;
+    cfg.flows.push_back({TcpVariant::kNewReno, 0, 2, SimTime::zero(), 8});
+    cfg.uniform_error_rate = rate;
+    EXPECT_DEATH(run_experiment(cfg), "uniform_error_rate must be in")
+        << "rate " << rate;
+  }
 }
 
 TEST(NetworkApi, StaticRoutingAccessorChecksType) {

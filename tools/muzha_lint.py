@@ -5,12 +5,12 @@ The simulator's headline property is bit-determinism: a (scenario, seed) pair
 fully determines every event, RNG draw and floating-point metric. The test
 suite pins that with byte-identity and golden-hash tests, but nothing stops a
 refactor from *introducing* a hazard that only diverges on another machine or
-allocator — or, now that one run executes on several threads (BatchRunner
-worker pools, sharded event cores), a hazard that only diverges under a
-different thread schedule. This checker mechanically bans the constructs that
-leak wall-clock time, hash-bucket layout, address-space randomization or
-cross-thread mutation into model behavior, plus the classic C++ memory-safety
-foot-guns on polymorphic agents.
+allocator — or, now that runs execute on several threads (the thread pool
+behind parameter sweeps and sharded event cores), a hazard that only
+diverges under a different thread schedule. This checker mechanically bans
+the constructs that leak wall-clock time, hash-bucket layout, address-space
+randomization or cross-thread mutation into model behavior, plus the
+classic C++ memory-safety foot-guns on polymorphic agents.
 
 It is a two-pass, token/AST-lite analyzer:
 
@@ -79,11 +79,11 @@ core per shard, synchronization only in the shard executor):
                      instance must be designed for, with a justified
                      suppression, not introduced in passing.
   lock-discipline    mutex/atomic/condition_variable/thread primitives (or
-                     their headers) outside the threaded-runtime allowlist
-                     (src/sim/shard_exec.*, src/scenario/batch_runner.*)
-                     — model code must be lock-free by construction (shard
-                     isolation), not by locking; a lock in model code means
-                     shared mutable state exists.
+                     their headers) anywhere in src/ outside the one thread
+                     pool, src/sim/shard_exec.* — model code must be
+                     lock-free by construction (shard isolation), not by
+                     locking; a lock in model code means shared mutable
+                     state exists.
   relaxed-atomic     memory_order_relaxed / memory_order_consume / raw
                      atomic fences outside src/sim/shard_exec.* — weak
                      orderings need a happens-before argument; outside the
@@ -163,7 +163,7 @@ FIXTURE_PREFIX = "tests/lint_fixtures/"
 MODEL_DIRS = ("sim", "phy", "mac", "net", "pkt", "tcp", "core", "relwork",
               "routing", "app", "stats")
 
-LOCK_ALLOW = ("src/sim/shard_exec.", "src/scenario/batch_runner.")
+LOCK_ALLOW = ("src/sim/shard_exec.",)
 
 RELAXED_ALLOW = ("src/sim/shard_exec.",)
 
