@@ -1,7 +1,5 @@
 #include "scenario/city.h"
 
-#include <cmath>
-
 #include "phy/position.h"
 #include "pkt/packet.h"
 #include "scenario/experiment.h"
@@ -9,14 +7,8 @@
 #include "sim/assert.h"
 #include "sim/rng.h"
 #include "sim/sim_time.h"
-#include "sim/units.h"
 
 namespace muzha {
-
-namespace {
-// Manhattan grid: distance between adjacent streets.
-constexpr Meters kStreetPitch = Meters(275.0);
-}  // namespace
 
 Rect district_rect(const FieldConfig& f, int d) {
   MUZHA_ASSERT(f.districts >= 1 && d >= 0 && d < f.districts,
@@ -32,45 +24,16 @@ Rect district_rect(const FieldConfig& f, int d) {
 
 std::vector<Position> field_positions(TopologyKind kind, const FieldConfig& f,
                                       Rng& rng) {
+  MUZHA_ASSERT(kind == TopologyKind::kRandomField,
+               "field_positions handles kRandomField only");
   MUZHA_ASSERT(f.nodes >= 2, "field needs at least two nodes");
   std::vector<Position> out;
   out.reserve(static_cast<std::size_t>(f.nodes));
-  if (kind == TopologyKind::kRandomField) {
-    for (int i = 0; i < f.nodes; ++i) {
-      // districts == 1: rect is {0, width} x {0, height}, so these are the
-      // exact draws (same arguments, same order) of the pre-district builder.
-      Rect r = district_rect(f, district_of(f, static_cast<std::size_t>(i)));
-      out.push_back({rng.uniform(r.x0, r.x1), rng.uniform(r.y0, r.y1)});
-    }
-    return out;
-  }
-  MUZHA_ASSERT(kind == TopologyKind::kManhattanGrid,
-               "field_positions handles field topologies only");
   for (int i = 0; i < f.nodes; ++i) {
-    // Per-district street grid: horizontal streets span the strip at pitch
-    // multiples of the field, vertical streets at pitch multiples from the
-    // strip's left edge. districts == 1 reduces to the original full-field
-    // grid with an identical draw sequence.
+    // districts == 1: rect is {0, width} x {0, height}, so these are the
+    // exact draws (same arguments, same order) of the pre-district builder.
     Rect r = district_rect(f, district_of(f, static_cast<std::size_t>(i)));
-    std::int64_t h_streets =
-        static_cast<std::int64_t>(
-            std::floor((r.y1 - r.y0) / kStreetPitch.value())) +
-        1;
-    std::int64_t v_streets =
-        static_cast<std::int64_t>(
-            std::floor((r.x1 - r.x0) / kStreetPitch.value())) +
-        1;
-    Position p;
-    // Pick a street uniformly among all streets, then a point along it.
-    std::int64_t street = rng.uniform_int(0, h_streets + v_streets - 1);
-    if (street < h_streets) {
-      p.y = r.y0 + kStreetPitch.value() * static_cast<double>(street);
-      p.x = rng.uniform(r.x0, r.x1);
-    } else {
-      p.x = r.x0 + kStreetPitch.value() * static_cast<double>(street - h_streets);
-      p.y = rng.uniform(r.y0, r.y1);
-    }
-    out.push_back(p);
+    out.push_back({rng.uniform(r.x0, r.x1), rng.uniform(r.y0, r.y1)});
   }
   return out;
 }
@@ -101,52 +64,6 @@ class FlowRng {
 };
 
 }  // namespace
-
-std::vector<FlowSpec> make_random_flows(int count, int nodes, TcpVariant v,
-                                        std::uint64_t flow_seed,
-                                        SimTime start_window, int window) {
-  MUZHA_ASSERT(nodes >= 2, "flows need at least two nodes");
-  FlowRng rng(flow_seed);
-  std::vector<FlowSpec> flows;
-  flows.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    FlowSpec f;
-    f.variant = v;
-    f.window = window;
-    f.src = static_cast<std::size_t>(rng.below(static_cast<std::uint64_t>(nodes)));
-    do {
-      f.dst = static_cast<std::size_t>(rng.below(static_cast<std::uint64_t>(nodes)));
-    } while (f.dst == f.src);
-    f.start_time = SimTime::from_ns(static_cast<std::int64_t>(
-        rng.unit() * static_cast<double>(start_window.ns())));
-    flows.push_back(f);
-  }
-  return flows;
-}
-
-std::vector<CbrFlowSpec> make_random_cbr_flows(int count, int nodes,
-                                               BitsPerSecond rate,
-                                               std::uint64_t flow_seed,
-                                               SimTime start_window) {
-  MUZHA_ASSERT(nodes >= 2, "flows need at least two nodes");
-  // Offset the seed so CBR pairs differ from the FTP pairs drawn from the
-  // same flow_seed.
-  FlowRng rng(splitmix64(flow_seed ^ 0xCB12CB12CB12CB12ull));
-  std::vector<CbrFlowSpec> flows;
-  flows.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    CbrFlowSpec f;
-    f.rate = rate;
-    f.src = static_cast<std::size_t>(rng.below(static_cast<std::uint64_t>(nodes)));
-    do {
-      f.dst = static_cast<std::size_t>(rng.below(static_cast<std::uint64_t>(nodes)));
-    } while (f.dst == f.src);
-    f.start_time = SimTime::from_ns(static_cast<std::int64_t>(
-        rng.unit() * static_cast<double>(start_window.ns())));
-    flows.push_back(f);
-  }
-  return flows;
-}
 
 std::vector<FlowSpec> make_random_district_flows(int count,
                                                  const FieldConfig& f,
@@ -181,23 +98,6 @@ std::vector<FlowSpec> make_random_district_flows(int count,
     flows.push_back(spec);
   }
   return flows;
-}
-
-ExperimentConfig make_city_config(const CityConfig& city) {
-  MUZHA_ASSERT(city.placement == TopologyKind::kRandomField ||
-                   city.placement == TopologyKind::kManhattanGrid,
-               "city placement must be a field topology");
-  ExperimentConfig cfg;
-  cfg.topology = city.placement;
-  cfg.field = city.field;
-  cfg.duration = city.duration;
-  cfg.seed = city.seed;
-  cfg.flows = make_random_flows(city.ftp_flows, city.field.nodes, city.variant,
-                                city.flow_seed, city.flow_start_window);
-  cfg.cbr_flows =
-      make_random_cbr_flows(city.cbr_flows, city.field.nodes, city.cbr_rate,
-                            city.flow_seed, city.flow_start_window);
-  return cfg;
 }
 
 }  // namespace muzha

@@ -1,11 +1,12 @@
 // City-scale scenario generation.
 //
 // The paper evaluates Muzha on 4-7-hop chains; MANET TCP studies normally
-// run over random-waypoint fields with hundreds of nodes. This module
-// generates those fields: node placement (uniform random or Manhattan street
-// grid), plus seeded random flow sets (N nodes x F concurrent FTP/CBR
-// flows), all expressed as an ExperimentConfig so the existing
-// run_experiment / BatchRunner plumbing drives them unchanged.
+// run over random-waypoint fields with hundreds of nodes. A city is an
+// ExperimentConfig with TopologyKind::kRandomField: its FieldConfig sizes
+// the field, splits it into districts and sets random-waypoint motion, and
+// make_random_district_flows() draws its FTP flows, so the existing
+// run_experiment / BatchRunner plumbing drives it unchanged. Background
+// CBR load is listed in ExperimentConfig::cbr_flows.
 //
 // Placement draws from the simulation RNG (inside run_experiment), so a
 // (config, seed) pair fully determines the topology. Flow endpoints are
@@ -22,7 +23,6 @@
 #include "scenario/network.h"
 #include "sim/rng.h"
 #include "sim/sim_time.h"
-#include "sim/units.h"
 
 namespace muzha {
 
@@ -46,57 +46,28 @@ inline int district_of(const FieldConfig& f, std::size_t i) {
   return static_cast<int>(i % static_cast<std::size_t>(f.districts));
 }
 
-// The placement draw sequence of the field topologies as a pure function of
-// (kind, field, rng): one Position per node, drawn in node order. A
-// one-core run draws it from its network's simulation RNG, so a caller with
-// a fresh Rng(seed) recovers the exact coordinates of a run with that seed.
-// The sharded-run partitioner draws it that way to assign nodes to shards
+// The placement draw sequence of a kRandomField as a pure function of
+// (field, rng): one Position per node, drawn in node order, uniform in the
+// node's district rectangle. `kind` must be kRandomField. A one-core run
+// draws it from its network's simulation RNG, so a caller with a fresh
+// Rng(seed) recovers the exact coordinates of a run with that seed. The
+// sharded-run partitioner draws it that way to assign nodes to shards
 // before any per-shard network exists.
 std::vector<Position> field_positions(TopologyKind kind, const FieldConfig& f,
                                       Rng& rng);
 
-// `count` FTP flows between distinct random node pairs, starts staggered
-// uniformly over [0, start_window]. Deterministic in (count, nodes,
-// flow_seed).
-std::vector<FlowSpec> make_random_flows(int count, int nodes, TcpVariant v,
-                                        std::uint64_t flow_seed,
-                                        SimTime start_window,
-                                        int window = 32);
-
-// Same idea for background CBR load.
-std::vector<CbrFlowSpec> make_random_cbr_flows(int count, int nodes,
-                                               BitsPerSecond rate,
-                                               std::uint64_t flow_seed,
-                                               SimTime start_window);
-
-// FTP flows whose endpoints are confined to one district: flow j runs inside
-// district j % districts, between distinct random members of that district.
-// With districts separated by more than carrier-sense range this yields a
-// field whose shards never exchange a single frame — the only kind of
-// field the sharded runner accepts. Deterministic in (count, field,
-// flow_seed).
+// `count` FTP flows whose endpoints are confined to one district: flow j
+// runs inside district j % districts, between distinct random members of
+// that district, and starts uniformly in [0, start_window]. With
+// districts == 1 the endpoints range over the whole field. With districts
+// separated by more than carrier-sense range this yields a field whose
+// shards never exchange a single frame — the only kind of field the
+// sharded runner accepts. Deterministic in (count, field, flow_seed).
 std::vector<FlowSpec> make_random_district_flows(int count,
                                                  const FieldConfig& f,
                                                  TcpVariant v,
                                                  std::uint64_t flow_seed,
                                                  SimTime start_window,
                                                  int window = 32);
-
-// One-call config for the common case: an N-node mobile random-waypoint (or
-// Manhattan) field with F FTP flows of `variant` and C CBR flows.
-struct CityConfig {
-  FieldConfig field;
-  TopologyKind placement = TopologyKind::kRandomField;
-  int ftp_flows = 4;
-  int cbr_flows = 0;
-  TcpVariant variant = TcpVariant::kNewReno;
-  BitsPerSecond cbr_rate = BitsPerSecond(100'000.0);
-  SimTime flow_start_window = SimTime::from_seconds(5.0);
-  SimTime duration = SimTime::from_seconds(60.0);
-  std::uint64_t seed = 1;       // simulation seed (placement, motion, ...)
-  std::uint64_t flow_seed = 1;  // traffic-pattern seed
-};
-
-ExperimentConfig make_city_config(const CityConfig& city);
 
 }  // namespace muzha

@@ -164,7 +164,6 @@ std::vector<Position> node_positions(const ExperimentConfig& cfg, Rng& rng) {
     case TopologyKind::kCross:
       return cross_positions(cfg.hops);
     case TopologyKind::kRandomField:
-    case TopologyKind::kManhattanGrid:
       break;
   }
   return field_positions(cfg.topology, cfg.field, rng);
@@ -188,7 +187,7 @@ Stack build_stack(const ExperimentConfig& cfg, Network& net,
 
   // Random-waypoint motion over the node's district rectangle (the whole
   // field when districts == 1).
-  if (is_field_topology(cfg.topology) && cfg.field.mobile) {
+  if (cfg.topology == TopologyKind::kRandomField && cfg.field.mobile) {
     st.mobility.reserve(members.size());
     for (std::size_t li = 0; li < members.size(); ++li) {
       Rect r = district_rect(cfg.field, district_of(cfg.field, members[li]));

@@ -87,20 +87,19 @@ struct FlowSpec {
 enum class TopologyKind {
   kChain,
   kCross,
-  // City-scale fields (src/scenario/city.h): N nodes placed by the seeded
-  // simulation RNG, optional random-waypoint motion, sized by `field`.
-  kRandomField,    // uniform random placement in the rectangle
-  kManhattanGrid,  // nodes on a street grid of 275 m pitch
+  // City-scale field (src/scenario/city.h): N nodes placed uniformly at
+  // random by the seeded simulation RNG, optional random-waypoint motion,
+  // sized by `field`.
+  kRandomField,
 };
 
-// Geometry and motion of the city-scale field topologies.
+// Geometry and motion of the kRandomField city.
 struct FieldConfig {
   int nodes = 200;
   Meters width = Meters(2000.0);
   Meters height = Meters(2000.0);
-  // Random-waypoint motion (applies to both field kinds when true): speeds
-  // uniform in [1, 10] m/s, a 2 s pause at each waypoint, positions updated
-  // every `mobility_tick`.
+  // Random-waypoint motion when true: speeds uniform in [1, 10] m/s, a 2 s
+  // pause at each waypoint, positions updated every `mobility_tick`.
   bool mobile = true;
   SimTime mobility_tick = SimTime::from_ms(250);
   // City districts: the field splits into `districts` vertical strips of
@@ -127,7 +126,7 @@ struct CbrFlowSpec {
 struct ExperimentConfig {
   TopologyKind topology = TopologyKind::kChain;
   int hops = 4;
-  FieldConfig field;  // used by kRandomField / kManhattanGrid only
+  FieldConfig field;  // used by kRandomField only
   SimTime duration = SimTime::from_seconds(30.0);
   std::uint64_t seed = 1;
   std::vector<FlowSpec> flows;

@@ -100,30 +100,4 @@ std::vector<Position> cross_positions(int hops, Meters spacing) {
   return out;
 }
 
-CrossTopology build_cross(Network& net, int hops, Meters spacing) {
-  std::vector<NodeId> ids = add_nodes(net, cross_positions(hops, spacing));
-  auto h_end = ids.begin() + hops + 1;  // end of the horizontal arm
-  auto v_mid = h_end + hops / 2;        // where the vertical arm meets it
-  CrossTopology topo;
-  topo.horizontal.assign(ids.begin(), h_end);
-  topo.vertical.assign(h_end, v_mid);
-  topo.vertical.push_back(ids[static_cast<std::size_t>(hops / 2)]);  // centre
-  topo.vertical.insert(topo.vertical.end(), v_mid, ids.end());
-  return topo;
-}
-
-std::vector<NodeId> build_grid(Network& net, int rows, int cols,
-                               Meters spacing) {
-  MUZHA_ASSERT(rows >= 1 && cols >= 1, "grid needs positive dimensions");
-  std::vector<NodeId> ids;
-  ids.reserve(static_cast<std::size_t>(rows) * cols);
-  for (int r = 0; r < rows; ++r) {
-    for (int c = 0; c < cols; ++c) {
-      ids.push_back(
-          net.add_node({spacing.value() * c, spacing.value() * r}).id());
-    }
-  }
-  return ids;
-}
-
 }  // namespace muzha

@@ -77,21 +77,9 @@ std::vector<NodeId> build_chain(Network& net, int hops,
 // Cross topology (Fig 5.15): a horizontal and a vertical chain of `hops`
 // hops sharing the centre node (4-hop cross = 9 nodes). Positions list the
 // horizontal arm left to right, then the vertical arm bottom to top without
-// the centre. build_cross returns {horizontal node ids, vertical node ids};
-// the vertical list reuses the shared centre node id.
+// the centre, so the centre is index hops / 2 and the vertical arm's ends
+// are indices hops + 1 and 2 * hops.
 std::vector<Position> cross_positions(int hops,
                                       Meters spacing = Meters(250.0));
-struct CrossTopology {
-  std::vector<NodeId> horizontal;
-  std::vector<NodeId> vertical;
-};
-CrossTopology build_cross(Network& net, int hops,
-                          Meters spacing = Meters(250.0));
-
-// Rectangular grid: rows x cols nodes, `spacing` apart. Returns ids in
-// row-major order. Gives multihop scenarios with route diversity (unlike the
-// chain, a broken link is routable-around).
-std::vector<NodeId> build_grid(Network& net, int rows, int cols,
-                               Meters spacing = Meters(200.0));
 
 }  // namespace muzha

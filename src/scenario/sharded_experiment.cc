@@ -39,9 +39,8 @@ std::uint64_t shard_seed(const ExperimentConfig& cfg, int shard) {
 ExperimentResult run_sharded_experiment(const ExperimentConfig& cfg) {
   const int K = cfg.shards;
   MUZHA_ASSERT(K >= 2, "run_sharded_experiment needs shards >= 2");
-  MUZHA_ASSERT(is_field_topology(cfg.topology),
-               "shards > 1 needs a field topology (kRandomField or "
-               "kManhattanGrid)");
+  MUZHA_ASSERT(cfg.topology == TopologyKind::kRandomField,
+               "shards > 1 needs a field topology (kRandomField)");
   MUZHA_ASSERT(cfg.field.districts >= K,
                "a sharded field needs at least one district per shard: "
                "territories are runs of whole district strips");

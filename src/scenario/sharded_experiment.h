@@ -37,7 +37,7 @@ namespace muzha {
 // Runs cfg on cfg.shards event cores; run_experiment() calls it whenever
 // cfg.shards != 1. Requirements:
 //  - shards >= 2;
-//  - topology kRandomField or kManhattanGrid;
+//  - topology kRandomField;
 //  - field.districts >= shards (each shard gets at least one strip);
 //  - field.district_gap > carrier-sense range (no frame crosses a gap);
 //  - at least one node per shard.

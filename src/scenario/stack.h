@@ -42,12 +42,8 @@ struct Stack {
   std::vector<std::unique_ptr<CbrApp>> cbr_apps;  // one slot per cfg.cbr_flows
 };
 
-inline bool is_field_topology(TopologyKind k) {
-  return k == TopologyKind::kRandomField || k == TopologyKind::kManhattanGrid;
-}
-
-// Initial position of every node of cfg's topology, in node order. The
-// field topologies draw from `rng`; chain and cross draw nothing.
+// Initial position of every node of cfg's topology, in node order. A
+// kRandomField draws from `rng`; chain and cross draw nothing.
 std::vector<Position> node_positions(const ExperimentConfig& cfg, Rng& rng);
 
 // Adds `members` (ascending indices into `positions`) to `net` under their

@@ -18,6 +18,13 @@ double value_at(const TimeSeries& s, double t) {
   }
   return v;
 }
+
+// Closes `f` and reports whether every write reached the file: a full disk
+// shows up in the stream's error flag or in the final flush.
+bool close_checked(std::FILE* f) {
+  bool write_failed = std::ferror(f) != 0;
+  return std::fclose(f) == 0 && !write_failed;
+}
 }  // namespace
 
 bool write_csv(const std::string& path,
@@ -40,8 +47,7 @@ bool write_csv(const std::string& path,
     }
     std::fprintf(f, "\n");
   }
-  std::fclose(f);
-  return true;
+  return close_checked(f);
 }
 
 bool write_gnuplot_script(const std::string& path, const std::string& csv_path,
@@ -63,8 +69,7 @@ bool write_gnuplot_script(const std::string& path, const std::string& csv_path,
                  i == 0 ? "" : ",", csv_path.c_str(), i + 2);
   }
   std::fprintf(f, "\n");
-  std::fclose(f);
-  return true;
+  return close_checked(f);
 }
 
 }  // namespace muzha

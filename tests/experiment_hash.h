@@ -56,22 +56,25 @@ inline std::uint64_t hash_result(const ExperimentResult& r) {
 }
 
 // The 200-node mobile random-waypoint city of the golden pin
-// Determinism.GoldenCityFieldPinned (hash 0x87CCB22252A3ED43).
+// Determinism.GoldenCityFieldPinned (hash 0x87CCB22252A3ED43): four Muzha
+// flows drawn with flow seed 7, plus two 100 kbps CBR flows with the
+// endpoints and start times the pin was captured with.
 inline ExperimentConfig city_golden_config() {
-  CityConfig city;
-  city.field.nodes = 200;
-  city.field.width = Meters(3000.0);
-  city.field.height = Meters(3000.0);
-  city.field.mobile = true;
-  city.placement = TopologyKind::kRandomField;
-  city.ftp_flows = 4;
-  city.cbr_flows = 2;
-  city.variant = TcpVariant::kMuzha;
-  city.flow_start_window = SimTime::from_seconds(2.0);
-  city.duration = SimTime::from_seconds(10.0);
-  city.seed = 42;
-  city.flow_seed = 7;
-  return make_city_config(city);
+  ExperimentConfig cfg;
+  cfg.topology = TopologyKind::kRandomField;
+  cfg.field.nodes = 200;
+  cfg.field.width = Meters(3000.0);
+  cfg.field.height = Meters(3000.0);
+  cfg.field.mobile = true;
+  cfg.duration = SimTime::from_seconds(10.0);
+  cfg.seed = 42;
+  cfg.flows = make_random_district_flows(4, cfg.field, TcpVariant::kMuzha, 7,
+                                         SimTime::from_seconds(2.0));
+  cfg.cbr_flows.push_back({54, 104, BitsPerSecond(100'000.0), 512,
+                           SimTime::from_ns(1'559'411'248)});
+  cfg.cbr_flows.push_back({94, 98, BitsPerSecond(100'000.0), 512,
+                           SimTime::from_ns(1'642'232'325)});
+  return cfg;
 }
 
 inline constexpr std::uint64_t kGoldenCityHash = 0x87CCB22252A3ED43ull;

@@ -46,6 +46,19 @@ TEST(Export, CsvFailsOnBadPath) {
   EXPECT_FALSE(write_csv("/nonexistent-dir/x.csv", {}));
 }
 
+// A file that opens but cannot take the bytes (a full disk) is an I/O
+// failure too, reported by the stream's error flag or by fclose.
+TEST(Export, WriteErrorsReturnFalse) {
+  const char* full = "/dev/full";
+  std::FILE* probe = std::fopen(full, "w");
+  if (probe == nullptr) GTEST_SKIP() << full << " is not available";
+  std::fclose(probe);
+  std::vector<NamedSeries> data;
+  data.push_back({"a", {{Seconds(0.0), 1.0}, {Seconds(1.0), 2.0}}});
+  EXPECT_FALSE(write_csv(full, data));
+  EXPECT_FALSE(write_gnuplot_script(full, "data.csv", "Title", data));
+}
+
 TEST(Export, GnuplotScriptReferencesEveryColumn) {
   std::vector<NamedSeries> data;
   data.push_back({"flow1", {{Seconds(0.0), 1.0}}});

@@ -1,4 +1,4 @@
-// Route diversity on the grid topology: unlike the chain, a broken link has
+// Route diversity on a grid of nodes: unlike the chain, a broken link has
 // alternatives, so AODV should route around a failed relay.
 #include <gtest/gtest.h>
 
@@ -19,7 +19,9 @@ class GridTest : public ::testing::Test {
   //   0 1 2
   GridTest() {
     net = std::make_unique<Network>(2);
-    build_grid(*net, 3, 3, Meters(200.0));
+    for (int r = 0; r < 3; ++r) {
+      for (int c = 0; c < 3; ++c) net->add_node({200.0 * c, 200.0 * r});
+    }
     net->use_aodv();
   }
 

@@ -1,10 +1,12 @@
-// Scenario-layer tests: topology builders, experiment config handling, and
-// the Table 5.1 simulation parameters.
+// Scenario-layer tests: the chain and cross topologies, experiment config
+// handling, and the Table 5.1 simulation parameters.
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <optional>
+#include <vector>
 
+#include "phy/position.h"
 #include "scenario/experiment.h"
 #include "scenario/network.h"
 
@@ -27,33 +29,32 @@ TEST(Topology, ChainHasHopsPlusOneNodes) {
 
 TEST(Topology, FourHopCrossHasNineNodes) {
   // Fig 5.15: "4-hop Cross Topology with 9 Nodes".
-  Network net(1);
-  CrossTopology topo = build_cross(net, 4);
-  EXPECT_EQ(net.size(), 9u);
-  EXPECT_EQ(topo.horizontal.size(), 5u);
-  EXPECT_EQ(topo.vertical.size(), 5u);
-  // The centre node is shared between the arms.
-  EXPECT_EQ(topo.horizontal[2], topo.vertical[2]);
+  std::vector<Position> pos = cross_positions(4);
+  ASSERT_EQ(pos.size(), 9u);
+  // The centre node, index 2, is the one node both arms share.
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    bool at_centre = pos[i].x == 0.0 && pos[i].y == 0.0;
+    EXPECT_EQ(at_centre, i == 2) << "node " << i;
+  }
 }
 
 TEST(Topology, CrossArmsAreOrthogonal) {
-  Network net(1);
-  CrossTopology topo = build_cross(net, 4);
-  Position center =
-      net.node(topo.horizontal[2]).device().phy().position();
-  EXPECT_DOUBLE_EQ(center.x, 0.0);
-  EXPECT_DOUBLE_EQ(center.y, 0.0);
-  Position h_end = net.node(topo.horizontal[4]).device().phy().position();
-  Position v_end = net.node(topo.vertical[4]).device().phy().position();
-  EXPECT_DOUBLE_EQ(h_end.x, 500.0);
-  EXPECT_DOUBLE_EQ(h_end.y, 0.0);
-  EXPECT_DOUBLE_EQ(v_end.x, 0.0);
-  EXPECT_DOUBLE_EQ(v_end.y, 500.0);
+  // The arm ends: 0 -> 4 is the horizontal flow, 5 -> 8 (hops + 1 ->
+  // 2 * hops) the vertical one, as muzha_cli and fig5_16 run them.
+  std::vector<Position> pos = cross_positions(4);
+  ASSERT_EQ(pos.size(), 9u);
+  EXPECT_DOUBLE_EQ(pos[0].x, -500.0);
+  EXPECT_DOUBLE_EQ(pos[0].y, 0.0);
+  EXPECT_DOUBLE_EQ(pos[4].x, 500.0);
+  EXPECT_DOUBLE_EQ(pos[4].y, 0.0);
+  EXPECT_DOUBLE_EQ(pos[5].x, 0.0);
+  EXPECT_DOUBLE_EQ(pos[5].y, -500.0);
+  EXPECT_DOUBLE_EQ(pos[8].x, 0.0);
+  EXPECT_DOUBLE_EQ(pos[8].y, 500.0);
 }
 
 TEST(Topology, OddHopCrossRejected) {
-  Network net(1);
-  EXPECT_DEATH(build_cross(net, 3), "even");
+  EXPECT_DEATH(cross_positions(3), "even");
 }
 
 TEST(Table51, DefaultParametersMatchThePaper) {

@@ -79,33 +79,24 @@ TEST(ShardDeterminism, GoldenDistrictCityShards4Pinned) {
   EXPECT_EQ(hash_result(r), kGoldenDistrictCityShards4);
 }
 
-// The sharded paths the mobile AODV city above does not reach: static
-// routes that each shard installs over the global positions, and the
-// Manhattan grid placement. Captured at pin time like the two city pins;
-// each config delivers traffic.
-TEST(ShardDeterminism, GoldenStaticAndManhattanShardsPinned) {
+// The sharded path the mobile AODV city above does not reach: static
+// routes that each shard installs over the global positions. Captured at
+// pin time like the two city pins; each config delivers traffic.
+TEST(ShardDeterminism, GoldenStaticShardsPinned) {
   struct Pin {
     const char* name;
-    bool manhattan;  // else the static field with static routing
     int shards;
     std::uint64_t hash;
   };
   constexpr Pin kPins[] = {
-      {"static K=2", false, 2, 0x20C42E1F4EDE6686ull},
-      {"static K=4", false, 4, 0x8296E1CFB42C8B7Full},
-      {"manhattan K=2", true, 2, 0xADE123892D09307Eull},
-      {"manhattan K=4", true, 4, 0x296703B7B70311DDull},
+      {"static K=2", 2, 0x20C42E1F4EDE6686ull},
+      {"static K=4", 4, 0x8296E1CFB42C8B7Full},
   };
   for (const Pin& p : kPins) {
     SCOPED_TRACE(p.name);
     ExperimentConfig cfg = district_city();
-    if (p.manhattan) {
-      cfg.topology = TopologyKind::kManhattanGrid;
-      cfg.field.nodes = 160;
-    } else {
-      cfg.field.mobile = false;
-      cfg.static_routing = true;
-    }
+    cfg.field.mobile = false;
+    cfg.static_routing = true;
     cfg.shards = p.shards;
     ExperimentResult r = run_experiment(cfg);
     std::int64_t delivered = 0;

@@ -4,7 +4,8 @@
 #
 # A malformed number or an out-of-range value must exit 2 (message plus
 # usage) instead of running with a meaningless config or aborting on an
-# engine assert; a good short run must exit 0.
+# engine assert; a good short run must exit 0, and one whose --csv files
+# cannot be written must exit 1.
 
 if(NOT DEFINED CLI)
   message(FATAL_ERROR "check_cli_exit_codes.cmake: -DCLI=... is required")
@@ -30,3 +31,4 @@ expect_exit(2 --hops abc)
 expect_exit(2 --window 0)
 expect_exit(2 --topology cross --hops 1)
 expect_exit(0 --hops 2 --duration 0.5)
+expect_exit(1 --hops 2 --duration 0.5 --csv /nonexistent-dir/x)
