@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -22,9 +23,9 @@
 #include "scenario/experiment.h"
 #include "scenario/mobility.h"
 #include "scenario/network.h"
+#include "scenario/stack.h"
 #include "stats/fairness.h"
 #include "stats/replicated_stats.h"
-#include "tcp/tcp_sink.h"
 
 namespace {
 
@@ -570,31 +571,21 @@ void relwork_shootout(const BenchArgs& args) {
 // Mobility stress (the paper's stated future work): an 8-hop chain whose
 // interior relays wander with random-waypoint motion inside a corridor,
 // producing genuine route failures. Compares how each variant's throughput
-// degrades from the static baseline. The networks are built by hand, not
-// through run_experiment, so the runs stay serial whatever --jobs says:
-// --jobs is an upper bound on worker threads, and this row uses one.
+// degrades from the static baseline. The flow builds through build_stack,
+// but the relays' motion is added by hand on the built network, not through
+// run_experiment, so the runs stay serial whatever --jobs says: --jobs is
+// an upper bound on worker threads, and this row uses one.
 double run_once(TcpVariant v, bool mobile, double max_speed,
                 std::uint64_t seed) {
   const int hops = 8;
-  const Seconds duration(40.0);
-  const Meters spacing = Meters(200.0);  // 50 m slack below decode range
+  const ExperimentConfig cfg =
+      chain_single_flow(v, hops, /*window=*/16, Seconds(40.0), seed);
+  // 200 m: 50 m slack below decode range.
+  const std::vector<Position> positions = chain_positions(hops, Meters(200.0));
+  std::vector<std::size_t> all(positions.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
   Network net(seed);
-  build_chain(net, hops, spacing);
-  net.use_aodv();
-  if (v == TcpVariant::kMuzha || v == TcpVariant::kJersey) {
-    net.enable_muzha_routers();
-  }
-
-  TcpConfig tc;
-  tc.dst = net.node(hops).id();
-  tc.src_port = 1000;
-  tc.dst_port = 2000;
-  tc.window = 16;
-  auto agent = make_tcp_agent(v, net.sim(), net.node(0), tc);
-  TcpSink sink(net.sim(), net.node(hops), 2000);
-  sink.start();
-  TcpAgent* raw = agent.get();
-  net.sim().schedule_at(SimTime::zero(), [raw] { raw->start(); });
+  Stack stack = build_stack(cfg, net, positions, all);
 
   std::vector<std::unique_ptr<RandomWaypointMobility>> movers;
   if (mobile) {
@@ -615,8 +606,9 @@ double run_once(TcpVariant v, bool mobile, double max_speed,
     }
   }
 
-  net.run_until(to_sim_time(duration));
-  return static_cast<double>(sink.delivered()) * 1460 * 8 / duration.value() / 1e3;
+  net.run_until(cfg.duration);
+  Stack* const stacks[] = {&stack};
+  return collect(cfg, stacks).flows[0].throughput.value() / 1e3;
 }
 
 void mobility_bench(const BenchArgs& args) {

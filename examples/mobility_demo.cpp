@@ -5,14 +5,18 @@
 //
 // Usage: mobility_demo [muzha|newreno] (Muzha when no argument is given;
 // anything else prints the usage and exits 2).
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <numeric>
+#include <vector>
 
 #include "routing/aodv.h"
 #include "scenario/experiment.h"
 #include "scenario/mobility.h"
+#include "scenario/network.h"
+#include "scenario/stack.h"
 #include "stats/time_series.h"
-#include "tcp/tcp_sink.h"
 
 int main(int argc, char** argv) {
   using namespace muzha;
@@ -25,23 +29,18 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  Network net(/*seed=*/4);
-  build_chain(net, 2, /*spacing=*/Meters(200.0));  // slack below the 250 m range
-  net.use_aodv();
-  if (variant == TcpVariant::kMuzha) net.enable_muzha_routers();
-
-  TcpConfig tc;
-  tc.dst = net.node(2).id();
-  tc.src_port = 1000;
-  tc.dst_port = 2000;
-  tc.window = 16;
-  auto agent = make_tcp_agent(variant, net.sim(), net.node(0), tc);
-  TcpSink sink(net.sim(), net.node(2), 2000);
-  sink.start();
-  ThroughputSampler sampler(SimTime::from_seconds(1.0));
-  sampler.attach(sink);
-  TcpAgent* raw = agent.get();
-  net.sim().schedule_at(SimTime::zero(), [raw] { raw->start(); });
+  ExperimentConfig cfg;
+  cfg.hops = 2;
+  cfg.duration = SimTime::from_seconds(40);
+  cfg.seed = 4;
+  cfg.flows.push_back({variant, 0, 2, SimTime::zero(), /*window=*/16});
+  // 200 m: slack below the 250 m range.
+  const std::vector<Position> positions =
+      chain_positions(cfg.hops, Meters(200.0));
+  std::vector<std::size_t> all(positions.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  Network net(cfg.seed);
+  Stack stack = build_stack(cfg, net, positions, all);
 
   // The relay wanders off perpendicular to the chain at t=10 s (links break
   // once its offset exceeds ~150 m) and returns by t=20 s.
@@ -54,12 +53,15 @@ int main(int argc, char** argv) {
   net.sim().schedule_at(SimTime::from_seconds(20),
                         [&] { mob.set_velocity(MetersPerSecond(0.0), MetersPerSecond(0.0)); });
 
-  net.run_until(SimTime::from_seconds(40));
+  net.run_until(cfg.duration);
+  Stack* const stacks[] = {&stack};
+  const ExperimentResult result = collect(cfg, stacks);
+  const FlowResult& flow = result.flows[0];
 
   std::printf("%s over a 2-hop chain; relay absent ~t=13..17 s\n\n",
               variant_name(variant));
   std::printf("%6s %12s\n", "t(s)", "kbps");
-  for (const TimePoint& p : sampler.series()) {
+  for (const TimePoint& p : flow.throughput_series) {
     int bars = static_cast<int>(p.value / 1e4);
     std::printf("%6.1f %12.1f  %.*s\n", p.t.value(), p.value / 1e3, bars,
                 "########################################################");
@@ -73,8 +75,8 @@ int main(int argc, char** argv) {
                   aodv0.rerrs_sent()));
   std::printf("TCP: %llu timeouts, %llu retransmissions, %lld segments "
               "delivered\n",
-              static_cast<unsigned long long>(raw->timeouts()),
-              static_cast<unsigned long long>(raw->retransmissions()),
-              static_cast<long long>(sink.delivered()));
+              static_cast<unsigned long long>(flow.timeouts),
+              static_cast<unsigned long long>(flow.retransmissions),
+              static_cast<long long>(flow.delivered));
   return 0;
 }

@@ -4,8 +4,9 @@
 // advertised window `window_`) and a duration; run_experiment() builds the
 // whole stack, runs it, and returns per-flow throughput, retransmissions,
 // CWND traces and throughput-dynamics series. Most figures and examples are
-// thin wrappers over this; mobility_demo, the mobility_bench figure and
-// bench_channel build their networks by hand (scenario/network.h).
+// thin wrappers over this. mobility_demo and the mobility_bench figure build
+// their flow with build_stack (scenario/stack.h) and add motion by hand;
+// bench_channel builds its networks by hand (scenario/network.h).
 #pragma once
 
 #include <memory>

@@ -48,7 +48,7 @@ class Network {
 
   // Attaches a Muzha bandwidth estimator / DRAI source to every node
   // (routers assist all passing Muzha flows).
-  void enable_muzha_routers(DraiConfig cfg = {});
+  void enable_muzha_routers(DraiConfig cfg);
 
   // Attaches RED/ECN single-bit markers instead (the paper's Sec. 3.2
   // comparison point). Mutually exclusive with enable_muzha_routers.
@@ -75,11 +75,10 @@ std::vector<NodeId> build_chain(Network& net, int hops,
                                 Meters spacing = Meters(250.0));
 
 // Cross topology (Fig 5.15): a horizontal and a vertical chain of `hops`
-// hops sharing the centre node (4-hop cross = 9 nodes). Positions list the
-// horizontal arm left to right, then the vertical arm bottom to top without
-// the centre, so the centre is index hops / 2 and the vertical arm's ends
-// are indices hops + 1 and 2 * hops.
-std::vector<Position> cross_positions(int hops,
-                                      Meters spacing = Meters(250.0));
+// hops, neighbours 250 m apart, sharing the centre node (4-hop cross = 9
+// nodes). Positions list the horizontal arm left to right, then the
+// vertical arm bottom to top without the centre, so the centre is index
+// hops / 2 and the vertical arm's ends are indices hops + 1 and 2 * hops.
+std::vector<Position> cross_positions(int hops);
 
 }  // namespace muzha

@@ -48,8 +48,7 @@ class CwndTracer {
 // throughput of each bin in bits/second.
 class ThroughputSampler {
  public:
-  explicit ThroughputSampler(SimTime bin_width = SimTime::from_ms(500),
-                             std::uint32_t payload_bytes = 1460)
+  explicit ThroughputSampler(SimTime bin_width, std::uint32_t payload_bytes)
       : bin_width_(to_seconds(bin_width)), payload_bytes_(payload_bytes) {}
 
   void attach(TcpSink& sink) {

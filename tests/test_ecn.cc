@@ -5,7 +5,7 @@
 
 #include "phy/channel.h"
 #include "scenario/experiment.h"
-#include "tests/tcp_test_harness.h"
+#include "tests/harness/sender_fixture.h"
 
 namespace muzha {
 namespace {
@@ -92,7 +92,7 @@ TEST_F(RedTest, NeverGivesRateAdvice) {
 TEST(TcpNewRenoEcnTest, EchoedMarkHalvesOncePerRtt) {
   TcpConfig cfg;
   cfg.window = 32;
-  TcpHarness<TcpNewRenoEcn> h(cfg);
+  harness::SenderFixture<TcpNewRenoEcn> h(cfg);
   h.start();
   h.ack_each_up_to(9);  // cwnd 11
   double before = h.agent().cwnd().value();
@@ -109,7 +109,7 @@ TEST(TcpNewRenoEcnTest, EchoedMarkHalvesOncePerRtt) {
 TEST(TcpNewRenoEcnTest, UnmarkedAcksBehaveLikeNewReno) {
   TcpConfig cfg;
   cfg.window = 32;
-  TcpHarness<TcpNewRenoEcn> h(cfg);
+  harness::SenderFixture<TcpNewRenoEcn> h(cfg);
   h.start();
   h.ack_each_up_to(5);
   EXPECT_DOUBLE_EQ(h.agent().cwnd().value(), 7.0);  // slow-start growth

@@ -8,7 +8,7 @@
 #include "relwork/tcp_rovegas.h"
 #include "relwork/tcp_westwood.h"
 #include "routing/static_routing.h"
-#include "tests/tcp_test_harness.h"
+#include "tests/harness/sender_fixture.h"
 
 namespace muzha {
 namespace {
@@ -17,9 +17,9 @@ namespace {
 // TCP-DOOR
 // ---------------------------------------------------------------------------
 
-class DoorHarness : public TcpHarness<TcpDoor> {
+class DoorHarness : public harness::SenderFixture<TcpDoor> {
  public:
-  DoorHarness() : TcpHarness<TcpDoor>(make_cfg()) {}
+  DoorHarness() : harness::SenderFixture<TcpDoor>(make_cfg()) {}
   static TcpConfig make_cfg() {
     TcpConfig cfg;
     cfg.window = 32;
@@ -104,9 +104,9 @@ TEST(TcpDoorTest, BehavesLikeNewRenoWithoutReordering) {
 // ADTCP sender
 // ---------------------------------------------------------------------------
 
-class AdtcpHarness : public TcpHarness<AdtcpSender> {
+class AdtcpHarness : public harness::SenderFixture<AdtcpSender> {
  public:
-  AdtcpHarness() : TcpHarness<AdtcpSender>(make_cfg()) {}
+  AdtcpHarness() : harness::SenderFixture<AdtcpSender>(make_cfg()) {}
   static TcpConfig make_cfg() {
     TcpConfig cfg;
     cfg.window = 32;
@@ -256,9 +256,9 @@ TEST_F(AdtcpSinkTest, GrowingQueueingDelaySignalsCongestion) {
 // TCP Jersey
 // ---------------------------------------------------------------------------
 
-class JerseyHarness : public TcpHarness<TcpJersey> {
+class JerseyHarness : public harness::SenderFixture<TcpJersey> {
  public:
-  JerseyHarness() : TcpHarness<TcpJersey>(make_cfg()) {}
+  JerseyHarness() : harness::SenderFixture<TcpJersey>(make_cfg()) {}
   static TcpConfig make_cfg() {
     TcpConfig cfg;
     cfg.window = 32;
@@ -338,9 +338,9 @@ TEST(TcpJerseyTest, TimeoutUsesAbeAsSsthresh) {
 // TCP RoVegas
 // ---------------------------------------------------------------------------
 
-class RoVegasHarness : public TcpHarness<TcpRoVegas> {
+class RoVegasHarness : public harness::SenderFixture<TcpRoVegas> {
  public:
-  RoVegasHarness() : TcpHarness<TcpRoVegas>(make_cfg()) {}
+  RoVegasHarness() : harness::SenderFixture<TcpRoVegas>(make_cfg()) {}
   static TcpConfig make_cfg() {
     TcpConfig cfg;
     cfg.window = 64;
@@ -395,9 +395,9 @@ TEST(TcpRoVegasTest, ReactsToForwardPathQueueing) {
 // TCP Westwood
 // ---------------------------------------------------------------------------
 
-class WestwoodHarness : public TcpHarness<TcpWestwood> {
+class WestwoodHarness : public harness::SenderFixture<TcpWestwood> {
  public:
-  WestwoodHarness() : TcpHarness<TcpWestwood>(make_cfg()) {}
+  WestwoodHarness() : harness::SenderFixture<TcpWestwood>(make_cfg()) {}
   static TcpConfig make_cfg() {
     TcpConfig cfg;
     cfg.window = 32;

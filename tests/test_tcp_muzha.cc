@@ -4,13 +4,13 @@
 
 #include <gtest/gtest.h>
 
-#include "tests/tcp_test_harness.h"
+#include "tests/harness/sender_fixture.h"
 
 namespace muzha {
 namespace {
 
 TEST(TcpMuzhaTest, StartsInCongestionAvoidanceWithWindowTwo) {
-  TcpHarness<TcpMuzha> h;
+  harness::SenderFixture<TcpMuzha> h;
   h.start();
   // No slow start: the session begins with cwnd 2 in CA.
   EXPECT_DOUBLE_EQ(h.agent().cwnd().value(), 2.0);
@@ -18,7 +18,7 @@ TEST(TcpMuzhaTest, StartsInCongestionAvoidanceWithWindowTwo) {
 }
 
 TEST(TcpMuzhaTest, ModerateAccelerationAddsOnePerRtt) {
-  TcpHarness<TcpMuzha> h;
+  harness::SenderFixture<TcpMuzha> h;
   h.start();
   h.ack(0, kDraiModerateAccel);
   EXPECT_DOUBLE_EQ(h.agent().cwnd().value(), 3.0);
@@ -27,21 +27,21 @@ TEST(TcpMuzhaTest, ModerateAccelerationAddsOnePerRtt) {
 }
 
 TEST(TcpMuzhaTest, AggressiveAccelerationDoublesPerRtt) {
-  TcpHarness<TcpMuzha> h;
+  harness::SenderFixture<TcpMuzha> h;
   h.start();
   h.ack(0, kDraiAggressiveAccel);
   EXPECT_DOUBLE_EQ(h.agent().cwnd().value(), 4.0);
 }
 
 TEST(TcpMuzhaTest, StabilizeHoldsWindow) {
-  TcpHarness<TcpMuzha> h;
+  harness::SenderFixture<TcpMuzha> h;
   h.start();
   h.ack(0, kDraiStabilize);
   EXPECT_DOUBLE_EQ(h.agent().cwnd().value(), 2.0);
 }
 
 TEST(TcpMuzhaTest, ModerateDecelerationSubtractsOne) {
-  TcpHarness<TcpMuzha> h;
+  harness::SenderFixture<TcpMuzha> h;
   h.start();
   h.ack(0, kDraiModerateAccel);  // cwnd 3
   h.ack_each_up_to(h.agent().next_seq() - 1, kDraiModerateDecel);
@@ -49,7 +49,7 @@ TEST(TcpMuzhaTest, ModerateDecelerationSubtractsOne) {
 }
 
 TEST(TcpMuzhaTest, AggressiveDecelerationHalves) {
-  TcpHarness<TcpMuzha> h;
+  harness::SenderFixture<TcpMuzha> h;
   h.start();
   h.ack(0, kDraiAggressiveAccel);  // cwnd 4
   h.ack_each_up_to(h.agent().next_seq() - 1, kDraiAggressiveDecel);
@@ -57,7 +57,7 @@ TEST(TcpMuzhaTest, AggressiveDecelerationHalves) {
 }
 
 TEST(TcpMuzhaTest, WindowNeverFallsBelowOne) {
-  TcpHarness<TcpMuzha> h;
+  harness::SenderFixture<TcpMuzha> h;
   h.start();
   for (int i = 0; i < 6; ++i) {
     h.ack_each_up_to(h.agent().next_seq() - 1, kDraiAggressiveDecel);
@@ -66,7 +66,7 @@ TEST(TcpMuzhaTest, WindowNeverFallsBelowOne) {
 }
 
 TEST(TcpMuzhaTest, AppliesMostConservativeMraiOfTheEpoch) {
-  TcpHarness<TcpMuzha> h;
+  harness::SenderFixture<TcpMuzha> h;
   h.start();
   h.ack(0, kDraiModerateAccel);  // epoch 1 ends; cwnd 3; next epoch spans
                                  // everything sent so far
@@ -79,7 +79,7 @@ TEST(TcpMuzhaTest, AppliesMostConservativeMraiOfTheEpoch) {
 }
 
 TEST(TcpMuzhaTest, MarkedTripleDupAckHalvesAndEntersFF) {
-  TcpHarness<TcpMuzha> h;
+  harness::SenderFixture<TcpMuzha> h;
   h.start();
   h.ack(0, kDraiAggressiveAccel);      // cwnd 4
   h.ack(1, kDraiAggressiveAccel);
@@ -94,7 +94,7 @@ TEST(TcpMuzhaTest, MarkedTripleDupAckHalvesAndEntersFF) {
 }
 
 TEST(TcpMuzhaTest, UnmarkedTripleDupAckRetransmitsWithoutSlowdown) {
-  TcpHarness<TcpMuzha> h;
+  harness::SenderFixture<TcpMuzha> h;
   h.start();
   h.ack(0, kDraiAggressiveAccel);
   h.ack_each_up_to(4, kDraiModerateAccel);
@@ -107,7 +107,7 @@ TEST(TcpMuzhaTest, UnmarkedTripleDupAckRetransmitsWithoutSlowdown) {
 }
 
 TEST(TcpMuzhaTest, PartialAckInFFRetransmitsNextHole) {
-  TcpHarness<TcpMuzha> h;
+  harness::SenderFixture<TcpMuzha> h;
   h.start();
   h.ack(0, kDraiAggressiveAccel);
   h.ack_each_up_to(4, kDraiModerateAccel);
@@ -124,7 +124,7 @@ TEST(TcpMuzhaTest, PartialAckInFFRetransmitsNextHole) {
 }
 
 TEST(TcpMuzhaTest, NoDraiAdjustmentsDuringFF) {
-  TcpHarness<TcpMuzha> h;
+  harness::SenderFixture<TcpMuzha> h;
   h.start();
   h.ack(0, kDraiAggressiveAccel);
   h.ack_each_up_to(4, kDraiModerateAccel);
@@ -135,7 +135,7 @@ TEST(TcpMuzhaTest, NoDraiAdjustmentsDuringFF) {
 }
 
 TEST(TcpMuzhaTest, TimeoutResetsWindowToOneAndStaysInCA) {
-  TcpHarness<TcpMuzha> h;
+  harness::SenderFixture<TcpMuzha> h;
   h.start();
   h.ack(0, kDraiAggressiveAccel);
   ASSERT_GT(h.agent().cwnd().value(), 1.0);
@@ -152,7 +152,7 @@ TEST(TcpMuzhaTest, TimeoutResetsWindowToOneAndStaysInCA) {
 }
 
 TEST(TcpMuzhaTest, LossDiscriminationOffTreatsAllLossAsCongestion) {
-  TcpHarness<TcpMuzha> h;
+  harness::SenderFixture<TcpMuzha> h;
   h.agent().set_loss_discrimination(false);
   h.start();
   h.ack(0, kDraiAggressiveAccel);
@@ -166,7 +166,7 @@ TEST(TcpMuzhaTest, LossDiscriminationOffTreatsAllLossAsCongestion) {
 TEST(TcpMuzhaTest, DupAcksBeyondThresholdKeepPipeFed) {
   TcpConfig cfg;
   cfg.window = 16;
-  TcpHarness<TcpMuzha> h(cfg);
+  harness::SenderFixture<TcpMuzha> h(cfg);
   h.start();
   h.ack(0, kDraiAggressiveAccel);
   h.ack_each_up_to(4, kDraiAggressiveAccel);
