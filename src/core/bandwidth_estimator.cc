@@ -27,12 +27,12 @@ BandwidthEstimator::BandwidthEstimator(Simulator& sim, WirelessDevice& device,
 void BandwidthEstimator::start() {
   if (started_) return;
   started_ = true;
-  last_busy_total_ = device_.mac().cumulative_busy_time();
+  last_busy_total_ = device_.phy().cumulative_busy_time();
   sim_.schedule_in(cfg_.sample_interval, [this] { sample(); });
 }
 
 void BandwidthEstimator::sample() {
-  SimTime busy_total = device_.mac().cumulative_busy_time();
+  SimTime busy_total = device_.phy().cumulative_busy_time();
   SimTime delta = busy_total - last_busy_total_;
   last_busy_total_ = busy_total;
   double inst = static_cast<double>(delta.ns()) /

@@ -49,30 +49,30 @@ void Channel::transmit(const WirelessPhy& src, const Packet& pkt,
   if (mode_ == ChannelMode::kBruteForce) {
     for (WirelessPhy* rx : phys_) {
       if (rx == &src) continue;
-      deliver(rx, sp, rx->position(), pkt, duration);
+      Meters dist = distance(sp, rx->position());
+      if (dist <= params_.cs_range) deliver(rx, dist, pkt, duration);
     }
   } else {
     // Cell side == cs_range, so the 3x3 neighborhood is a superset of the
-    // delivery disc; deliver() re-applies the exact range check. Sorting by
-    // the attach-order key restores brute-force scan order, which fixes both
-    // the schedule_in order and the random-loss RNG draw order.
+    // delivery disc, and gather() applies the exact range check before the
+    // sort. Sorting by the attach-order key restores brute-force scan order,
+    // which fixes both the schedule_in order and the random-loss RNG draw
+    // order.
     scratch_.clear();
-    grid_.gather(sp, scratch_);
+    grid_.gather(sp, params_.cs_range, scratch_);
     std::sort(scratch_.begin(), scratch_.end(),
               [](const SpatialGrid::Entry& a, const SpatialGrid::Entry& b) {
                 return a.order < b.order;
               });
     for (const SpatialGrid::Entry& e : scratch_) {
       if (e.phy == &src) continue;
-      deliver(e.phy, sp, e.pos, pkt, duration);
+      deliver(e.phy, e.dist, pkt, duration);
     }
   }
 }
 
-void Channel::deliver(WirelessPhy* rx, Position src_pos, Position rx_pos,
-                      const Packet& pkt, SimTime duration) {
-  Meters dist = distance(src_pos, rx_pos);
-  if (dist > params_.cs_range) return;
+void Channel::deliver(WirelessPhy* rx, Meters dist, const Packet& pkt,
+                      SimTime duration) {
   bool decodable = dist <= params_.rx_range;
   bool pre_corrupted = false;
   PacketPtr copy;

@@ -82,14 +82,16 @@ void SpatialGrid::remove(CellKey cell, const WirelessPhy* phy) {
   filed.pop_back();
 }
 
-void SpatialGrid::gather(Position center, std::vector<Entry>& out) const {
+void SpatialGrid::gather(Position center, Meters range,
+                         std::vector<Entry>& out) const {
   CellKey c = cell_of(center);
   for (std::int64_t dy = -1; dy <= 1; ++dy) {
     for (std::int64_t dx = -1; dx <= 1; ++dx) {
       std::uint32_t ci = find_cell(c.cx + dx, c.cy + dy);
       if (ci == kNoCell) continue;
       for (const Filed& f : cells_[ci].entries) {
-        out.push_back(Entry{f.phy->position(), f.order, f.phy});
+        Meters d = distance(center, f.phy->position());
+        if (d <= range) out.push_back(Entry{d, f.order, f.phy});
       }
     }
   }

@@ -10,10 +10,11 @@
 // under cell_of() its position and remembers that cell; it re-files the PHY
 // only when a move changes the cell, and names the cell again to remove it.
 // No removal or rehash has owner state to patch, and no cell stores a
-// position that could go stale: gather() emits each candidate with its
-// owner's live position() doubles, the loads a brute-force scan performs.
-// The channel sorts candidates by attach order, which restores that scan's
-// order, so delivery is bit-identical to it.
+// position that could go stale: gather() measures each candidate's distance
+// from its owner's live position() doubles, the loads and the distance() a
+// brute-force scan performs, and keeps only those within range. The channel
+// sorts the survivors by attach order, which restores that scan's order, so
+// delivery is bit-identical to it.
 //
 // The cell table is open-addressed with linear probing and never deletes a
 // cell (an emptied cell keeps its slot), so probe chains stay valid without
@@ -40,9 +41,9 @@ class SpatialGrid {
     friend bool operator==(CellKey, CellKey) = default;
   };
 
-  // A gathered candidate, carrying its owner's position() at gather time.
+  // A gathered candidate, with its distance from the gather centre.
   struct Entry {
-    Position pos;
+    Meters dist;
     std::uint64_t order;  // channel attach-order key (monotonic, unique)
     WirelessPhy* phy;
   };
@@ -57,9 +58,10 @@ class SpatialGrid {
   void insert(CellKey cell, std::uint64_t order, WirelessPhy* phy);
   // Unfiles `phy` from `cell`, which must be the cell it is filed under.
   void remove(CellKey cell, const WirelessPhy* phy);
-  // Appends every PHY filed in the 3x3 cell neighborhood of `center` to
+  // Appends every PHY filed in the 3x3 cell neighborhood of `center` that
+  // lies within `range` of it (distance(center, position()) <= range) to
   // `out` (not cleared), in unspecified order.
-  void gather(Position center, std::vector<Entry>& out) const;
+  void gather(Position center, Meters range, std::vector<Entry>& out) const;
 
  private:
   static constexpr std::uint32_t kNoCell = 0xFFFFFFFFu;

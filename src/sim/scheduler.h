@@ -14,6 +14,13 @@
 // stands in for a chain of equally spaced events with the one at its end and
 // must fire where that last link would have.
 //
+// Deferred keys: defer() reserves the key schedule_in() would give an event
+// now, consuming its seq, and schedules nothing; schedule(key, cb) may push
+// the callback under exactly that key later, and passed(key) tells whether
+// such an event would already have run. Because the seq is consumed at the
+// instant the event would have been scheduled, every other event keeps its
+// seq, and a key scheduled late sorts exactly where the original would have.
+//
 // Per-event state is split structure-of-arrays style: the hot bookkeeping
 // (generation + heap position, 8 bytes) lives in a dense vector that sift
 // operations write through, while the 64-byte callbacks live out-of-line in
@@ -65,6 +72,14 @@ class Scheduler {
     for (const HeapEntry& e : heap_) slot_cb(e.slot).~EventCallback();
   }
 
+  // An event's sort key: fires at `time`, ties broken by (lead descending,
+  // seq).
+  struct Key {
+    SimTime time;
+    std::uint64_t seq = 0;
+    std::uint32_t lead = 0;
+  };
+
   SimTime now() const { return now_; }
 
   // Schedules `cb` to run at absolute time `t` (must be >= now()). Accepts
@@ -72,10 +87,8 @@ class Scheduler {
   // explicit EventCallback argument works too and is moved.
   template <typename F>
   EventId schedule_at(SimTime t, F&& cb) {
-    const std::int64_t lead = (t - now_).ns();
-    return push(t,
-                lead < kMaxLead ? static_cast<std::uint32_t>(lead) : kMaxLead,
-                next_seq_++, std::forward<F>(cb));
+    const Key key = key_at(t);
+    return push(key.time, key.lead, key.seq, std::forward<F>(cb));
   }
 
   // Schedules `cb` to run `delay` from now (delay must be >= 0).
@@ -109,6 +122,23 @@ class Scheduler {
                 std::forward<F>(cb));
   }
 
+  // The key schedule_in(delay) would give an event now. Consumes its seq;
+  // schedules nothing.
+  Key defer(SimTime delay) { return key_at(now_ + delay); }
+
+  // True when `key` sorts before the event now running, i.e. an event
+  // under it would already have fired. Between run_until() calls the event
+  // "now running" sorts after everything at now(), so there a key deferred
+  // by zero has passed at once.
+  bool passed(const Key& key) const { return earlier(key, running_); }
+
+  // Schedules `cb` under `key`, a key from defer() that has not passed.
+  template <typename F>
+  EventId schedule(const Key& key, F&& cb) {
+    MUZHA_DCHECK(!passed(key), "scheduling a deferred key that has passed");
+    return push(key.time, key.lead, key.seq, std::forward<F>(cb));
+  }
+
   // Cancels a pending event: removes it from the heap eagerly and recycles
   // its slot. Cancelling an already-fired or invalid id is a no-op (the
   // generation check rejects stale handles), so callers may cancel
@@ -136,12 +166,14 @@ class Scheduler {
     while (!heap_.empty()) {
       if (heap_[0].time > t_end) {
         now_ = t_end;
+        running_ = after_all(now_);
         return n;
       }
       step();
       ++n;
     }
     if (now_ < t_end && t_end != SimTime::max()) now_ = t_end;
+    running_ = after_all(now_);
     return n;
   }
 
@@ -159,6 +191,7 @@ class Scheduler {
                  "firing slot holds no callback (double fire or slot "
                  "recycling bug)");
     now_ = top.time;
+    running_ = {top.time, top.seq, top.lead};
     // Move the callback out and retire the slot before invoking: the
     // callback may schedule new events (growing the pool) or cancel its
     // own — now stale — id.
@@ -218,11 +251,21 @@ class Scheduler {
     return (static_cast<EventId>(slot) << 32) | gen;
   }
 
-  // True when `a` fires strictly before `b`.
-  static bool earlier(const HeapEntry& a, const HeapEntry& b) {
+  // True when `a` fires strictly before `b` (heap entries or keys).
+  template <typename A, typename B>
+  static bool earlier(const A& a, const B& b) {
     if (a.time != b.time) return a.time < b.time;
     if (a.lead != b.lead) return a.lead > b.lead;
     return a.seq < b.seq;
+  }
+
+  // A key after every key at `t`: what "now running" means between runs.
+  static Key after_all(SimTime t) { return {t, ~std::uint64_t{0}, 0}; }
+
+  Key key_at(SimTime t) {
+    const std::int64_t lead = (t - now_).ns();
+    return {t, next_seq_++,
+            lead < kMaxLead ? static_cast<std::uint32_t>(lead) : kMaxLead};
   }
 
   template <typename F>
@@ -311,6 +354,7 @@ class Scheduler {
   }
 
   SimTime now_;
+  Key running_ = after_all(SimTime::zero());  // key of the event now running
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
   std::vector<SlotMeta> meta_;

@@ -169,11 +169,11 @@ TEST_F(MacTest, NavDefersThirdStation) {
 TEST_F(MacTest, UtilizationAccountingGrowsWithTraffic) {
   Station& a = add_station(0, {0, 0});
   Station& b = add_station(1, {200, 0});
-  EXPECT_EQ(b.mac->cumulative_busy_time(), SimTime::zero());
+  EXPECT_EQ(b.phy->cumulative_busy_time(), SimTime::zero());
   a.mac->transmit(ip_packet(1400, 0, 1), 1);
   sim.run_until(SimTime::from_ms(100));
   // b sensed a's RTS + DATA plus its own CTS/ACK responses.
-  SimTime busy = b.mac->cumulative_busy_time();
+  SimTime busy = b.phy->cumulative_busy_time();
   EXPECT_GT(busy, SimTime::from_ms(5));
   EXPECT_LT(busy, SimTime::from_ms(20));
 }
@@ -181,7 +181,7 @@ TEST_F(MacTest, UtilizationAccountingGrowsWithTraffic) {
 TEST_F(MacTest, IdleStationsAccumulateNoBusyTime) {
   Station& a = add_station(0, {0, 0});
   sim.run_until(SimTime::from_ms(50));
-  EXPECT_EQ(a.mac->cumulative_busy_time(), SimTime::zero());
+  EXPECT_EQ(a.phy->cumulative_busy_time(), SimTime::zero());
 }
 
 TEST_F(MacTest, SpatialReuseAllowsConcurrentDisjointExchanges) {
