@@ -245,5 +245,48 @@ TEST(MacBackoff, UndisturbedCountdownCostsTheSameEventsWhateverItsLength) {
   EXPECT_GE(lengths.size(), 3u) << "the seeds should draw different backoffs";
 }
 
+// A station whose MAC holds no frame keeps a sensed signal's end as a
+// record. Station 0 senses a signal of kFreezeLen arriving at kSensed, and
+// takes a broadcast frame at `take`. An observer PHY at the same spot
+// timestamps the frame's start: a cold MAC draws no backoff, so the frame
+// starts one DIFS after the medium is idle at the take.
+SimTime start_after_record(SimTime take) {
+  constexpr SimTime kSensed = SimTime::from_ms(1);
+  Simulator sim(1);
+  Channel channel(sim, PhyParams{});
+  WirelessPhy phy(sim, channel, 0, {0, 0});
+  Mac80211 mac(sim, phy);
+  WirelessPhy observer(sim, channel, 1, {0, 0});
+  std::vector<SimTime> starts;
+  observer.set_channel_state_callback([&](bool busy) {
+    if (busy) starts.push_back(sim.now());
+  });
+  sim.schedule_at(kSensed - kPropDelay, [&] {
+    sim.schedule_in(kPropDelay, [&] {
+      phy.signal_start(nullptr, false, kFreezeLen, Meters(400.0));
+    });
+  });
+  sim.schedule_at(take, [&] {
+    mac.transmit(ip_packet(100, 0, kBroadcastId), kBroadcastId);
+  });
+  sim.run_until(SimTime::from_ms(10));
+  EXPECT_EQ(starts.size(), 1u);
+  return starts.empty() ? SimTime::zero() : starts[0];
+}
+
+TEST(MacRecords, FrameTakenMidRecordStartsDifsAtTheRecordEnd) {
+  const SimTime end = SimTime::from_ms(1) + kFreezeLen;
+  // Taken mid-signal: the record's end is scheduled and starts the DIFS.
+  EXPECT_EQ(start_after_record(SimTime::from_ms(1) + kFreezeLen / 2),
+            end + kMacDifs);
+  // Taken at the end's own instant: the take was scheduled further ahead,
+  // so it sorts first and schedules the end, whose idle edge then starts
+  // the DIFS at that same instant.
+  EXPECT_EQ(start_after_record(end), end + kMacDifs);
+  // Taken after the end: the DIFS runs from the take.
+  EXPECT_EQ(start_after_record(end + SimTime::from_us(3)),
+            end + SimTime::from_us(3) + kMacDifs);
+}
+
 }  // namespace
 }  // namespace muzha

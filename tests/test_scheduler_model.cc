@@ -13,6 +13,13 @@
 // deterministically. This is also what gives us confidence the indexed-heap
 // rewrite (eager cancellation, slot recycling, generation-checked handles)
 // preserved the old scheduler's semantics.
+//
+// Deferred keys join the mix: defer() reserves a key (consuming its seq as
+// schedule_in would), passed() is compared with the reference's view of the
+// event now running, and schedule(key) pushes a callback under a reserved
+// key later. The reference files such an event under the (time, seq) it
+// reserved, so a lead or seq taken at schedule(key) time instead of at
+// defer() time fires out of place.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -39,6 +46,13 @@ class ReferenceScheduler {
 
   std::uint64_t schedule_at(std::int64_t t_ns, int token) {
     return add({t_ns, next_seq_++}, Entry{token, 0, 0, next_handle_++});
+  }
+
+  // A deferred key is the (time, seq) schedule_at would use now.
+  Key defer(std::int64_t delay_ns) { return {now_ns_ + delay_ns, next_seq_++}; }
+  bool passed(const Key& key) const { return key < running_; }
+  std::uint64_t schedule(const Key& key, int token) {
+    return add(key, Entry{token, 0, 0, next_handle_++});
   }
 
   // A chain of `links` events `step_ns` apart, starting now. Each link
@@ -72,6 +86,7 @@ class ReferenceScheduler {
     while (!queue_.empty()) {
       if (queue_.begin()->first.first > t_end_ns) {
         now_ns_ = t_end_ns;
+        running_ = {now_ns_, UINT64_MAX};
         return;
       }
       pop(fired);
@@ -79,6 +94,8 @@ class ReferenceScheduler {
     // Drained: the clock still advances to the horizon, except for the
     // run() = run_until(max) spelling which parks at the last event.
     if (now_ns_ < t_end_ns && !t_end_is_max) now_ns_ = t_end_ns;
+    // Between runs, "now running" sorts after everything at now.
+    running_ = {now_ns_, UINT64_MAX};
   }
 
   std::int64_t now_ns() const { return now_ns_; }
@@ -103,6 +120,7 @@ class ReferenceScheduler {
   bool pop(std::vector<int>& fired) {
     auto it = queue_.begin();
     now_ns_ = it->first.first;
+    const Key key = it->first;
     const Entry e = it->second;
     queue_.erase(it);
     if (e.links_after > 0) {
@@ -111,6 +129,7 @@ class ReferenceScheduler {
       return false;
     }
     by_handle_.erase(e.handle);
+    running_ = key;
     ++executed_;
     fired.push_back(e.token);
     if (on_fire) on_fire(e.token);
@@ -124,6 +143,7 @@ class ReferenceScheduler {
   std::uint64_t next_handle_ = 1;
   std::int64_t now_ns_ = 0;
   std::uint64_t executed_ = 0;
+  Key running_{0, UINT64_MAX};  // the last visible event, or after all at now
 };
 
 // Chain steps, and the delays of the events that start chains. As in the
@@ -166,6 +186,15 @@ void run_model_check(std::uint64_t seed, int ops) {
   auto record = [&fired_real](int token) {
     return [token, &fired_real] { fired_real.push_back(token); };
   };
+  // Deferred keys, each reserved in both schedulers and scheduled at most
+  // once, under the token drawn when it was reserved.
+  struct Deferred {
+    Scheduler::Key real;
+    ReferenceScheduler::Key ref;
+    int token;
+    bool scheduled;
+  };
+  std::vector<Deferred> deferred;
 
   for (int op = 0; op < ops; ++op) {
     const int choice = static_cast<int>(rng.uniform_int(0, 99));
@@ -216,7 +245,22 @@ void run_model_check(std::uint64_t seed, int ops) {
     } else if (choice < 70) {
       const bool advanced = sched.step();
       EXPECT_EQ(advanced, ref.step(fired_ref));
-    } else if (choice < 72) {
+    } else if (choice < 78) {
+      // defer(): 0 or an odd multiple of 10 ns, never a chain step.
+      const std::int64_t k = rng.uniform_int(0, 10);
+      const std::int64_t delay = k == 0 ? 0 : (2 * k - 1) * 10;
+      deferred.push_back({sched.defer(SimTime::from_ns(delay)),
+                          ref.defer(delay), next_token++, false});
+    } else if (choice < 84 && !deferred.empty()) {
+      // schedule(key) for a reserved key, unless it has passed.
+      Deferred& d = deferred[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(deferred.size()) - 1))];
+      if (!d.scheduled && !sched.passed(d.real)) {
+        d.scheduled = true;
+        real_ids.push_back(sched.schedule(d.real, record(d.token)));
+        ref_ids.push_back(ref.schedule(d.ref, d.token));
+      }
+    } else if (choice < 86) {
       sched.cancel(kInvalidEventId);
       sched.cancel((static_cast<EventId>(0x7fffffu) << 32) | 1u);  // never issued
     } else {
@@ -229,6 +273,15 @@ void run_model_check(std::uint64_t seed, int ops) {
     ASSERT_EQ(sched.pending_events(), ref.pending()) << "op " << op;
     ASSERT_EQ(sched.events_executed(), ref.executed()) << "op " << op;
     ASSERT_EQ(fired_real, fired_ref) << "op " << op;
+    for (const Deferred& d : deferred) {
+      if (d.scheduled) continue;
+      ASSERT_EQ(sched.passed(d.real), ref.passed(d.ref))
+          << "op " << op << ", key at " << d.ref.first << " ns";
+    }
+    // A key, once passed, stays passed; keep only those still usable.
+    std::erase_if(deferred, [&](const Deferred& d) {
+      return d.scheduled || sched.passed(d.real);
+    });
   }
 
   // Drain both and compare the complete firing history.
