@@ -1,7 +1,7 @@
 // Per-node available-bandwidth estimator feeding the DRAI (Sec. 4.3).
 //
 // Polls the device periodically: medium utilization is the EWMA of the
-// fraction of each sample interval the 802.11 MAC sensed the medium busy;
+// fraction of each sample interval the PHY sensed the medium busy;
 // queue occupancy is read instantaneously when a packet is stamped. Attach
 // one estimator per Muzha-capable node (Node::set_drai_source).
 #pragma once
