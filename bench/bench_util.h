@@ -7,8 +7,8 @@
 
 namespace muzha::bench {
 
-// Single flow over an h-hop chain (Simulation 1 & 2 setup). The seed is a
-// placeholder: BatchRunner overwrites it with the derived per-run seed.
+// Single flow over an h-hop chain (Simulation 1 & 2 setup). run_batch runs
+// the seed as given; BatchRunner overwrites it with a derived per-run seed.
 inline ExperimentConfig chain_single_flow(TcpVariant v, int hops, int window,
                                           Seconds duration,
                                           std::uint64_t seed = 1) {

@@ -11,8 +11,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
-#include <numeric>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -21,9 +19,6 @@
 #include "bench/bench_util.h"
 #include "scenario/batch_runner.h"
 #include "scenario/experiment.h"
-#include "scenario/mobility.h"
-#include "scenario/network.h"
-#include "scenario/stack.h"
 #include "stats/fairness.h"
 #include "stats/replicated_stats.h"
 
@@ -568,67 +563,46 @@ void relwork_shootout(const BenchArgs& args) {
   }
 }
 
-// Mobility stress (the paper's stated future work): an 8-hop chain whose
-// interior relays wander with random-waypoint motion inside a corridor,
+// Mobility stress (the paper's stated future work): an 8-hop chain, 200 m
+// apart, whose interior relays wander with random-waypoint motion inside a
+// band around their chain slots (ExperimentConfig::relay_max_speed),
 // producing genuine route failures. Compares how each variant's throughput
-// degrades from the static baseline. The flow builds through build_stack,
-// but the relays' motion is added by hand on the built network, not through
-// run_experiment, so the runs stay serial whatever --jobs says: --jobs is
-// an upper bound on worker threads, and this row uses one.
-double run_once(TcpVariant v, bool mobile, double max_speed,
-                std::uint64_t seed) {
-  const int hops = 8;
-  const ExperimentConfig cfg =
-      chain_single_flow(v, hops, /*window=*/16, Seconds(40.0), seed);
-  // 200 m: 50 m slack below decode range.
-  const std::vector<Position> positions = chain_positions(hops, Meters(200.0));
-  std::vector<std::size_t> all(positions.size());
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  Network net(seed);
-  Stack stack = build_stack(cfg, net, positions, all);
-
-  std::vector<std::unique_ptr<RandomWaypointMobility>> movers;
-  if (mobile) {
-    // Interior relays wander in a band around their chain slots; the band
-    // is sized so links break intermittently rather than permanently.
-    for (int i = 1; i < hops; ++i) {
-      RandomWaypointMobility::Config mc;
-      mc.min_x = 200.0 * i - 35;
-      mc.max_x = 200.0 * i + 35;
-      mc.min_y = -35;
-      mc.max_y = 35;
-      mc.min_speed = MetersPerSecond(1.0);
-      mc.max_speed = MetersPerSecond(max_speed);
-      mc.pause = SimTime::from_seconds(1.0);
-      movers.push_back(std::make_unique<RandomWaypointMobility>(
-          net.sim(), net.node(i), mc));
-      movers.back()->start();
-    }
-  }
-
-  net.run_until(cfg.duration);
-  Stack* const stacks[] = {&stack};
-  return collect(cfg, stacks).flows[0].throughput.value() / 1e3;
-}
-
+// degrades from the static baseline. Each cell averages seeds 1..3, set on
+// the configs, not derived. Runs are parallelised by run_batch (--jobs N).
 void mobility_bench(const BenchArgs& args) {
   const int seeds = args.quick ? 1 : 3;
   const double speeds[] = {0.0, 5.0, 15.0};
+  const TcpVariant variants[] = {TcpVariant::kMuzha, TcpVariant::kNewReno,
+                                 TcpVariant::kSack, TcpVariant::kVegas};
+
+  std::vector<ExperimentConfig> configs;
+  for (double sp : speeds) {
+    for (TcpVariant v : variants) {
+      for (int s = 1; s <= seeds; ++s) {
+        ExperimentConfig cfg = chain_single_flow(
+            v, /*hops=*/8, /*window=*/16, Seconds(40.0),
+            static_cast<std::uint64_t>(s));
+        cfg.chain_spacing = Meters(200.0);  // 50 m slack below decode range
+        cfg.relay_max_speed = MetersPerSecond(sp);
+        configs.push_back(cfg);
+      }
+    }
+  }
+  std::vector<ExperimentResult> results = run_batch(configs, args.jobs);
 
   std::printf("=== Mobility stress: 8-hop chain, wandering relays (kbps) "
               "===\n%-14s", "max speed");
-  const TcpVariant variants[] = {TcpVariant::kMuzha, TcpVariant::kNewReno,
-                                 TcpVariant::kSack, TcpVariant::kVegas};
   for (TcpVariant v : variants) std::printf("%10s", variant_name(v));
   std::printf("\n");
 
+  std::size_t run = 0;
   for (double sp : speeds) {
     std::printf("%-14s", sp == 0 ? "static" :
                 (sp < 10 ? "5 m/s" : "15 m/s"));
-    for (TcpVariant v : variants) {
+    for (std::size_t i = 0; i < std::size(variants); ++i) {
       double thr = 0;
       for (int s = 1; s <= seeds; ++s) {
-        thr += run_once(v, sp > 0, sp, static_cast<std::uint64_t>(s)) / seeds;
+        thr += results[run++].flows[0].throughput.value() / 1e3 / seeds;
       }
       std::printf("%10.1f", thr);
     }

@@ -79,9 +79,14 @@ const VariantInfo& variant_info(TcpVariant v) {
 }
 
 // Random-waypoint motion of the field topologies.
-constexpr MetersPerSecond kFieldMinSpeed = MetersPerSecond(1.0);
 constexpr MetersPerSecond kFieldMaxSpeed = MetersPerSecond(10.0);
 constexpr SimTime kFieldPause = SimTime::from_seconds(2.0);
+// Random-waypoint motion of a chain's interior relays: a square band of
+// ±kRelayBand around each relay's chain slot, sized so that on a 200 m
+// chain links break intermittently rather than permanently.
+constexpr double kRelayBand = 35.0;  // m
+constexpr SimTime kRelayPause = SimTime::from_seconds(1.0);
+constexpr SimTime kRelayTick = SimTime::from_ms(100);
 
 // Shortest-hop next hops over the decode-range graph of `pos`: one BFS per
 // destination, whose predecessor links become the members' table entries.
@@ -160,7 +165,7 @@ std::vector<double> ExperimentResult::flow_throughputs() const {
 std::vector<Position> node_positions(const ExperimentConfig& cfg, Rng& rng) {
   switch (cfg.topology) {
     case TopologyKind::kChain:
-      return chain_positions(cfg.hops);
+      return chain_positions(cfg.hops, cfg.chain_spacing);
     case TopologyKind::kCross:
       return cross_positions(cfg.hops);
     case TopologyKind::kRandomField:
@@ -173,9 +178,21 @@ Stack build_stack(const ExperimentConfig& cfg, Network& net,
                   const std::vector<Position>& positions,
                   const std::vector<std::size_t>& members) {
   MUZHA_ASSERT(!cfg.flows.empty(), "experiment needs at least one flow");
+  MUZHA_ASSERT(cfg.duration >= SimTime::zero(),
+               "duration must not be negative");
   // Written so that NaN fails too.
   MUZHA_ASSERT(cfg.uniform_error_rate >= 0.0 && cfg.uniform_error_rate <= 1.0,
                "uniform_error_rate must be in [0, 1]");
+  MUZHA_ASSERT(cfg.chain_spacing > Meters(0.0), "chain_spacing must be > 0");
+  const bool relays_move = cfg.relay_max_speed != MetersPerSecond(0.0);
+  MUZHA_ASSERT(!relays_move ||
+                   cfg.relay_max_speed >= RandomWaypointMobility::kMinSpeed,
+               "relay_max_speed must be 0 or at least 1 m/s");
+  MUZHA_ASSERT(cfg.topology == TopologyKind::kChain ||
+                   (cfg.chain_spacing == kChainSpacing && !relays_move),
+               "chain_spacing and relay_max_speed apply to a chain only");
+  MUZHA_ASSERT(!relays_move || cfg.hops >= 2,
+               "relay motion needs an interior relay: hops must be >= 2");
   Stack st;
   st.net = &net;
   // Global node index -> index in `net`; SIZE_MAX for another stack's node.
@@ -183,27 +200,6 @@ Stack build_stack(const ExperimentConfig& cfg, Network& net,
   for (std::size_t li = 0; li < members.size(); ++li) {
     local_index[members[li]] = li;
     net.add_node(positions[members[li]], static_cast<NodeId>(members[li]));
-  }
-
-  // Random-waypoint motion over the node's district rectangle (the whole
-  // field when districts == 1).
-  if (cfg.topology == TopologyKind::kRandomField && cfg.field.mobile) {
-    st.mobility.reserve(members.size());
-    for (std::size_t li = 0; li < members.size(); ++li) {
-      Rect r = district_rect(cfg.field, district_of(cfg.field, members[li]));
-      RandomWaypointMobility::Config mc;
-      mc.min_x = r.x0;
-      mc.max_x = r.x1;
-      mc.min_y = r.y0;
-      mc.max_y = r.y1;
-      mc.min_speed = kFieldMinSpeed;
-      mc.max_speed = kFieldMaxSpeed;
-      mc.pause = kFieldPause;
-      mc.tick = cfg.field.mobility_tick;
-      st.mobility.push_back(std::make_unique<RandomWaypointMobility>(
-          net.sim(), net.node(li), mc));
-      st.mobility.back()->start();
-    }
   }
 
   if (cfg.static_routing) {
@@ -291,6 +287,34 @@ Stack build_stack(const ExperimentConfig& cfg, Network& net,
     cc.start_time = c.start_time;
     st.cbr_apps[i] = std::make_unique<CbrApp>(net.sim(), net.node(src), cc);
     st.cbr_apps[i]->install();
+  }
+
+  // Random-waypoint motion, started after the flows and the CBR load: each
+  // field node over its district rectangle (the whole field when districts
+  // == 1), each interior chain relay over its band.
+  auto move = [&](std::size_t li, RandomWaypointMobility::Config mc) {
+    st.mobility.push_back(
+        std::make_unique<RandomWaypointMobility>(net.sim(), net.node(li), mc));
+    st.mobility.back()->start();
+  };
+  if (cfg.topology == TopologyKind::kRandomField && cfg.field.mobile) {
+    st.mobility.reserve(members.size());
+    for (std::size_t li = 0; li < members.size(); ++li) {
+      Rect r = district_rect(cfg.field, district_of(cfg.field, members[li]));
+      move(li, {.min_x = r.x0, .max_x = r.x1, .min_y = r.y0, .max_y = r.y1,
+                .max_speed = kFieldMaxSpeed, .pause = kFieldPause,
+                .tick = cfg.field.mobility_tick});
+    }
+  } else if (relays_move) {
+    for (std::size_t li = 0; li < members.size(); ++li) {
+      const std::size_t i = members[li];
+      if (i == 0 || i == positions.size() - 1) continue;  // endpoints stay
+      const double slot = cfg.chain_spacing.value() * static_cast<double>(i);
+      move(li, {.min_x = slot - kRelayBand, .max_x = slot + kRelayBand,
+                .min_y = -kRelayBand, .max_y = kRelayBand,
+                .max_speed = cfg.relay_max_speed, .pause = kRelayPause,
+                .tick = kRelayTick});
+    }
   }
   return st;
 }

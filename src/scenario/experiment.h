@@ -3,10 +3,10 @@
 // Describe a topology, a set of TCP flows (variant, endpoints, start time,
 // advertised window `window_`) and a duration; run_experiment() builds the
 // whole stack, runs it, and returns per-flow throughput, retransmissions,
-// CWND traces and throughput-dynamics series. Most figures and examples are
-// thin wrappers over this. mobility_demo and the mobility_bench figure build
-// their flow with build_stack (scenario/stack.h) and add motion by hand;
-// bench_channel builds its networks by hand (scenario/network.h).
+// CWND traces and throughput-dynamics series. Every figure and example is a
+// thin wrapper over this, the mobile chains of mobility_bench and
+// mobility_demo included; bench_channel builds its networks by hand
+// (scenario/network.h).
 #pragma once
 
 #include <memory>
@@ -127,6 +127,12 @@ struct CbrFlowSpec {
 struct ExperimentConfig {
   TopologyKind topology = TopologyKind::kChain;
   int hops = 4;
+  // Neighbour distance of a kChain. A cross keeps kChainSpacing.
+  Meters chain_spacing = kChainSpacing;
+  // Random-waypoint motion of a kChain's interior relays when positive:
+  // each wanders in a band around its chain slot at speeds from 1 m/s up to
+  // this maximum (constants in experiment.cc). 0 keeps the chain static.
+  MetersPerSecond relay_max_speed = MetersPerSecond(0.0);
   FieldConfig field;  // used by kRandomField only
   SimTime duration = SimTime::from_seconds(30.0);
   std::uint64_t seed = 1;

@@ -18,7 +18,7 @@ void RandomWaypointMobility::pick_waypoint() {
   waypoint_.x = rng.uniform(cfg_.min_x, cfg_.max_x);
   waypoint_.y = rng.uniform(cfg_.min_y, cfg_.max_y);
   speed_ = MetersPerSecond(
-      rng.uniform(cfg_.min_speed.value(), cfg_.max_speed.value()));
+      rng.uniform(kMinSpeed.value(), cfg_.max_speed.value()));
   paused_ = false;
 }
 

@@ -90,15 +90,14 @@ std::vector<NodeId> build_chain(Network& net, int hops, Meters spacing) {
 
 std::vector<Position> cross_positions(int hops) {
   MUZHA_ASSERT(hops >= 2 && hops % 2 == 0, "cross needs an even hop count");
-  constexpr Meters kSpacing = Meters(250.0);
   int half = hops / 2;
   std::vector<Position> out;
   out.reserve(2 * static_cast<std::size_t>(hops) + 1);
   for (int i = -half; i <= half; ++i) {
-    out.push_back({kSpacing.value() * i, 0.0});
+    out.push_back({kChainSpacing.value() * i, 0.0});
   }
   for (int i = -half; i <= half; ++i) {
-    if (i != 0) out.push_back({0.0, kSpacing.value() * i});
+    if (i != 0) out.push_back({0.0, kChainSpacing.value() * i});
   }
   return out;
 }

@@ -67,17 +67,20 @@ class Network {
 std::vector<NodeId> add_nodes(Network& net,
                               const std::vector<Position>& positions);
 
+// Neighbour distance of the paper's chain and cross (Figs 5.1, 5.15): 250 m,
+// exactly one-hop connectivity.
+inline constexpr Meters kChainSpacing = Meters(250.0);
+
 // Chain topology (Fig 5.1): hops+1 nodes on a line, neighbours `spacing`
-// apart (250 m: exactly one-hop connectivity).
-std::vector<Position> chain_positions(int hops,
-                                      Meters spacing = Meters(250.0));
+// apart.
+std::vector<Position> chain_positions(int hops, Meters spacing = kChainSpacing);
 std::vector<NodeId> build_chain(Network& net, int hops,
-                                Meters spacing = Meters(250.0));
+                                Meters spacing = kChainSpacing);
 
 // Cross topology (Fig 5.15): a horizontal and a vertical chain of `hops`
-// hops, neighbours 250 m apart, sharing the centre node (4-hop cross = 9
-// nodes). Positions list the horizontal arm left to right, then the
-// vertical arm bottom to top without the centre, so the centre is index
+// hops, neighbours kChainSpacing apart, sharing the centre node (4-hop
+// cross = 9 nodes). Positions list the horizontal arm left to right, then
+// the vertical arm bottom to top without the centre, so the centre is index
 // hops / 2 and the vertical arm's ends are indices hops + 1 and 2 * hops.
 std::vector<Position> cross_positions(int hops);
 

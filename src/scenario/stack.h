@@ -2,9 +2,11 @@
 //
 // run_experiment() builds one Stack over every node on the calling thread;
 // run_sharded_experiment() builds one Stack per shard, over that shard's
-// nodes, on the pool thread that runs the shard. Both read their results back through
-// collect(), so topology, routing, router assistance, flows and result
-// fields each exist in exactly one place.
+// nodes, on the pool thread that runs the shard. Both read their results
+// back through collect(), so topology, motion, routing, router assistance,
+// flows and result fields each exist in exactly one place. Programs run
+// ExperimentConfigs; only those two runners and the tests that hook a run
+// between build and collect call build_stack() and collect().
 #pragma once
 
 #include <cstddef>
@@ -47,9 +49,12 @@ struct Stack {
 std::vector<Position> node_positions(const ExperimentConfig& cfg, Rng& rng);
 
 // Adds `members` (ascending indices into `positions`) to `net` under their
-// global ids, then builds on them: mobility, routing, router assistance,
-// loss, the TCP flows and the CBR load. Static routes are computed over all
-// of `positions`: each member gets the routes a one-core run gives it.
+// global ids, then builds on them: routing, router assistance, loss, the
+// TCP flows, the CBR load and, last, motion (a mobile field's nodes or a
+// chain's moving relays). Static routes are computed over all of
+// `positions`: each member gets the routes a one-core run gives it. Dies
+// with a message on a config that means nothing, such as a negative
+// duration or relay motion off a chain.
 Stack build_stack(const ExperimentConfig& cfg, Network& net,
                   const std::vector<Position>& positions,
                   const std::vector<std::size_t>& members);

@@ -1,4 +1,4 @@
-// The MAC-visible trace oracle (phy/frame_trace.h), pinned on five runs.
+// The MAC-visible trace oracle (phy/frame_trace.h), pinned on six runs.
 //
 // Each pin hashes every transmission start, every frame a PHY handed its
 // MAC and every retry-limit drop of one run built by build_stack. They hold
@@ -91,6 +91,17 @@ TEST(FrameTraceOracle, SackEightHopsFivePercentLoss) {
   const TracedRun run = expect_trace(chain(TcpVariant::kSack, 8, 5, 0.05),
                                      0x8537765AFDC4DBA9ull);
   // Some frames run out of retries here, so the hash covers that record.
+  EXPECT_GT(run.result.mac_retry_drops, 0u);
+}
+
+// The one pin in which moving relays break a chain's links: positions change
+// between transmissions and frames run out of retries.
+TEST(FrameTraceOracle, MuzhaEightHopsMovingRelays) {
+  ExperimentConfig cfg = chain(TcpVariant::kMuzha, 8, 3, 0.0);
+  cfg.duration = SimTime::from_seconds(40.0);
+  cfg.chain_spacing = Meters(200.0);
+  cfg.relay_max_speed = MetersPerSecond(5.0);
+  const TracedRun run = expect_trace(cfg, 0x2DAC5E1BDD52FD95ull);
   EXPECT_GT(run.result.mac_retry_drops, 0u);
 }
 

@@ -170,6 +170,64 @@ TEST(ExperimentApiDeath, RejectsLossRateOutsideUnitInterval) {
   }
 }
 
+ExperimentConfig two_hop_chain() {
+  ExperimentConfig cfg;
+  cfg.hops = 2;
+  cfg.flows.push_back({TcpVariant::kNewReno, 0, 2, SimTime::zero(), 8});
+  return cfg;
+}
+
+// A negative duration would run nothing and report a negative flow
+// duration. A zero duration is a legal setup-only run.
+TEST(ExperimentApiDeath, RejectsNegativeDuration) {
+  ExperimentConfig cfg = two_hop_chain();
+  cfg.duration = SimTime::zero();
+  EXPECT_EQ(run_experiment(cfg).flows[0].delivered, 0);
+  cfg.duration = SimTime::from_seconds(-1.0);
+  EXPECT_DEATH(run_experiment(cfg), "duration must not be negative");
+}
+
+TEST(ExperimentApiDeath, RejectsChainSpacingThatIsNotPositive) {
+  for (double m : {0.0, -200.0, std::numeric_limits<double>::quiet_NaN()}) {
+    ExperimentConfig cfg = two_hop_chain();
+    cfg.chain_spacing = Meters(m);
+    EXPECT_DEATH(run_experiment(cfg), "chain_spacing must be > 0")
+        << "spacing " << m;
+  }
+}
+
+// Below 1 m/s a relay would be slower than random waypoint's minimum speed.
+TEST(ExperimentApiDeath, RejectsRelaySpeedThatIsNeitherZeroNorAtLeastOne) {
+  for (double v : {-5.0, 0.5, std::numeric_limits<double>::quiet_NaN()}) {
+    ExperimentConfig cfg = two_hop_chain();
+    cfg.relay_max_speed = MetersPerSecond(v);
+    EXPECT_DEATH(run_experiment(cfg), "relay_max_speed must be 0 or at least")
+        << "speed " << v;
+  }
+}
+
+TEST(ExperimentApiDeath, RejectsChainSettingsOffAChain) {
+  for (TopologyKind t : {TopologyKind::kCross, TopologyKind::kRandomField}) {
+    ExperimentConfig cfg = two_hop_chain();
+    cfg.topology = t;
+    cfg.field.nodes = 3;
+    cfg.chain_spacing = Meters(200.0);
+    EXPECT_DEATH(run_experiment(cfg), "apply to a chain only");
+    cfg.chain_spacing = kChainSpacing;
+    cfg.relay_max_speed = MetersPerSecond(5.0);
+    EXPECT_DEATH(run_experiment(cfg), "apply to a chain only");
+  }
+}
+
+// A 1-hop chain has no interior relay, so its motion would silently be none.
+TEST(ExperimentApiDeath, RejectsRelayMotionOnOneHopChain) {
+  ExperimentConfig cfg = two_hop_chain();
+  cfg.hops = 1;
+  cfg.flows[0].dst = 1;
+  cfg.relay_max_speed = MetersPerSecond(5.0);
+  EXPECT_DEATH(run_experiment(cfg), "hops must be >= 2");
+}
+
 TEST(NetworkApi, StaticRoutingAccessorChecksType) {
   Network net(1);
   build_chain(net, 2);
