@@ -1,12 +1,14 @@
 // Shared wireless channel.
 //
-// The channel knows every attached PHY and its position. A transmission is
-// delivered as a signal_start event to every PHY within carrier-sense range,
-// after per-receiver propagation delay; the receiving PHY schedules the
-// signal's end, or keeps it as a record when nothing needs that event
-// (phy/wireless_phy.h). Receivers within decode range additionally get the
-// frame contents; receivers between decode and CS range only sense energy
-// (which still interferes). The receiving PHY, not the channel, decides
+// The channel knows every attached PHY and its position. A transmission
+// reaches every PHY within carrier-sense range after per-receiver
+// propagation delay. Receivers within decode range get the frame contents
+// as a signal_start event; receivers between decode and CS range only sense
+// energy (which still interferes), and get a signal_start event too unless
+// their owner needs no idle edges: then the PHY files the start as a record
+// under the key that event would have taken (phy/wireless_phy.h). The
+// receiving PHY keys the signal's end from that delivery key, and schedules
+// it or keeps it as a record. The receiving PHY, not the channel, decides
 // collision outcomes, because they depend on receiver state (half-duplex,
 // already decoding, ...).
 //
@@ -86,7 +88,8 @@ class Channel {
 
  private:
   // Shared per-receiver delivery tail of both transmit modes, for a
-  // receiver `dist` <= cs_range away. Both modes compute `dist` as
+  // receiver `dist` <= cs_range away: schedules the signal's start, or
+  // files a sensed-only one with the PHY. Both modes compute `dist` as
   // distance(src position, the receiver's live position()), so it is
   // bit-identical.
   void deliver(WirelessPhy* rx, Meters dist, const Packet& pkt,

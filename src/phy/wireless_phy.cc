@@ -35,44 +35,93 @@ SimTime WirelessPhy::tx_duration(Bytes total, bool basic_rate) const {
 }
 
 void WirelessPhy::schedule_records() {
-  expire_records();
+  catch_up();
+  Scheduler& sched = sim_.scheduler();
+  for (const PendingStart& start : pending_starts_) {
+    sched.schedule(start.key,
+                   [this, duration = start.duration, dist = start.dist] {
+                     signal_start(nullptr, false, duration, dist);
+                   });
+  }
+  pending_starts_.clear();
   for (Signal& signal : active_signals_) {
     if (!signal.record) continue;
     signal.record = false;
-    sim_.scheduler().schedule(signal.end,
-                              [this, id = signal.id] { signal_end(id); });
+    sched.schedule(signal.end, [this, id = signal.id] { signal_end(id); });
   }
-  earliest_record_end_ = SimTime::max();
+  earliest_due_ = SimTime::max();
 }
 
 SimTime WirelessPhy::cumulative_busy_time() {
-  expire_records();
+  catch_up();
   return busy() ? busy_accum_ + (sim_.now() - busy_since_) : busy_accum_;
 }
 
-void WirelessPhy::drop_passed_records() {
+void WirelessPhy::apply_passed() {
   const Scheduler& sched = sim_.scheduler();
+  // The passed starts in key order, each after the record ends before it.
+  for (;;) {
+    const std::size_t n = pending_starts_.size();
+    std::size_t first = n;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Scheduler::Key& key = pending_starts_[i].key;
+      if (sched.passed(key) &&
+          (first == n || Scheduler::earlier(key, pending_starts_[first].key))) {
+        first = i;
+      }
+    }
+    if (first == n) break;
+    const PendingStart start = pending_starts_[first];
+    pending_starts_[first] = pending_starts_.back();  // swap-pop
+    pending_starts_.pop_back();
+    drop_records_before(start.key);
+    // What signal_start() does for a signal it cannot lock onto, at the
+    // start's own time.
+    interfere(start.dist);
+    if (!busy()) busy_since_ = start.key.time;
+    active_signals_.push_back({next_signal_seq_++, start.dist,
+                               Scheduler::follow(start.key, start.duration),
+                               true});
+  }
+  drop_records_before(sched.running());
+  SimTime earliest = SimTime::max();
+  for (const PendingStart& start : pending_starts_) {
+    earliest = std::min(earliest, start.key.time);
+  }
+  for (const Signal& signal : active_signals_) {
+    if (signal.record) earliest = std::min(earliest, signal.end.time);
+  }
+  earliest_due_ = earliest;
+}
+
+void WirelessPhy::drop_records_before(const Scheduler::Key& key) {
   bool expired = false;
   SimTime last_end;
-  SimTime earliest = SimTime::max();
   for (std::size_t i = 0; i < active_signals_.size();) {
     const Signal& signal = active_signals_[i];
-    if (!signal.record) {
-      ++i;
-    } else if (sched.passed(signal.end)) {
+    if (signal.record && Scheduler::earlier(signal.end, key)) {
       expired = true;
       last_end = std::max(last_end, signal.end.time);
       active_signals_[i] = active_signals_.back();  // swap-pop
       active_signals_.pop_back();
     } else {
-      earliest = std::min(earliest, signal.end.time);
       ++i;
     }
   }
-  earliest_record_end_ = earliest;
-  // The carrier stayed busy up to the latest expired end: every signal start
-  // is an event here, and each one expires records first.
+  // The carrier stayed busy up to the latest expired end: every record
+  // dropped here was on the air when the PHY last changed, and no start
+  // came in between.
   if (expired && !busy()) busy_accum_ += last_end - busy_since_;
+}
+
+void WirelessPhy::interfere(Meters dist) {
+  // Capture effect: a sufficiently distant (weak) interferer does not
+  // destroy the frame being decoded.
+  if (decoding_seq_ != 0 && !decoding_corrupted_ &&
+      dist < decoding_dist_ * channel_.params().capture_distance_ratio) {
+    decoding_corrupted_ = true;
+    ++collisions_;
+  }
 }
 
 void WirelessPhy::start_tx(PacketPtr pkt, bool basic_rate) {
@@ -126,27 +175,21 @@ void WirelessPhy::signal_start(PacketPtr pkt, bool pre_corrupted,
     decoding_pkt_ = std::move(pkt);
     decoding_corrupted_ = pre_corrupted;
     decoding_dist_ = tx_dist;
-  } else if (decoding_seq_ != 0 && !decoding_corrupted_) {
-    // Capture effect: a sufficiently distant (weak) interferer does not
-    // destroy the frame being decoded.
-    if (tx_dist < decoding_dist_ * ratio) {
-      decoding_corrupted_ = true;
-      ++collisions_;
-    }
+  } else {
+    interfere(tx_dist);
   }
-  active_signals_.push_back({seq, tx_dist, {}, false});
+  const Scheduler::Key end =
+      Scheduler::follow(sim_.scheduler().running(), duration);
+  active_signals_.push_back({seq, tx_dist, end, false});
   update_carrier(was_busy);
-  // Record or event, the end's seq is taken here, after the carrier
-  // callback, so every other event's seq is the same either way.
   if (needs_idle_edges_ || seq == decoding_seq_) {
-    sim_.schedule_in(duration, [this, seq] { signal_end(seq); });
+    sim_.scheduler().schedule(end, [this, seq] { signal_end(seq); });
     return;
   }
   Signal& signal = active_signals_.back();
   MUZHA_DCHECK(signal.id == seq, "a carrier callback reordered the signals");
-  signal.end = sim_.scheduler().defer(duration);
   signal.record = true;
-  earliest_record_end_ = std::min(earliest_record_end_, signal.end.time);
+  earliest_due_ = std::min(earliest_due_, end.time);
 }
 
 void WirelessPhy::signal_end(std::uint64_t signal_seq) {

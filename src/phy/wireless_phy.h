@@ -10,25 +10,31 @@
 // arriving while the PHY is transmitting are lost (half duplex). Corrupted
 // receptions are reported to the MAC so it can apply EIFS.
 //
-// Signal records: the end of a signal the PHY did not lock onto changes
-// nothing but the carrier. While the owner needs no idle edges
-// (set_needs_idle_edges(false): the MAC holds no frame), such an end is not
-// an event but a record in active_signals_, carrying the scheduler key
-// defer() reserved for it at signal start. Each entry point (signal start
-// and end, TX start and end, carrier_busy(), cumulative_busy_time() and
-// set_needs_idle_edges()) first drops the records whose key has passed, so
-// every answer is the one the end events would have given. When the owner
-// starts needing edges again, every live record's end is scheduled under its
-// reserved key and fires exactly where it would have. A PHY without an owner
-// that says otherwise needs idle edges and schedules every end.
+// Signal records: a signal the PHY does not lock onto changes nothing but
+// the carrier. While the owner needs no idle edges
+// (set_needs_idle_edges(false): the MAC holds no frame), such signals cost
+// no events:
+//  - the end of a signal the PHY did not lock onto is a record in
+//    active_signals_, carrying its key, Scheduler::follow(delivery key,
+//    airtime), the key every signal end takes;
+//  - a sensed-only start (no frame: its transmitter is beyond decode range)
+//    is filed by the channel in pending_starts_, under the delivery key its
+//    event would have run under.
+// Each entry point (signal start and end, TX start and end, carrier_busy(),
+// cumulative_busy_time(), collisions() and set_needs_idle_edges()) first
+// applies the starts and ends whose keys have passed, in key order, so every
+// answer is the one the events would have given. When the owner starts
+// needing edges again, every pending start and every live record's end is
+// scheduled under its key and fires exactly where it would have. A PHY
+// without an owner that says otherwise needs idle edges and keeps no records.
 //
 // Busy time: the PHY sums the time its carrier is sensed busy, own
-// transmissions included. A reported edge counts at now; an idle edge that
-// only an expiring record caused counts at the latest expired end, since no
-// signal started in between (every start is an event here). The channel
+// transmissions included. A reported edge counts at now; an edge that only a
+// record caused counts at the record's own start or end time. The channel
 // state callback reports real edges only.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -74,18 +80,19 @@ class WirelessPhy {
   void set_rx_callback(RxCallback cb) { on_rx_ = std::move(cb); }
   void set_tx_done_callback(TxDoneCallback cb) { on_tx_done_ = std::move(cb); }
 
-  // Whether the owner acts on idle edges. While it does not, the ends of
-  // signals this PHY is not decoding are kept as records; turning the need
-  // back on schedules every live record's end under its reserved key.
+  // Whether the owner acts on idle edges. While it does not, sensed-only
+  // starts and the ends of signals this PHY is not decoding are kept as
+  // records; turning the need back on schedules every pending start and
+  // every live record's end under its key.
   void set_needs_idle_edges(bool needs) {
     needs_idle_edges_ = needs;
-    if (needs && earliest_record_end_ != SimTime::max()) schedule_records();
+    if (needs && earliest_due_ != SimTime::max()) schedule_records();
   }
 
   // True when the medium is sensed busy (energy present, receiving, or
   // transmitting).
   bool carrier_busy() {
-    expire_records();
+    catch_up();
     return busy();
   }
   bool transmitting() const { return tx_active_; }
@@ -109,20 +116,25 @@ class WirelessPhy {
   // --- Channel-facing interface -------------------------------------------
   // A signal begins arriving from a transmitter `tx_dist` away. `pkt` is
   // non-null iff the receiver is within decode range; `pre_corrupted` marks
-  // random channel errors.
+  // random channel errors. Runs as the signal's start event: the running
+  // event's key is the delivery key its end follows.
   void signal_start(PacketPtr pkt, bool pre_corrupted, SimTime duration,
                     Meters tx_dist);
 
   // Statistics.
   std::uint64_t frames_sent() const { return frames_sent_; }
   std::uint64_t frames_received_ok() const { return frames_received_ok_; }
-  std::uint64_t collisions() const { return collisions_; }
+  // Applies passed records first: a pending start may corrupt a frame.
+  std::uint64_t collisions() {
+    catch_up();
+    return collisions_;
+  }
 
  private:
-  friend class Channel;  // channel bookkeeping below
+  friend class Channel;  // channel bookkeeping and file_start() below
 
-  // A signal currently arriving. Its end is either a scheduled event or,
-  // for a record, the key `end` that expire_records() checks.
+  // A signal currently arriving. Its end, keyed `end`, is either a
+  // scheduled event or, for a record, a key that catch_up() checks.
   struct Signal {
     std::uint64_t id;  // this PHY's signal sequence
     Meters dist;       // distance to the transmitter
@@ -130,12 +142,31 @@ class WirelessPhy {
     bool record;
   };
 
-  bool busy() const { return tx_active_ || !active_signals_.empty(); }
-  // Inline so that a PHY with no record due pays one comparison.
-  void expire_records() {
-    if (sim_.now() >= earliest_record_end_) drop_passed_records();
+  // A sensed-only start the channel filed instead of scheduling: the key
+  // its event would have run under, its airtime and its distance.
+  struct PendingStart {
+    Scheduler::Key key;
+    SimTime duration;
+    Meters dist;
+  };
+
+  // Called by the channel, instead of scheduling the start, while the owner
+  // needs no idle edges. Catching up first keeps the list to starts still
+  // to come.
+  void file_start(const Scheduler::Key& key, SimTime duration, Meters dist) {
+    catch_up();
+    pending_starts_.push_back({key, duration, dist});
+    earliest_due_ = std::min(earliest_due_, key.time);
   }
-  void drop_passed_records();
+
+  bool busy() const { return tx_active_ || !active_signals_.empty(); }
+  // Inline so that a PHY with nothing due pays one comparison.
+  void catch_up() {
+    if (sim_.now() >= earliest_due_) apply_passed();
+  }
+  void apply_passed();
+  void drop_records_before(const Scheduler::Key& key);
+  void interfere(Meters dist);
   void schedule_records();
   void signal_end(std::uint64_t signal_seq);
   void update_carrier(bool was_busy);
@@ -162,10 +193,11 @@ class WirelessPhy {
   // justifies a node-allocating container on the per-delivery warm path
   // (the vector keeps its capacity once grown).
   std::vector<Signal> active_signals_;
+  std::vector<PendingStart> pending_starts_;
   bool needs_idle_edges_ = true;
-  // No record ends before this time (max: no records), so expire_records()
-  // skips its scan.
-  SimTime earliest_record_end_ = SimTime::max();
+  // No pending start or record end is due before this time (max: none), so
+  // catch_up() skips its scan.
+  SimTime earliest_due_ = SimTime::max();
 
   // In-progress decode.
   std::uint64_t next_signal_seq_ = 1;

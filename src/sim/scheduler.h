@@ -20,6 +20,10 @@
 // such an event would already have run. Because the seq is consumed at the
 // instant the event would have been scheduled, every other event keeps its
 // seq, and a key scheduled late sorts exactly where the original would have.
+// follow(start, delay) builds, without consuming a seq, the key of an event
+// `delay` after the instant of key `start`: it sorts after every ordinary
+// event at its (time, lead), and by start seq among follow keys. The PHY
+// keys each signal's end this way from the signal's delivery key.
 //
 // Per-event state is split structure-of-arrays style: the hot bookkeeping
 // (generation + heap position, 8 bytes) lives in a dense vector that sift
@@ -113,7 +117,7 @@ class Scheduler {
                              F&& cb) {
     MUZHA_ASSERT(step > SimTime::zero() && step.ns() < kMaxLead,
                  "chain step must be positive and below the lead range");
-    MUZHA_ASSERT(links >= 1 && links < (1u << (64 - kLinksShift)),
+    MUZHA_ASSERT(links >= 1 && links < (1u << (kFollowShift - kLinksShift)),
                  "chain link count out of range");
     MUZHA_DCHECK(next_seq_ < (std::uint64_t{1} << kLinksShift),
                  "sequence numbers overflowed into the chain links key");
@@ -126,13 +130,39 @@ class Scheduler {
   // schedules nothing.
   Key defer(SimTime delay) { return key_at(now_ + delay); }
 
+  // The key of an event `delay` after the instant of `start`, an ordinary
+  // key (deferred, scheduled or running). It stands for an event that the
+  // one under `start` would schedule `delay` ahead as the last thing done at
+  // its instant: among events at its (time, lead) it fires after every
+  // ordinary one, and follow keys sharing a (time, lead) fire in the order
+  // of their start seqs. Consumes no seq.
+  static Key follow(const Key& start, SimTime delay) {
+    MUZHA_DCHECK(start.seq < (std::uint64_t{1} << kLinksShift),
+                 "follow() needs an ordinary start key");
+    MUZHA_DCHECK(delay >= SimTime::zero(), "follow() delay must be >= 0");
+    return {start.time + delay, kFollowBit | start.seq, lead_of(delay)};
+  }
+
+  // The key of the event now running. Between run_until() calls it sorts
+  // after everything at now() and is no ordinary key.
+  const Key& running() const { return running_; }
+
   // True when `key` sorts before the event now running, i.e. an event
   // under it would already have fired. Between run_until() calls the event
   // "now running" sorts after everything at now(), so there a key deferred
   // by zero has passed at once.
   bool passed(const Key& key) const { return earlier(key, running_); }
 
-  // Schedules `cb` under `key`, a key from defer() that has not passed.
+  // True when `a` fires strictly before `b` (heap entries or keys).
+  template <typename A, typename B>
+  static bool earlier(const A& a, const B& b) {
+    if (a.time != b.time) return a.time < b.time;
+    if (a.lead != b.lead) return a.lead > b.lead;
+    return a.seq < b.seq;
+  }
+
+  // Schedules `cb` under `key`, a key from defer() or follow() that has not
+  // passed.
   template <typename F>
   EventId schedule(const Key& key, F&& cb) {
     MUZHA_DCHECK(!passed(key), "scheduling a deferred key that has passed");
@@ -223,7 +253,12 @@ class Scheduler {
   static constexpr std::uint32_t kMaxLead = 0xffffffffu;
   // A chain end's seq carries its link count above this bit, so chain ends
   // sharing a lead sort by links, then by schedule order.
-  static constexpr unsigned kLinksShift = 54;
+  static constexpr unsigned kLinksShift = 53;
+  // A follow key's seq sets this bit, above every ordinary seq and clear of
+  // the link bits. A chain end never shares a lead with a follow key in the
+  // stack (its lead is one slot, a signal end's an airtime).
+  static constexpr unsigned kFollowShift = 63;
+  static constexpr std::uint64_t kFollowBit = std::uint64_t{1} << kFollowShift;
 
   // Heap entries carry the full sort key so sifting never dereferences the
   // pool; `slot` points at the callback and bookkeeping. `lead` fills what
@@ -251,22 +286,16 @@ class Scheduler {
     return (static_cast<EventId>(slot) << 32) | gen;
   }
 
-  // True when `a` fires strictly before `b` (heap entries or keys).
-  template <typename A, typename B>
-  static bool earlier(const A& a, const B& b) {
-    if (a.time != b.time) return a.time < b.time;
-    if (a.lead != b.lead) return a.lead > b.lead;
-    return a.seq < b.seq;
-  }
-
   // A key after every key at `t`: what "now running" means between runs.
   static Key after_all(SimTime t) { return {t, ~std::uint64_t{0}, 0}; }
 
-  Key key_at(SimTime t) {
-    const std::int64_t lead = (t - now_).ns();
-    return {t, next_seq_++,
-            lead < kMaxLead ? static_cast<std::uint32_t>(lead) : kMaxLead};
+  // A lead of `ahead`, saturated.
+  static std::uint32_t lead_of(SimTime ahead) {
+    const std::int64_t ns = ahead.ns();
+    return ns < kMaxLead ? static_cast<std::uint32_t>(ns) : kMaxLead;
   }
+
+  Key key_at(SimTime t) { return {t, next_seq_++, lead_of(t - now_)}; }
 
   template <typename F>
   EventId push(SimTime t, std::uint32_t lead, std::uint64_t seq, F&& cb) {

@@ -93,10 +93,13 @@ class World {
     });
   }
 
-  // Appends every PHY's cumulative_busy_time() to busy_samples() at `t`.
-  void sample_busy_at(SimTime t) {
+  // Appends every PHY's collisions() to collision_samples() and its
+  // cumulative_busy_time() to busy_samples() at `t`. Collisions are read
+  // first, so that they must catch up on their own.
+  void sample_at(SimTime t) {
     sim_.schedule_at(t, [this] {
       for (auto& phy : phys_) {
+        collision_samples_.push_back(phy->collisions());
         busy_samples_.push_back(phy->cumulative_busy_time().ns());
       }
     });
@@ -107,6 +110,9 @@ class World {
   const std::vector<LogEvent>& log() const { return log_; }
   const std::vector<std::int64_t>& busy_samples() const {
     return busy_samples_;
+  }
+  const std::vector<std::uint64_t>& collision_samples() const {
+    return collision_samples_;
   }
   std::vector<std::uint64_t> collisions() const {
     std::vector<std::uint64_t> out;
@@ -121,6 +127,7 @@ class World {
   std::vector<std::unique_ptr<WirelessPhy>> phys_;
   std::vector<LogEvent> log_;
   std::vector<std::int64_t> busy_samples_;
+  std::vector<std::uint64_t> collision_samples_;
   std::uint64_t uid_counter_ = 0;
 };
 
@@ -353,15 +360,17 @@ TEST(ChannelIndexDifferential, DetachAfterCellChange) {
 // Signal records against scheduled ends.
 //
 // One script runs in two worlds. In `edges` every PHY needs idle edges all
-// run, so every signal end is an event. In `records` each PHY starts without
-// the need and flips it at scripted instants, so the ends of signals it does
-// not decode are kept as records while the need is off and scheduled
-// mid-signal when it comes back. Records must change nothing but the edges
-// nobody asked for: the rx log, every PHY's collisions, busy times sampled at
-// scripted instants, and the carrier log inside the intervals where the need
-// is on must all match, in the order the simulation produced them. Both
-// worlds schedule the same flip events (always "on" in `edges`), so every
-// other event keeps its seq.
+// run, so every signal start and end is an event. In `records` each PHY
+// starts without the need and flips it at scripted instants. While the need
+// is off, the channel files sensed-only starts as pending records and the
+// ends of signals the PHY does not decode are kept as records; when the
+// need comes back, pending starts are scheduled, or ends scheduled
+// mid-signal. Records must change nothing but the edges nobody asked for:
+// the rx log, every PHY's collisions and busy time, both sampled at
+// scripted instants and collisions also at the end, and the carrier log
+// inside the intervals where the need is on must all match, in the order
+// the simulation produced them. Both worlds schedule the same flip events
+// (always "on" in `edges`), so every other event keeps its seq.
 
 // Per PHY, the sorted instants at which its need flips; it starts off.
 struct NeedScript {
@@ -421,8 +430,8 @@ void run_record_differential(const std::vector<Position>& positions,
   }
   for (SimTime t = SimTime::from_ns(1'234); t < horizon;
        t += SimTime::from_ns(4'567'891)) {
-    edges.sample_busy_at(t);
-    records.sample_busy_at(t);
+    edges.sample_at(t);
+    records.sample_at(t);
   }
   edges.run_until(horizon + SimTime::from_ms(50));
   records.run_until(horizon + SimTime::from_ms(50));
@@ -431,6 +440,7 @@ void run_record_differential(const std::vector<Position>& positions,
   EXPECT_LT(records.events(), edges.events());
   EXPECT_EQ(records.collisions(), edges.collisions());
   EXPECT_EQ(records.busy_samples(), edges.busy_samples());
+  EXPECT_EQ(records.collision_samples(), edges.collision_samples());
   const std::vector<LogEvent> rx = only(edges.log(), LogEvent::kRx, nullptr);
   EXPECT_GT(rx.size(), 0u);
   EXPECT_TRUE(only(records.log(), LogEvent::kRx, nullptr) == rx)

@@ -7,6 +7,7 @@
 #include "phy/channel.h"
 #include "phy/wireless_phy.h"
 #include "sim/simulator.h"
+#include "sim/units.h"
 
 namespace muzha {
 namespace {
@@ -335,6 +336,82 @@ TEST_F(PhyTest, BusyTimeAcrossOverlappingRecords) {
     const std::vector<bool> expected_edges =
         needs_edges ? std::vector<bool>{true, false} : std::vector<bool>{true};
     EXPECT_EQ(edges, expected_edges);
+  }
+}
+
+TEST_F(PhyTest, CollisionsReadMidFrameCountAPendingInterferer) {
+  // C decodes a frame from A, 200 m away. Mid-frame, B starts 300 m from C:
+  // beyond decode range, so while C needs no idle edges B's start is a
+  // pending record, and it corrupts the frame (300 < 1.78 * 200). Nothing
+  // runs at C between that start and the read, so collisions() must apply
+  // the passed start itself.
+  std::uint64_t events_with_edges = 0;
+  for (bool needs_edges : {true, false}) {
+    SCOPED_TRACE(::testing::Message() << "needs idle edges: " << needs_edges);
+    Simulator s(1);
+    Channel ch(s, params);
+    WirelessPhy c(s, ch, 0, {0, 0});
+    WirelessPhy a(s, ch, 1, {200, 0});
+    WirelessPhy b(s, ch, 2, {-300, 0});
+    c.set_needs_idle_edges(needs_edges);
+    RxLog log;
+    log.attach(c);
+    s.schedule_at(SimTime::zero(),
+                  [&] { a.start_tx(data_packet(1000), false); });
+    s.schedule_at(SimTime::from_ms(1),
+                  [&] { b.start_tx(data_packet(1000, 2), false); });
+    s.run_until(SimTime::from_ms(2));
+    EXPECT_EQ(c.collisions(), 1u);
+    s.run();
+    EXPECT_EQ(c.collisions(), 1u);
+    EXPECT_EQ(log.ok, 0);
+    EXPECT_EQ(log.corrupted, 1);
+    if (needs_edges) {
+      events_with_edges = s.events_executed();
+    } else {
+      // B's start and end at C were records: two events fewer.
+      EXPECT_EQ(s.events_executed() + 2, events_with_edges);
+    }
+  }
+}
+
+TEST_F(PhyTest, TxEndBeforeASignalEndAtTheSameInstantAndLead) {
+  // A's frame reaches C, 300 m away, at `arrival`. B, beyond C's carrier
+  // sense, starts a frame of the same airtime at that very instant, from an
+  // event scheduled 10 us (a SIFS) earlier. B's TX end and the end of A's
+  // signal at C are due at one instant with one lead. B's start_tx ran
+  // before C's signal start, so B's tx-done comes first, then C's idle
+  // edge: also when C keeps the end as a record until mid-signal.
+  for (bool needs_from_start : {true, false}) {
+    SCOPED_TRACE(::testing::Message() << "needs from start: "
+                                      << needs_from_start);
+    Simulator s(1);
+    Channel ch(s, params);
+    WirelessPhy a(s, ch, 0, {0, 0});
+    WirelessPhy b(s, ch, 1, {-300, 0});
+    WirelessPhy c(s, ch, 2, {300, 0});
+    c.set_needs_idle_edges(needs_from_start);
+    std::vector<std::pair<char, SimTime>> order;
+    b.set_tx_done_callback([&] { order.emplace_back('B', s.now()); });
+    c.set_channel_state_callback([&](bool busy) {
+      if (!busy) order.emplace_back('C', s.now());
+    });
+    const SimTime t0 = SimTime::from_ms(1);
+    const SimTime arrival =
+        t0 + to_sim_time(Meters(300.0) / params.propagation);
+    const SimTime air = a.tx_duration(Bytes(1000 + kMacDataOverheadBytes),
+                                      false);
+    s.schedule_at(t0, [&] { a.start_tx(data_packet(1000), false); });
+    s.schedule_at(arrival - SimTime::from_us(10), [&] {
+      s.schedule_in(SimTime::from_us(10),
+                    [&] { b.start_tx(data_packet(1000, 1), false); });
+    });
+    if (!needs_from_start) {
+      s.schedule_at(arrival + air / 2, [&] { c.set_needs_idle_edges(true); });
+    }
+    s.run();
+    EXPECT_EQ(order, (std::vector<std::pair<char, SimTime>>{
+                         {'B', arrival + air}, {'C', arrival + air}}));
   }
 }
 

@@ -1,11 +1,12 @@
 // Model-checked scheduler test: random interleavings of the public API
 // cross-checked against a naive reference model.
 //
-// The reference keeps events in a std::multimap ordered by plain (time, seq)
-// FIFO and replays run_until/step semantics by hand. Chains are where the
-// two differ in mechanism: the reference runs a real chain of links `step`
-// apart, each scheduling the next, while the scheduler under test schedules
-// only the chain's end with schedule_chain_end(). Non-final links are
+// The reference keeps events in a std::multimap ordered, for ordinary keys,
+// by plain (time, seq) FIFO and replays run_until/step semantics by hand.
+// Chains are where the two differ in mechanism: the reference runs a real
+// chain of links `step` apart, each scheduling the next, while the
+// scheduler under test schedules only the chain's end with
+// schedule_chain_end(). Non-final links are
 // invisible (not fired, not executed, one pending link per chain), so any
 // divergence in firing order, now(), pending_events() or events_executed()
 // after any operation means the chain end fired somewhere its last link
@@ -17,9 +18,15 @@
 // Deferred keys join the mix: defer() reserves a key (consuming its seq as
 // schedule_in would), passed() is compared with the reference's view of the
 // event now running, and schedule(key) pushes a callback under a reserved
-// key later. The reference files such an event under the (time, seq) it
-// reserved, so a lead or seq taken at schedule(key) time instead of at
-// defer() time fires out of place.
+// key later. The reference files such an event under the key it reserved,
+// so a lead or seq taken at schedule(key) time instead of at defer() time
+// fires out of place.
+//
+// So do follow keys, built from reserved keys (scheduled or not) and, by
+// starter events, from the key of the event now running. The reference
+// files a follow key after every ordinary key scheduled at or before its
+// start's instant and by start seq among follow keys, so a follow() that
+// takes a fresh seq, or drops its flag bit, fires out of place.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -38,18 +45,32 @@ namespace {
 // Reference model: the scheduler's contract, written the slow obvious way.
 class ReferenceScheduler {
  public:
-  using Key = std::pair<std::int64_t, std::uint64_t>;  // (time ns, seq)
+  // (time ns, the instant it was scheduled at, follow key?, seq). Ordinary
+  // keys sort FIFO, which for them is (time, seq); a follow key sorts after
+  // every ordinary key scheduled at or before its start's instant, before
+  // every later one, and by start seq among follow keys.
+  struct Key {
+    std::int64_t time;
+    std::int64_t origin;
+    bool follow;
+    std::uint64_t seq;
+    auto operator<=>(const Key&) const = default;
+  };
 
   // Runs after each visible event fires, like the callback a real event
   // carries; it may schedule.
   std::function<void(int token)> on_fire;
 
   std::uint64_t schedule_at(std::int64_t t_ns, int token) {
-    return add({t_ns, next_seq_++}, Entry{token, 0, 0, next_handle_++});
+    return add(key_at(t_ns), Entry{token, 0, 0, next_handle_++});
   }
 
-  // A deferred key is the (time, seq) schedule_at would use now.
-  Key defer(std::int64_t delay_ns) { return {now_ns_ + delay_ns, next_seq_++}; }
+  // A deferred key is the key schedule_at would use now.
+  Key defer(std::int64_t delay_ns) { return key_at(now_ns_ + delay_ns); }
+  static Key follow(const Key& start, std::int64_t delay_ns) {
+    return {start.time + delay_ns, start.time, true, start.seq};
+  }
+  const Key& running() const { return running_; }
   bool passed(const Key& key) const { return key < running_; }
   std::uint64_t schedule(const Key& key, int token) {
     return add(key, Entry{token, 0, 0, next_handle_++});
@@ -59,7 +80,7 @@ class ReferenceScheduler {
   // schedules the next; only the last one fires `token`.
   std::uint64_t schedule_chain(std::int64_t step_ns, std::uint32_t links,
                                int token) {
-    return add({now_ns_ + step_ns, next_seq_++},
+    return add(key_at(now_ns_ + step_ns),
                Entry{token, step_ns, links - 1, next_handle_++});
   }
 
@@ -84,9 +105,9 @@ class ReferenceScheduler {
   void run_until(std::int64_t t_end_ns, bool t_end_is_max,
                  std::vector<int>& fired) {
     while (!queue_.empty()) {
-      if (queue_.begin()->first.first > t_end_ns) {
+      if (queue_.begin()->first.time > t_end_ns) {
         now_ns_ = t_end_ns;
-        running_ = {now_ns_, UINT64_MAX};
+        running_ = after_all(now_ns_);
         return;
       }
       pop(fired);
@@ -95,7 +116,7 @@ class ReferenceScheduler {
     // run() = run_until(max) spelling which parks at the last event.
     if (now_ns_ < t_end_ns && !t_end_is_max) now_ns_ = t_end_ns;
     // Between runs, "now running" sorts after everything at now.
-    running_ = {now_ns_, UINT64_MAX};
+    running_ = after_all(now_ns_);
   }
 
   std::int64_t now_ns() const { return now_ns_; }
@@ -110,6 +131,11 @@ class ReferenceScheduler {
     std::uint64_t handle;
   };
 
+  Key key_at(std::int64_t t_ns) { return {t_ns, now_ns_, false, next_seq_++}; }
+  static Key after_all(std::int64_t t_ns) {
+    return {t_ns, INT64_MAX, true, UINT64_MAX};
+  }
+
   std::uint64_t add(const Key& key, const Entry& e) {
     by_handle_[e.handle] = queue_.emplace(key, e);
     return e.handle;
@@ -119,12 +145,12 @@ class ReferenceScheduler {
   // non-final chain link).
   bool pop(std::vector<int>& fired) {
     auto it = queue_.begin();
-    now_ns_ = it->first.first;
+    now_ns_ = it->first.time;
     const Key key = it->first;
     const Entry e = it->second;
     queue_.erase(it);
     if (e.links_after > 0) {
-      add({now_ns_ + e.step_ns, next_seq_++},
+      add(key_at(now_ns_ + e.step_ns),
           Entry{e.token, e.step_ns, e.links_after - 1, e.handle});
       return false;
     }
@@ -143,7 +169,7 @@ class ReferenceScheduler {
   std::uint64_t next_handle_ = 1;
   std::int64_t now_ns_ = 0;
   std::uint64_t executed_ = 0;
-  Key running_{0, UINT64_MAX};  // the last visible event, or after all at now
+  Key running_ = after_all(0);  // the last visible event, or after all at now
 };
 
 // Chain steps, and the delays of the events that start chains. As in the
@@ -177,11 +203,25 @@ void run_model_check(std::uint64_t seed, int ops) {
     std::size_t id_index;
   };
   std::map<int, ChainSpec> chain_of_starter;
+  // A follow starter's token maps to the event it schedules under
+  // follow(its own key, delay_ns).
+  struct FollowSpec {
+    std::int64_t delay_ns;
+    int token;
+    std::size_t id_index;
+  };
+  std::map<int, FollowSpec> follow_of_starter;
   ref.on_fire = [&](int token) {
-    auto it = chain_of_starter.find(token);
-    if (it == chain_of_starter.end()) return;
-    const ChainSpec& c = it->second;
-    ref_ids[c.id_index] = ref.schedule_chain(c.step_ns, c.links, c.token);
+    if (auto it = chain_of_starter.find(token); it != chain_of_starter.end()) {
+      const ChainSpec& c = it->second;
+      ref_ids[c.id_index] = ref.schedule_chain(c.step_ns, c.links, c.token);
+    }
+    if (auto it = follow_of_starter.find(token);
+        it != follow_of_starter.end()) {
+      const FollowSpec& f = it->second;
+      ref_ids[f.id_index] = ref.schedule(
+          ReferenceScheduler::follow(ref.running(), f.delay_ns), f.token);
+    }
   };
   auto record = [&fired_real](int token) {
     return [token, &fired_real] { fired_real.push_back(token); };
@@ -195,9 +235,16 @@ void run_model_check(std::uint64_t seed, int ops) {
     bool scheduled;
   };
   std::vector<Deferred> deferred;
+  // The latest reserved keys, scheduled, passed or neither: follow() starts.
+  std::vector<std::pair<Scheduler::Key, ReferenceScheduler::Key>> origins;
+  // 0 or an odd multiple of 10 ns, never a chain step.
+  auto draw_delay = [&rng](std::int64_t max_k) {
+    const std::int64_t k = rng.uniform_int(0, max_k);
+    return k == 0 ? 0 : (2 * k - 1) * 10;
+  };
 
   for (int op = 0; op < ops; ++op) {
-    const int choice = static_cast<int>(rng.uniform_int(0, 99));
+    const int choice = static_cast<int>(rng.uniform_int(0, 109));
     if (choice < 30) {
       // schedule_at / schedule_in with delays that force plenty of (time,
       // seq) ties: 0 and odd multiples of 10 ns.
@@ -251,6 +298,8 @@ void run_model_check(std::uint64_t seed, int ops) {
       const std::int64_t delay = k == 0 ? 0 : (2 * k - 1) * 10;
       deferred.push_back({sched.defer(SimTime::from_ns(delay)),
                           ref.defer(delay), next_token++, false});
+      origins.emplace_back(deferred.back().real, deferred.back().ref);
+      if (origins.size() > 32) origins.erase(origins.begin());
     } else if (choice < 84 && !deferred.empty()) {
       // schedule(key) for a reserved key, unless it has passed.
       Deferred& d = deferred[static_cast<std::size_t>(rng.uniform_int(
@@ -263,10 +312,49 @@ void run_model_check(std::uint64_t seed, int ops) {
     } else if (choice < 86) {
       sched.cancel(kInvalidEventId);
       sched.cancel((static_cast<EventId>(0x7fffffu) << 32) | 1u);  // never issued
-    } else {
+    } else if (choice < 100) {
       const std::int64_t horizon = rng.uniform_int(0, 20) * 10;
       sched.run_until(SimTime::from_ns(sched.now().ns() + horizon));
       ref.run_until(ref.now_ns() + horizon, /*t_end_is_max=*/false, fired_ref);
+    } else if (choice < 105 && !origins.empty()) {
+      // follow() every reserved key due at one instant, by one delay, the
+      // latest reserved first; schedule under each key that has not passed.
+      const std::int64_t instant =
+          origins[static_cast<std::size_t>(rng.uniform_int(
+                      0, static_cast<std::int64_t>(origins.size()) - 1))]
+              .second.time;
+      const std::int64_t delay = draw_delay(6);
+      for (auto it = origins.rbegin(); it != origins.rend(); ++it) {
+        if (it->second.time != instant) continue;
+        const Scheduler::Key real =
+            Scheduler::follow(it->first, SimTime::from_ns(delay));
+        const ReferenceScheduler::Key ref_key =
+            ReferenceScheduler::follow(it->second, delay);
+        ASSERT_EQ(sched.passed(real), ref.passed(ref_key))
+            << "op " << op << ", follow key at " << ref_key.time << " ns";
+        if (sched.passed(real)) continue;
+        const int token = next_token++;
+        real_ids.push_back(sched.schedule(real, record(token)));
+        ref_ids.push_back(ref.schedule(ref_key, token));
+      }
+    } else if (choice >= 105) {
+      // A follow starter: an ordinary event that, when it fires, schedules
+      // an event under follow(its own key, delay).
+      const std::int64_t delay = draw_delay(6);
+      const int starter = next_token++;
+      FollowSpec& spec = follow_of_starter[starter];
+      spec = {draw_delay(6), next_token++, real_ids.size() + 1};
+      real_ids.push_back(sched.schedule_in(
+          SimTime::from_ns(delay), [&, starter, spec = &spec] {
+            fired_real.push_back(starter);
+            real_ids[spec->id_index] = sched.schedule(
+                Scheduler::follow(sched.running(),
+                                  SimTime::from_ns(spec->delay_ns)),
+                record(spec->token));
+          }));
+      ref_ids.push_back(ref.schedule_at(ref.now_ns() + delay, starter));
+      real_ids.push_back(kInvalidEventId);
+      ref_ids.push_back(0);
     }
 
     ASSERT_EQ(sched.now().ns(), ref.now_ns()) << "op " << op;
@@ -276,7 +364,7 @@ void run_model_check(std::uint64_t seed, int ops) {
     for (const Deferred& d : deferred) {
       if (d.scheduled) continue;
       ASSERT_EQ(sched.passed(d.real), ref.passed(d.ref))
-          << "op " << op << ", key at " << d.ref.first << " ns";
+          << "op " << op << ", key at " << d.ref.time << " ns";
     }
     // A key, once passed, stays passed; keep only those still usable.
     std::erase_if(deferred, [&](const Deferred& d) {
