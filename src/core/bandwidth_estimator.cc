@@ -20,19 +20,23 @@ constexpr double kEwmaAlpha = 0.5;
 constexpr SegmentsPerSecond kGradientStabilize = SegmentsPerSecond(5.0);
 }  // namespace
 
-BandwidthEstimator::BandwidthEstimator(Simulator& sim, WirelessDevice& device,
-                                       DraiConfig cfg)
-    : sim_(sim), device_(device), cfg_(cfg) {}
+BandwidthEstimator::BandwidthEstimator(Simulator& /*sim*/,
+                                       WirelessDevice& device, DraiConfig cfg)
+    : device_(device), cfg_(cfg) {}
+
+BandwidthEstimator::~BandwidthEstimator() {
+  if (started_) device_.phy().clear_busy_sampler();
+}
 
 void BandwidthEstimator::start() {
   if (started_) return;
   started_ = true;
   last_busy_total_ = device_.phy().cumulative_busy_time();
-  sim_.schedule_in(cfg_.sample_interval, [this] { sample(); });
+  device_.phy().set_busy_sampler(
+      cfg_.sample_interval, [this](SimTime busy_total) { sample(busy_total); });
 }
 
-void BandwidthEstimator::sample() {
-  SimTime busy_total = device_.phy().cumulative_busy_time();
+void BandwidthEstimator::sample(SimTime busy_total) {
   SimTime delta = busy_total - last_busy_total_;
   last_busy_total_ = busy_total;
   double inst = static_cast<double>(delta.ns()) /
@@ -46,11 +50,20 @@ void BandwidthEstimator::sample() {
   last_queue_size_ = q;
   gradient_ewma_ =
       kEwmaAlpha * inst_gradient + (1.0 - kEwmaAlpha) * gradient_ewma_;
-
-  sim_.schedule_in(cfg_.sample_interval, [this] { sample(); });
 }
 
-std::uint8_t BandwidthEstimator::current_drai() const {
+double BandwidthEstimator::utilization() {
+  device_.phy().sync_busy_samples();
+  return util_ewma_;
+}
+
+SegmentsPerSecond BandwidthEstimator::queue_gradient() {
+  device_.phy().sync_busy_samples();
+  return gradient_ewma_;
+}
+
+std::uint8_t BandwidthEstimator::current_drai() {
+  device_.phy().sync_busy_samples();
   std::uint8_t level =
       compute_drai(device_.queue().occupancy(), util_ewma_, cfg_);
   if (cfg_.use_queue_gradient) {

@@ -14,6 +14,8 @@ WirelessDevice::WirelessDevice(Simulator& sim, Channel& channel, NodeId id,
       phy_(sim, channel, id, pos),
       mac_(sim, phy_),
       queue_(ifq_capacity) {
+  // A busy sample due before an IFQ change reads the length before it.
+  queue_.set_before_change([this] { phy_.sync_busy_samples(); });
   mac_.set_rx_callback([this](PacketPtr pkt) {
     if (on_rx_) on_rx_(std::move(pkt));
   });

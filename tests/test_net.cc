@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "net/drop_tail_queue.h"
 #include "net/node.h"
 #include "phy/channel.h"
@@ -45,6 +47,86 @@ TEST(DropTailQueue, OccupancyAndWatermark) {
   q.dequeue();
   EXPECT_DOUBLE_EQ(q.occupancy(), 0.25);
   EXPECT_EQ(q.high_watermark(), 2u);  // watermark sticks
+}
+
+TEST(DropTailQueue, RingWrapsAroundCapacity) {
+  // Refill to capacity, take three out, ten times over a four-slot ring:
+  // the head goes round the ring several times and FIFO order, next hops
+  // and enqueue times hold across every wrap.
+  DropTailQueue q(4);
+  std::uint64_t uid = 0;
+  std::uint32_t next_in = 0;
+  std::uint32_t next_out = 0;
+  auto take = [&] {
+    DropTailQueue::Entry e = q.dequeue();
+    EXPECT_EQ(e.pkt->size_bytes, next_out);
+    EXPECT_EQ(e.next_hop, static_cast<NodeId>(next_out));
+    EXPECT_EQ(e.enqueued_at, SimTime::from_ns(next_out));
+    ++next_out;
+  };
+  for (int round = 0; round < 10; ++round) {
+    while (q.size() < q.capacity()) {
+      auto p = make_packet(uid);
+      p->size_bytes = next_in;
+      ASSERT_TRUE(q.enqueue(std::move(p), static_cast<NodeId>(next_in),
+                            SimTime::from_ns(next_in)));
+      ++next_in;
+    }
+    for (int i = 0; i < 3; ++i) take();
+  }
+  EXPECT_EQ(q.size(), 1u);
+  take();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(next_out, next_in);
+  EXPECT_EQ(q.drops(), 0u);
+}
+
+TEST(DropTailQueue, DropsAtCapacityAfterWrap) {
+  DropTailQueue q(3);
+  std::uint64_t uid = 0;
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(q.enqueue(make_packet(uid), 1));
+  q.dequeue();
+  q.dequeue();
+  // The tail wraps to the front of the ring; the third enqueue finds it
+  // full and drops, leaving what was queued untouched.
+  EXPECT_TRUE(q.enqueue(make_packet(uid), 1));
+  EXPECT_TRUE(q.enqueue(make_packet(uid), 1));
+  EXPECT_FALSE(q.enqueue(make_packet(uid), 1));
+  EXPECT_EQ(q.drops(), 1u);
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_EQ(q.dequeue().pkt->uid, 3u);
+  EXPECT_EQ(q.dequeue().pkt->uid, 4u);
+  EXPECT_EQ(q.dequeue().pkt->uid, 5u);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(DropTailQueue, HighWatermarkAcrossWrap) {
+  DropTailQueue q(5);
+  std::uint64_t uid = 0;
+  for (int i = 0; i < 3; ++i) q.enqueue(make_packet(uid), 1);
+  EXPECT_EQ(q.high_watermark(), 3u);
+  q.dequeue();
+  q.dequeue();
+  for (int i = 0; i < 3; ++i) q.enqueue(make_packet(uid), 1);  // wraps
+  EXPECT_EQ(q.high_watermark(), 4u);
+  for (int i = 0; i < 4; ++i) q.dequeue();
+  EXPECT_EQ(q.high_watermark(), 4u);
+  for (int i = 0; i < 6; ++i) q.enqueue(make_packet(uid), 1);  // one drop
+  EXPECT_EQ(q.high_watermark(), 5u);
+  EXPECT_EQ(q.drops(), 1u);
+}
+
+TEST(DropTailQueue, BeforeChangeHookSeesTheOldLength) {
+  DropTailQueue q(2);
+  std::vector<std::size_t> seen;
+  q.set_before_change([&seen, &q] { seen.push_back(q.size()); });
+  std::uint64_t uid = 0;
+  q.enqueue(make_packet(uid), 1);
+  q.enqueue(make_packet(uid), 1);
+  q.enqueue(make_packet(uid), 1);  // dropped
+  q.dequeue();
+  q.dequeue();
+  EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1, 2, 2, 1}));
 }
 
 // ---------------------------------------------------------------------------

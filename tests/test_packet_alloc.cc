@@ -13,7 +13,9 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <vector>
 
+#include "net/drop_tail_queue.h"
 #include "pkt/packet.h"
 
 namespace {
@@ -98,6 +100,31 @@ TEST(PacketAlloc, AllocPacketIsDefaultInitialised) {
   EXPECT_EQ(fresh->uid, 0u);
   EXPECT_EQ(fresh->size_bytes, 0u);
   EXPECT_FALSE(fresh->has_tcp());
+}
+
+// An IFQ allocates its ring at the first enqueue and never again, so a
+// node whose queue stays empty (most of a city's) allocates nothing for it.
+TEST(PacketAlloc, IfqRingIsOneAllocationAtFirstEnqueue) {
+  MUZHA_SKIP_IF_SANITIZED();
+  std::uint64_t uid = 0;
+  std::vector<PacketPtr> pkts;
+  pkts.reserve(40);
+  for (int i = 0; i < 40; ++i) pkts.push_back(make_packet(uid));
+
+  const std::size_t before = g_allocations;
+  DropTailQueue q(4);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.occupancy(), 0.0);
+  EXPECT_EQ(g_allocations, before) << "an unused IFQ allocated";
+
+  for (PacketPtr& p : pkts) {
+    q.enqueue(std::move(p), 1);
+    if (q.size() == q.capacity()) {
+      q.dequeue();
+      q.dequeue();
+    }
+  }
+  EXPECT_EQ(g_allocations, before + 1);
 }
 
 }  // namespace
