@@ -83,17 +83,8 @@ void Channel::deliver(WirelessPhy* rx, Meters dist, const Packet& pkt,
         loss_rate_.value() > 0.0 && sim_.rng().chance(loss_rate_.value());
     if (pre_corrupted) ++frames_corrupted_by_error_;
   }
-  SimTime prop = to_sim_time(dist / params_.propagation);
-  if (!decodable && !rx->needs_idle_edges_) {
-    // Sensed only, at a station that acts on no carrier edge: the PHY keeps
-    // the start as a record under the key its event would have taken.
-    rx->file_start(sim_.scheduler().defer(prop), duration, dist);
-    return;
-  }
-  sim_.schedule_in(prop, [rx, copy = std::move(copy), pre_corrupted, duration,
-                          dist]() mutable {
-    rx->signal_start(std::move(copy), pre_corrupted, duration, dist);
-  });
+  rx->arrive(to_sim_time(dist / params_.propagation), std::move(copy),
+             pre_corrupted, duration, dist);
 }
 
 }  // namespace muzha

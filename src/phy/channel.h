@@ -2,15 +2,13 @@
 //
 // The channel knows every attached PHY and its position. A transmission
 // reaches every PHY within carrier-sense range after per-receiver
-// propagation delay. Receivers within decode range get the frame contents
-// as a signal_start event; receivers between decode and CS range only sense
-// energy (which still interferes), and get a signal_start event too unless
-// their owner needs no idle edges: then the PHY files the start as a record
-// under the key that event would have taken (phy/wireless_phy.h). The
-// receiving PHY keys the signal's end from that delivery key, and schedules
-// it or keeps it as a record. The receiving PHY, not the channel, decides
-// collision outcomes, because they depend on receiver state (half-duplex,
-// already decoding, ...).
+// propagation delay. Receivers within decode range get the frame contents;
+// receivers between decode and CS range only sense energy (which still
+// interferes). The channel hands each arrival to the receiving PHY
+// (WirelessPhy::arrive), which schedules the signal's start or keeps it as
+// a record (phy/wireless_phy.h). The receiving PHY, not the channel,
+// decides collision outcomes, because they depend on receiver state
+// (half-duplex, already decoding, ...).
 //
 // Receiver lookup runs in one of two modes:
 //  - kSpatialIndex (default): a uniform grid keyed on cs_range limits the
@@ -52,7 +50,6 @@ class Channel {
 
   const PhyParams& params() const { return params_; }
   Simulator& sim() { return sim_; }
-  ChannelMode mode() const { return mode_; }
 
   // Registers a PHY for delivery. Attaching a PHY twice is a bug (it would
   // receive every frame twice); MUZHA_DCHECKed.
@@ -88,10 +85,10 @@ class Channel {
 
  private:
   // Shared per-receiver delivery tail of both transmit modes, for a
-  // receiver `dist` <= cs_range away: schedules the signal's start, or
-  // files a sensed-only one with the PHY. Both modes compute `dist` as
-  // distance(src position, the receiver's live position()), so it is
-  // bit-identical.
+  // receiver `dist` <= cs_range away: copies the frame and draws its random
+  // loss when it is decodable, then hands the arrival to the PHY. Both
+  // modes compute `dist` as distance(src position, the receiver's live
+  // position()), so it is bit-identical.
   void deliver(WirelessPhy* rx, Meters dist, const Packet& pkt,
                SimTime duration);
 

@@ -1,7 +1,6 @@
 #include "phy/wireless_phy.h"
 
 #include <algorithm>
-#include <cstddef>
 
 #include "phy/channel.h"
 #include "phy/frame_trace.h"
@@ -37,19 +36,17 @@ SimTime WirelessPhy::tx_duration(Bytes total, bool basic_rate) const {
 void WirelessPhy::schedule_records() {
   catch_up();
   Scheduler& sched = sim_.scheduler();
-  for (const PendingStart& start : pending_starts_) {
-    sched.schedule(start.key,
-                   [this, duration = start.duration, dist = start.dist] {
-                     signal_start(nullptr, false, duration, dist);
-                   });
+  for (const Record& record : records_) {
+    if (record.signal == 0) {
+      sched.schedule(record.key, [this, airtime = record.airtime,
+                                  dist = record.dist] {
+        signal_start(nullptr, false, airtime, dist);
+      });
+    } else {
+      sched.schedule(record.key, [this, id = record.signal] { signal_end(id); });
+    }
   }
-  pending_starts_.clear();
-  for (Signal& signal : active_signals_) {
-    if (!signal.record) continue;
-    signal.record = false;
-    sched.schedule(signal.end, [this, id = signal.id] { signal_end(id); });
-  }
-  earliest_due_ = SimTime::max();
+  records_.clear();
 }
 
 SimTime WirelessPhy::cumulative_busy_time() {
@@ -87,59 +84,24 @@ void WirelessPhy::fold_sample() {
 
 void WirelessPhy::apply_passed() {
   const Scheduler& sched = sim_.scheduler();
-  // The passed starts in key order, each after the record ends before it.
-  for (;;) {
-    const std::size_t n = pending_starts_.size();
-    std::size_t first = n;
-    for (std::size_t i = 0; i < n; ++i) {
-      const Scheduler::Key& key = pending_starts_[i].key;
-      if (sched.passed(key) &&
-          (first == n || Scheduler::earlier(key, pending_starts_[first].key))) {
-        first = i;
-      }
-    }
-    if (first == n) break;
-    const PendingStart start = pending_starts_[first];
-    pending_starts_[first] = pending_starts_.back();  // swap-pop
-    pending_starts_.pop_back();
-    drop_records_before(start.key);
-    // What signal_start() does for a signal it cannot lock onto, at the
-    // start's own time.
-    interfere(start.dist);
-    if (!busy()) book_busy(start.key.time);
-    active_signals_.push_back({next_signal_seq_++, start.dist,
-                               Scheduler::follow(start.key, start.duration),
-                               true});
-  }
-  drop_records_before(sched.running());
-  SimTime earliest = SimTime::max();
-  for (const PendingStart& start : pending_starts_) {
-    earliest = std::min(earliest, start.key.time);
-  }
-  for (const Signal& signal : active_signals_) {
-    if (signal.record) earliest = std::min(earliest, signal.end.time);
-  }
-  earliest_due_ = earliest;
-}
-
-void WirelessPhy::drop_records_before(const Scheduler::Key& key) {
-  bool expired = false;
-  SimTime last_end;
-  for (std::size_t i = 0; i < active_signals_.size();) {
-    const Signal& signal = active_signals_[i];
-    if (signal.record && Scheduler::earlier(signal.end, key)) {
-      expired = true;
-      last_end = std::max(last_end, signal.end.time);
-      active_signals_[i] = active_signals_.back();  // swap-pop
-      active_signals_.pop_back();
+  while (!records_.empty() && sched.passed(records_.back().key)) {
+    const Record record = records_.back();
+    records_.pop_back();
+    if (record.signal == 0) {
+      // What signal_start() does for a signal it cannot lock onto, at the
+      // start's own time.
+      interfere(record.dist);
+      if (!busy()) book_busy(record.key.time);
+      const std::uint64_t id = next_signal_seq_++;
+      active_signals_.push_back({id, record.dist});
+      file_record({Scheduler::follow(record.key, record.airtime), id, {}, {}});
     } else {
-      ++i;
+      // What signal_end() does for a signal it is not decoding, at the
+      // end's own time.
+      remove_signal(record.signal);
+      if (!busy()) book_idle(record.key.time);
     }
   }
-  // The carrier stayed busy up to the latest expired end: every record
-  // dropped here was on the air when the PHY last changed, and no start
-  // came in between.
-  if (expired && !busy()) book_idle(last_end);
 }
 
 void WirelessPhy::interfere(Meters dist) {
@@ -208,20 +170,16 @@ void WirelessPhy::signal_start(PacketPtr pkt, bool pre_corrupted,
   }
   const Scheduler::Key end =
       Scheduler::follow(sim_.scheduler().running(), duration);
-  active_signals_.push_back({seq, tx_dist, end, false});
+  active_signals_.push_back({seq, tx_dist});
   update_carrier(was_busy);
   if (needs_idle_edges_ || seq == decoding_seq_) {
     sim_.scheduler().schedule(end, [this, seq] { signal_end(seq); });
-    return;
+  } else {
+    file_record({end, seq, {}, {}});
   }
-  Signal& signal = active_signals_.back();
-  MUZHA_DCHECK(signal.id == seq, "a carrier callback reordered the signals");
-  signal.record = true;
-  earliest_due_ = std::min(earliest_due_, end.time);
 }
 
-void WirelessPhy::signal_end(std::uint64_t signal_seq) {
-  bool was_busy = carrier_busy();
+void WirelessPhy::remove_signal(std::uint64_t signal_seq) {
   auto it = std::find_if(
       active_signals_.begin(), active_signals_.end(),
       [signal_seq](const Signal& signal) { return signal.id == signal_seq; });
@@ -229,6 +187,11 @@ void WirelessPhy::signal_end(std::uint64_t signal_seq) {
                "signal_end without matching start");
   *it = active_signals_.back();  // swap-pop; order is irrelevant
   active_signals_.pop_back();
+}
+
+void WirelessPhy::signal_end(std::uint64_t signal_seq) {
+  bool was_busy = carrier_busy();
+  remove_signal(signal_seq);
   if (signal_seq == decoding_seq_) {
     decoding_seq_ = 0;
     PacketPtr p = std::move(decoding_pkt_);

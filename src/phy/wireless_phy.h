@@ -13,21 +13,21 @@
 // Signal records: a signal the PHY does not lock onto changes nothing but
 // the carrier. While the owner needs no idle edges
 // (set_needs_idle_edges(false): the MAC holds no frame), such signals cost
-// no events:
-//  - the end of a signal the PHY did not lock onto is a record in
-//    active_signals_, carrying its key, Scheduler::follow(delivery key,
-//    airtime), the key every signal end takes;
-//  - a sensed-only start (no frame: its transmitter is beyond decode range)
-//    is filed by the channel in pending_starts_, under the delivery key its
-//    event would have run under.
-// Each entry point (signal start and end, TX start and end, carrier_busy(),
-// cumulative_busy_time(), collisions(), set_needs_idle_edges() and
-// sync_busy_samples()) first applies the starts and ends whose keys have
-// passed, in key order, so every answer is the one the events would have
-// given. When the owner starts needing edges again, every pending start and
-// every live record's end is scheduled under its key and fires exactly
-// where it would have. A PHY without an owner that says otherwise needs idle
-// edges and keeps no records.
+// no events. The PHY keeps them in one list of records, ordered by key:
+//  - a sensed-only start (no frame: its transmitter is beyond decode range),
+//    which arrive() files under the key defer(prop) reserves, the one its
+//    event would have run under;
+//  - the end of a signal the PHY is not decoding, under
+//    Scheduler::follow(delivery key, airtime), the key every signal end
+//    takes.
+// Each entry point (signal arrival, start and end, TX start and end,
+// carrier_busy(), cumulative_busy_time(), collisions(),
+// set_needs_idle_edges() and sync_busy_samples()) first applies the records
+// whose keys have passed, in key order, so every answer is the one the
+// events would have given. When the owner starts needing edges again, every
+// record is scheduled under its key and fires exactly where it would have.
+// A PHY without an owner that says otherwise needs idle edges and keeps no
+// records.
 //
 // Busy time: the PHY sums the time its carrier is sensed busy, own
 // transmissions included. A reported edge counts at now; an edge that only a
@@ -98,11 +98,10 @@ class WirelessPhy {
 
   // Whether the owner acts on idle edges. While it does not, sensed-only
   // starts and the ends of signals this PHY is not decoding are kept as
-  // records; turning the need back on schedules every pending start and
-  // every live record's end under its key.
+  // records; turning the need back on schedules every record under its key.
   void set_needs_idle_edges(bool needs) {
     needs_idle_edges_ = needs;
-    if (needs && earliest_due_ != SimTime::max()) schedule_records();
+    if (needs && !records_.empty()) schedule_records();
   }
 
   // True when the medium is sensed busy (energy present, receiving, or
@@ -140,6 +139,25 @@ class WirelessPhy {
   void start_tx(PacketPtr pkt, bool basic_rate);
 
   // --- Channel-facing interface -------------------------------------------
+  // A signal reaches this PHY `prop` from now; the other arguments are
+  // signal_start()'s. Schedules signal_start() `prop` ahead or, for a
+  // sensed-only signal (no frame) while the owner needs no idle edges,
+  // files the start as a record under the key that event would have taken,
+  // after catching up so that the list holds only records still to come.
+  // Inline: the channel calls it for every receiver in range.
+  void arrive(SimTime prop, PacketPtr pkt, bool pre_corrupted,
+              SimTime duration, Meters tx_dist) {
+    if (pkt == nullptr && !needs_idle_edges_) {
+      catch_up();
+      file_record({sim_.scheduler().defer(prop), 0, duration, tx_dist});
+      return;
+    }
+    sim_.schedule_in(prop, [this, pkt = std::move(pkt), pre_corrupted,
+                            duration, tx_dist]() mutable {
+      signal_start(std::move(pkt), pre_corrupted, duration, tx_dist);
+    });
+  }
+
   // A signal begins arriving from a transmitter `tx_dist` away. `pkt` is
   // non-null iff the receiver is within decode range; `pre_corrupted` marks
   // random channel errors. Runs as the signal's start event: the running
@@ -157,38 +175,40 @@ class WirelessPhy {
   }
 
  private:
-  friend class Channel;  // channel bookkeeping and file_start() below
+  friend class Channel;  // channel bookkeeping below
 
-  // A signal currently arriving. Its end, keyed `end`, is either a
-  // scheduled event or, for a record, a key that catch_up() checks.
+  // A signal currently arriving.
   struct Signal {
     std::uint64_t id;  // this PHY's signal sequence
     Meters dist;       // distance to the transmitter
-    Scheduler::Key end;
-    bool record;
   };
 
-  // A sensed-only start the channel filed instead of scheduling: the key
-  // its event would have run under, its airtime and its distance.
-  struct PendingStart {
+  // A record: a sensed-only start (signal 0), due under `key` with its
+  // airtime and distance, or the end, due under `key`, of signal `signal`,
+  // one this PHY is not decoding.
+  struct Record {
     Scheduler::Key key;
-    SimTime duration;
-    Meters dist;
+    std::uint64_t signal;  // the ending signal's id; 0 for a start
+    SimTime airtime;       // a start's
+    Meters dist;           // a start's
   };
 
-  // Called by the channel, instead of scheduling the start, while the owner
-  // needs no idle edges. Catching up first keeps the list to starts still
-  // to come.
-  void file_start(const Scheduler::Key& key, SimTime duration, Meters dist) {
-    catch_up();
-    pending_starts_.push_back({key, duration, dist});
-    earliest_due_ = std::min(earliest_due_, key.time);
+  // Files `record` in records_, latest key first.
+  void file_record(const Record& record) {
+    records_.insert(
+        std::lower_bound(records_.begin(), records_.end(), record,
+                         [](const Record& a, const Record& b) {
+                           return Scheduler::earlier(b.key, a.key);
+                         }),
+        record);
   }
 
   bool busy() const { return tx_active_ || !active_signals_.empty(); }
-  // Inline so that a PHY with nothing due pays one comparison.
+  // Inline so that a PHY with nothing due pays a comparison or two.
   void catch_up() {
-    if (sim_.now() >= earliest_due_) apply_passed();
+    if (!records_.empty() && sim_.now() >= records_.back().key.time) {
+      apply_passed();
+    }
   }
   void apply_passed();
   // The booked busy total at `t`, no earlier than the last booked change.
@@ -212,8 +232,8 @@ class WirelessPhy {
   }
   void fold_passed_samples();
   void fold_sample();
-  void drop_records_before(const Scheduler::Key& key);
   void interfere(Meters dist);
+  void remove_signal(std::uint64_t signal_seq);
   void schedule_records();
   void signal_end(std::uint64_t signal_seq);
   void update_carrier(bool was_busy);
@@ -233,18 +253,18 @@ class WirelessPhy {
   TxDoneCallback on_tx_done_;
 
   bool tx_active_ = false;
-  // Every signal currently arriving, records included. Flat vector, erased
-  // by swap-pop: the capture decision in signal_start() is an
-  // order-independent predicate over ALL entries, so element order does not
-  // matter, and the handful of concurrently overlapping signals never
-  // justifies a node-allocating container on the per-delivery warm path
-  // (the vector keeps its capacity once grown).
+  // Every signal currently arriving, those whose end is a record included.
+  // Flat vector, erased by swap-pop: the capture decision in signal_start()
+  // is an order-independent predicate over ALL entries, so element order
+  // does not matter, and the handful of concurrently overlapping signals
+  // never justifies a node-allocating container on the per-delivery warm
+  // path (the vector keeps its capacity once grown).
   std::vector<Signal> active_signals_;
-  std::vector<PendingStart> pending_starts_;
+  // The records, latest key first: the next one due is at the back. The
+  // list stays short (about one record on average in a city pass), so it is
+  // kept sorted on insertion.
+  std::vector<Record> records_;
   bool needs_idle_edges_ = true;
-  // No pending start or record end is due before this time (max: none), so
-  // catch_up() skips its scan.
-  SimTime earliest_due_ = SimTime::max();
 
   // In-progress decode.
   std::uint64_t next_signal_seq_ = 1;

@@ -21,14 +21,4 @@ std::uint32_t Scheduler::grow_pool() {
   return slot;
 }
 
-void Scheduler::reserve(std::size_t n) {
-  meta_.reserve(n);
-  while ((chunks_.size() << kChunkShift) < n) {
-    chunks_.push_back(
-        std::make_unique<std::byte[]>(sizeof(EventCallback) * kChunkSlots));
-  }
-  free_.reserve(n);
-  heap_.reserve(n);
-}
-
 }  // namespace muzha

@@ -244,10 +244,6 @@ class Scheduler {
     return true;
   }
 
-  // Pre-sizes the pool, heap and free list for `n` concurrent events so the
-  // steady state performs no vector growth.
-  void reserve(std::size_t n);
-
   std::size_t pending_events() const { return heap_.size(); }
   std::uint64_t events_executed() const { return executed_; }
 

@@ -415,5 +415,40 @@ TEST_F(PhyTest, TxEndBeforeASignalEndAtTheSameInstantAndLead) {
   }
 }
 
+TEST_F(PhyTest, NeedTurnedOnWhileAStartIsPendingSchedulesIt) {
+  // B is 400 m from C: beyond decode range, so C only senses B's frame.
+  // While C needs no idle edges, B's start at C is a pending record. C's
+  // need comes back 500 ns after B starts, before the signal arrives
+  // (1.334 us), so the start must be scheduled under its key: C reports the
+  // busy edge at the arrival and the idle edge one airtime later, with one
+  // airtime of busy time, as in a run in which C needed edges all along.
+  const SimTime t0 = SimTime::from_ms(1);
+  const SimTime arrival =
+      t0 + to_sim_time(Meters(400.0) / params.propagation);
+  for (bool needs_from_start : {true, false}) {
+    SCOPED_TRACE(::testing::Message() << "needs from start: "
+                                      << needs_from_start);
+    Simulator s(1);
+    Channel ch(s, params);
+    WirelessPhy b(s, ch, 0, {0, 0});
+    WirelessPhy c(s, ch, 1, {400, 0});
+    c.set_needs_idle_edges(needs_from_start);
+    std::vector<std::pair<bool, SimTime>> edges;
+    c.set_channel_state_callback(
+        [&](bool busy) { edges.emplace_back(busy, s.now()); });
+    s.schedule_at(t0, [&] { b.start_tx(data_packet(1000), false); });
+    if (!needs_from_start) {
+      s.schedule_at(t0 + SimTime::from_ns(500),
+                    [&] { c.set_needs_idle_edges(true); });
+    }
+    s.run();
+    const SimTime air = b.tx_duration(Bytes(1000 + kMacDataOverheadBytes),
+                                      false);
+    EXPECT_EQ(edges, (std::vector<std::pair<bool, SimTime>>{
+                         {true, arrival}, {false, arrival + air}}));
+    EXPECT_EQ(c.cumulative_busy_time(), air);
+  }
+}
+
 }  // namespace
 }  // namespace muzha

@@ -92,11 +92,11 @@ TEST(SchedulerAlloc, InlineBudgetHoldsTypicalCaptures) {
 TEST(SchedulerAlloc, WarmSchedulerScheduleFireIsAllocationFree) {
   MUZHA_SKIP_IF_SANITIZED();
   Scheduler s;
-  s.reserve(64);
   long sum = 0;
 
-  // One warm-up pass grows nothing further: reserve() sized meta_, heap_,
-  // free_ and the chunk pool, but the pool constructs slots on first use.
+  // One warm-up pass grows meta_, heap_, free_ and the chunk pool to 64
+  // events and constructs their slots; later passes of that size grow
+  // nothing.
   for (int i = 0; i < 64; ++i) {
     s.schedule_in(SimTime::from_us(i), [&sum, i] { sum += i; });
   }
@@ -117,7 +117,6 @@ TEST(SchedulerAlloc, WarmSchedulerScheduleFireIsAllocationFree) {
 TEST(SchedulerAlloc, CancelIsAllocationFree) {
   MUZHA_SKIP_IF_SANITIZED();
   Scheduler s;
-  s.reserve(64);
   EventId ids[64];
   for (int i = 0; i < 64; ++i) {
     ids[i] = s.schedule_in(SimTime::from_us(i + 1), [] {});
@@ -137,7 +136,6 @@ TEST(SchedulerAlloc, CancelIsAllocationFree) {
 TEST(SchedulerAlloc, TimerRestartChurnIsAllocationFree) {
   MUZHA_SKIP_IF_SANITIZED();
   Simulator sim;
-  sim.scheduler().reserve(8);
   int fired = 0;
   Timer timer(sim, [&fired] { ++fired; });
   timer.schedule_in(SimTime::from_us(10));
