@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <utility>
 
@@ -49,20 +48,17 @@ class DropTailQueue {
   // Runs before every enqueue and dequeue.
   void set_before_change(ChangeHook hook) { before_change_ = std::move(hook); }
 
-  // Returns false (and drops the packet) when full.
-  bool enqueue(PacketPtr pkt, NodeId next_hop,
-               SimTime now = SimTime::zero()) {
+  // Returns null, or `pkt` itself when the queue is full and refuses it.
+  PacketPtr enqueue(PacketPtr pkt, NodeId next_hop,
+                    SimTime now = SimTime::zero()) {
     if (before_change_) before_change_();
-    if (size_ >= capacity_) {
-      ++drops_;
-      return false;
-    }
+    if (size_ >= capacity_) return pkt;
     if (!ring_) ring_ = std::make_unique<Entry[]>(capacity_);
     std::size_t tail = head_ + size_;
     if (tail >= capacity_) tail -= capacity_;
     ring_[tail] = Entry{std::move(pkt), next_hop, now};
     if (++size_ > high_watermark_) high_watermark_ = size_;
-    return true;
+    return nullptr;
   }
 
   Entry dequeue() {
@@ -74,7 +70,6 @@ class DropTailQueue {
     return e;
   }
 
-  std::uint64_t drops() const { return drops_; }
   std::size_t high_watermark() const { return high_watermark_; }
 
  private:
@@ -83,7 +78,6 @@ class DropTailQueue {
   std::size_t head_ = 0;           // index of the oldest entry
   std::size_t size_ = 0;
   ChangeHook before_change_;
-  std::uint64_t drops_ = 0;
   std::size_t high_watermark_ = 0;
 };
 

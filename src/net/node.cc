@@ -39,14 +39,15 @@ PacketPtr Node::new_packet(NodeId dst, IpProto proto,
   return p;
 }
 
-void Node::trace(TraceEventKind kind, const Packet& pkt) {
+void Node::note(TraceEventKind kind, const Packet& pkt) {
+  ++counts_[static_cast<std::size_t>(kind)];
   if (trace_ == nullptr) return;
   trace_->on_event(make_trace_event(sim_.now(), id_, kind, pkt));
 }
 
 void Node::send(PacketPtr pkt) {
   MUZHA_ASSERT(routing_ != nullptr, "node has no routing protocol");
-  trace(TraceEventKind::kLocalSend, *pkt);
+  note(TraceEventKind::kLocalSend, *pkt);
   if (pkt->ip.dst == id_) {
     // Loopback delivery (used by tests).
     on_device_rx(std::move(pkt));
@@ -57,14 +58,8 @@ void Node::send(PacketPtr pkt) {
 
 void Node::device_send(PacketPtr pkt, NodeId next_hop) {
   stamp_drai(*pkt);
-  if (trace_ != nullptr) {
-    // Record the (possible) IFQ drop at the node that suffered it.
-    TraceEvent ev =
-        make_trace_event(sim_.now(), id_, TraceEventKind::kDropIfq, *pkt);
-    if (!device_.send(std::move(pkt), next_hop)) trace_->on_event(ev);
-    return;
-  }
-  device_.send(std::move(pkt), next_hop);
+  PacketPtr refused = device_.send(std::move(pkt), next_hop);
+  if (refused != nullptr) note(TraceEventKind::kDropIfq, *refused);
 }
 
 void Node::stamp_drai(Packet& pkt) {
@@ -82,38 +77,36 @@ void Node::on_device_rx(PacketPtr pkt) {
     return;
   }
   if (pkt->ip.dst == id_ || pkt->ip.dst == kBroadcastId) {
-    ++delivered_local_;
-    if (pkt->has_tcp()) {
-      auto it = agents_.find(pkt->tcp().dst_port);
-      if (it == agents_.end()) {
-        ++drops_no_agent_;
-        trace(TraceEventKind::kDropNoAgent, *pkt);
-        return;
-      }
-      trace(TraceEventKind::kDeliver, *pkt);
-      it->second->receive(std::move(pkt));
+    if (!pkt->has_tcp()) {
+      // Raw IP (the CBR load) has no transport: reaching the node delivers it.
+      note(TraceEventKind::kDeliver, *pkt);
       return;
     }
-    ++drops_no_agent_;
-    trace(TraceEventKind::kDropNoAgent, *pkt);
+    auto it = agents_.find(pkt->tcp().dst_port);
+    if (it == agents_.end()) {
+      note(TraceEventKind::kDropNoAgent, *pkt);
+      return;
+    }
+    note(TraceEventKind::kDeliver, *pkt);
+    it->second->receive(std::move(pkt));
     return;
   }
   // Forwarding path.
   if (pkt->ip.ttl <= 1) {
-    ++drops_ttl_;
-    trace(TraceEventKind::kDropTtl, *pkt);
+    note(TraceEventKind::kDropTtl, *pkt);
     return;
   }
   --pkt->ip.ttl;
-  ++forwarded_;
-  trace(TraceEventKind::kForward, *pkt);
+  note(TraceEventKind::kForward, *pkt);
   MUZHA_ASSERT(routing_ != nullptr, "forwarding node has no routing protocol");
   routing_->route_packet(std::move(pkt));
 }
 
 void Node::on_device_link_failure(NodeId next_hop, PacketPtr pkt) {
-  if (pkt != nullptr) trace(TraceEventKind::kDropMac, *pkt);
-  if (routing_) routing_->on_link_failure(next_hop, std::move(pkt));
+  // The routing protocol keeps a packet it salvages; one it hands back is
+  // lost to the link.
+  if (routing_) pkt = routing_->on_link_failure(next_hop, std::move(pkt));
+  if (pkt != nullptr) note(TraceEventKind::kDropMac, *pkt);
 }
 
 }  // namespace muzha

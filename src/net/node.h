@@ -6,6 +6,7 @@
 // transmits, whether locally originated or forwarded (Sec. 4.4).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -62,17 +63,20 @@ class Node {
   // hands the packet to the device.
   void device_send(PacketPtr pkt, NodeId next_hop);
 
-  // Statistics.
-  std::uint64_t forwarded() const { return forwarded_; }
-  std::uint64_t delivered_local() const { return delivered_local_; }
-  std::uint64_t drops_ttl() const { return drops_ttl_; }
-  std::uint64_t drops_no_agent() const { return drops_no_agent_; }
+  // The one record of a packet milestone at this node: counts it under
+  // `kind` and traces it. Every drop, whatever layer discards the packet,
+  // is noted here once under its cause (DESIGN.md "Drops").
+  void note(TraceEventKind kind, const Packet& pkt);
+
+  // Milestones noted at this node under `kind`.
+  std::uint64_t count(TraceEventKind kind) const {
+    return counts_[static_cast<std::size_t>(kind)];
+  }
 
  private:
   void on_device_rx(PacketPtr pkt);
   void on_device_link_failure(NodeId next_hop, PacketPtr pkt);
   void stamp_drai(Packet& pkt);
-  void trace(TraceEventKind kind, const Packet& pkt);
 
   Simulator& sim_;
   NodeId id_;
@@ -84,11 +88,7 @@ class Node {
   // the agent table deterministic and avoids hashing on the demux path.
   std::map<std::uint16_t, Agent*> agents_;
   std::uint64_t uid_counter_ = 0;
-
-  std::uint64_t forwarded_ = 0;
-  std::uint64_t delivered_local_ = 0;
-  std::uint64_t drops_ttl_ = 0;
-  std::uint64_t drops_no_agent_ = 0;
+  std::array<std::uint64_t, kTraceEventKinds> counts_{};
 };
 
 }  // namespace muzha

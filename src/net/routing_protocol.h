@@ -14,17 +14,15 @@ class RoutingProtocol {
 
   // Routes an IP packet (locally originated or being forwarded): either
   // hands it to the device toward a next hop — possibly later, after route
-  // discovery — or drops it.
+  // discovery — or drops it through Node::note under its cause.
   virtual void route_packet(PacketPtr pkt) = 0;
 
   // Handles a received routing-control packet (IpProto::kAodv).
   virtual void handle_control(PacketPtr pkt) = 0;
 
-  // MAC gave up delivering to `next_hop`; `pkt` is the failed packet.
-  virtual void on_link_failure(NodeId next_hop, PacketPtr pkt) = 0;
-
-  // Packets dropped by the routing layer (no route / buffer overflow).
-  virtual std::uint64_t drops_no_route() const = 0;
+  // MAC gave up delivering `pkt` (possibly null) to `next_hop`. Returns the
+  // packet unless the protocol salvaged it; the node drops what comes back.
+  virtual PacketPtr on_link_failure(NodeId next_hop, PacketPtr pkt) = 0;
 };
 
 }  // namespace muzha

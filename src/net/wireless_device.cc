@@ -25,10 +25,10 @@ WirelessDevice::WirelessDevice(Simulator& sim, Channel& channel, NodeId id,
   });
 }
 
-bool WirelessDevice::send(PacketPtr pkt, NodeId next_hop) {
+PacketPtr WirelessDevice::send(PacketPtr pkt, NodeId next_hop) {
   if (mac_.idle() && queue_.empty()) {
     mac_.transmit(std::move(pkt), next_hop);
-    return true;
+    return nullptr;
   }
   return queue_.enqueue(std::move(pkt), next_hop, sim_.now());
 }

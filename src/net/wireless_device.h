@@ -29,9 +29,9 @@ class WirelessDevice {
     on_link_failure_ = std::move(cb);
   }
 
-  // Queues a packet for `next_hop` (kBroadcastId allowed). Returns false if
-  // the drop-tail IFQ was full and the packet was dropped.
-  bool send(PacketPtr pkt, NodeId next_hop);
+  // Queues a packet for `next_hop` (kBroadcastId allowed). Returns null, or
+  // the packet itself when the drop-tail IFQ is full and refuses it.
+  PacketPtr send(PacketPtr pkt, NodeId next_hop);
 
   WirelessPhy& phy() { return phy_; }
   const WirelessPhy& phy() const { return phy_; }

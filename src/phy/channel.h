@@ -49,7 +49,6 @@ class Channel {
   Channel& operator=(const Channel&) = delete;
 
   const PhyParams& params() const { return params_; }
-  Simulator& sim() { return sim_; }
 
   // Registers a PHY for delivery. Attaching a PHY twice is a bug (it would
   // receive every frame twice); MUZHA_DCHECKed.

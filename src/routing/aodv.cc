@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "net/node.h"
+#include "net/trace.h"
 #include "pkt/aodv_messages.h"
 #include "pkt/packet.h"
 #include "sim/assert.h"
@@ -96,7 +97,7 @@ void Aodv::route_packet(PacketPtr pkt) {
     // Originator: buffer and discover.
     PendingDiscovery& pd = pending_[dst];
     if (pd.buffered.size() >= kSendBufferCapacity) {
-      ++drops_no_route_;
+      node_.note(TraceEventKind::kDropSendBuffer, *pkt);
     } else {
       pd.buffered.push_back(std::move(pkt));
     }
@@ -105,7 +106,7 @@ void Aodv::route_packet(PacketPtr pkt) {
   }
   // Intermediate node lost the route: drop and report upstream (RFC 3561
   // s6.11 case (ii)).
-  ++drops_no_route_;
+  node_.note(TraceEventKind::kDropNoRoute, *pkt);
   std::uint32_t seq = 0;
   if (it != routes_.end()) seq = it->second.dest_seq + 1;
   send_rerr({{dst, seq}});
@@ -166,7 +167,9 @@ void Aodv::on_rreq_timeout(NodeId dst) {
   }
   // Discovery failed: drop everything buffered for this destination.
   ++discovery_failures_;
-  drops_no_route_ += pd.buffered.size();
+  for (const PacketPtr& p : pd.buffered) {
+    node_.note(TraceEventKind::kDropDiscovery, *p);
+  }
   pending_.erase(it);
 }
 
@@ -304,7 +307,7 @@ void Aodv::send_rerr(std::vector<AodvRerr::Unreachable> unreachable) {
   broadcast_jittered(std::move(p));
 }
 
-void Aodv::on_link_failure(NodeId next_hop, PacketPtr pkt) {
+PacketPtr Aodv::on_link_failure(NodeId next_hop, PacketPtr pkt) {
   // Invalidate every route through the broken hop and report the affected
   // destinations.
   std::vector<AodvRerr::Unreachable> unreachable;
@@ -317,13 +320,14 @@ void Aodv::on_link_failure(NodeId next_hop, PacketPtr pkt) {
   if (!unreachable.empty()) send_rerr(std::move(unreachable));
 
   // Salvage the failed packet if we are its originator: re-discovery will
-  // re-send it. Forwarded packets are dropped (the source learns via RERR).
+  // re-send it. Forwarded and control packets go back to the node, which
+  // drops them (the source learns via RERR).
   if (pkt != nullptr && pkt->ip.src == node_.id() &&
       pkt->ip.proto != IpProto::kAodv) {
     route_packet(std::move(pkt));
-    return;
+    return nullptr;
   }
-  if (pkt != nullptr && pkt->ip.proto != IpProto::kAodv) ++drops_no_route_;
+  return pkt;
 }
 
 void Aodv::flush_buffer(NodeId dst) {

@@ -35,8 +35,7 @@ class Aodv final : public RoutingProtocol {
 
   void route_packet(PacketPtr pkt) override;
   void handle_control(PacketPtr pkt) override;
-  void on_link_failure(NodeId next_hop, PacketPtr pkt) override;
-  std::uint64_t drops_no_route() const override { return drops_no_route_; }
+  PacketPtr on_link_failure(NodeId next_hop, PacketPtr pkt) override;
 
   struct Route {
     NodeId next_hop = kInvalidNodeId;
@@ -94,7 +93,6 @@ class Aodv final : public RoutingProtocol {
   std::uint32_t own_seq_ = 0;
   std::uint32_t next_rreq_id_ = 0;
 
-  std::uint64_t drops_no_route_ = 0;
   std::uint64_t rreqs_originated_ = 0;
   std::uint64_t rreps_sent_ = 0;
   std::uint64_t rerrs_sent_ = 0;

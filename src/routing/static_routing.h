@@ -8,6 +8,7 @@
 
 #include "net/node.h"
 #include "net/routing_protocol.h"
+#include "net/trace.h"
 #include "pkt/packet.h"
 
 namespace muzha {
@@ -21,7 +22,7 @@ class StaticRouting final : public RoutingProtocol {
   void route_packet(PacketPtr pkt) override {
     auto it = table_.find(pkt->ip.dst);
     if (it == table_.end()) {
-      ++drops_no_route_;
+      node_.note(TraceEventKind::kDropNoRoute, *pkt);
       return;
     }
     node_.device_send(std::move(pkt), it->second);
@@ -29,16 +30,13 @@ class StaticRouting final : public RoutingProtocol {
 
   void handle_control(PacketPtr) override {}
 
-  void on_link_failure(NodeId, PacketPtr) override {}
-
-  std::uint64_t drops_no_route() const override { return drops_no_route_; }
+  PacketPtr on_link_failure(NodeId, PacketPtr pkt) override { return pkt; }
 
  private:
   Node& node_;
   // Ordered map: a fixed table that tests may print or diff; sorted-key
   // iteration makes that output stable.
   std::map<NodeId, NodeId> table_;
-  std::uint64_t drops_no_route_ = 0;
 };
 
 }  // namespace muzha

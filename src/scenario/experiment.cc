@@ -9,6 +9,7 @@
 #include "app/cbr.h"
 #include "core/tcp_muzha.h"
 #include "net/node.h"
+#include "net/trace.h"
 #include "phy/channel.h"
 #include "phy/position.h"
 #include "pkt/packet.h"
@@ -354,7 +355,7 @@ ExperimentResult collect(const ExperimentConfig& cfg,
   for (Stack* st : stacks) {
     Network& net = *st->net;
     for (std::size_t li = 0; li < net.size(); ++li) {
-      result.ifq_drops += net.node(li).device().queue().drops();
+      result.ifq_drops += net.node(li).count(TraceEventKind::kDropIfq);
       result.mac_retry_drops += net.node(li).device().mac().drops_retry_limit();
       result.phy_collisions += net.node(li).device().phy().collisions();
     }

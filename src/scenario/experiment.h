@@ -186,7 +186,9 @@ struct ExperimentResult {
   std::vector<FlowResult> flows;
   // Substrate-level aggregates.
   std::uint64_t ifq_drops = 0;         // drop-tail losses (congestion)
-  std::uint64_t mac_retry_drops = 0;   // retry-limit losses (link failure)
+  // Every MAC retry-limit exhaustion (a link failure), also those whose
+  // packet the originator salvaged; the lost ones are Node's kDropMac.
+  std::uint64_t mac_retry_drops = 0;
   std::uint64_t phy_collisions = 0;
   std::uint64_t channel_error_losses = 0;
   std::uint64_t cbr_packets_sent = 0;  // background-load injection count

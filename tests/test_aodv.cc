@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "net/node.h"
+#include "net/trace.h"
 #include "phy/channel.h"
 #include "sim/simulator.h"
 
@@ -103,7 +104,8 @@ TEST_F(AodvTest, UnreachableDestinationFailsDiscoveryAfterRetries) {
   EXPECT_EQ(aodvs[0]->discovery_failures(), 1u);
   // 1 initial + 2 retries.
   EXPECT_EQ(aodvs[0]->rreqs_originated(), 3u);
-  EXPECT_GE(aodvs[0]->drops_no_route(), 1u);
+  // The one buffered packet went with the failed discovery.
+  EXPECT_EQ(nodes[0]->count(TraceEventKind::kDropDiscovery), 1u);
   EXPECT_FALSE(aodvs[0]->has_valid_route(9));
 }
 
@@ -209,7 +211,10 @@ TEST_F(AodvTest, BufferCapacityDropsExcessPackets) {
   for (int i = 0; i < 70; ++i) {
     nodes[0]->send(tcp_packet(*nodes[0], 9, 80));
   }
-  EXPECT_EQ(aodvs[0]->drops_no_route(), 6u);
+  EXPECT_EQ(nodes[0]->count(TraceEventKind::kDropSendBuffer), 6u);
+  // The 64 it holds go when the discovery fails.
+  sim.run_until(SimTime::from_seconds(30));
+  EXPECT_EQ(nodes[0]->count(TraceEventKind::kDropDiscovery), 64u);
 }
 
 }  // namespace

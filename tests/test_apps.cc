@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "app/cbr.h"
+#include "net/trace.h"
 #include "routing/static_routing.h"
 #include "scenario/network.h"
 #include "tcp/tcp_sink.h"
@@ -26,8 +27,9 @@ TEST(CbrApp, SendsAtConfiguredRate) {
   net.run_until(SimTime::from_seconds(3.0));
   // Two seconds at 100 pkt/s.
   EXPECT_NEAR(static_cast<double>(cbr.packets_sent()), 200.0, 5.0);
-  // Destination saw them (counted as local deliveries even with no agent).
-  EXPECT_GT(net.node(1).delivered_local(), 150u);
+  // Destination saw them: a raw-IP arrival is a delivery, not a drop.
+  EXPECT_GT(net.node(1).count(TraceEventKind::kDeliver), 150u);
+  EXPECT_EQ(net.node(1).count(TraceEventKind::kDropNoAgent), 0u);
 }
 
 TEST(CbrBackgroundTraffic, DegradesTcpThroughput) {

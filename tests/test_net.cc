@@ -4,6 +4,7 @@
 
 #include "net/drop_tail_queue.h"
 #include "net/node.h"
+#include "net/trace.h"
 #include "phy/channel.h"
 #include "routing/static_routing.h"
 #include "sim/simulator.h"
@@ -17,7 +18,7 @@ TEST(DropTailQueue, FifoOrder) {
   for (int i = 0; i < 3; ++i) {
     auto p = make_packet(uid);
     p->size_bytes = 100 + i;
-    EXPECT_TRUE(q.enqueue(std::move(p), 1));
+    EXPECT_EQ(q.enqueue(std::move(p), 1), nullptr);
   }
   EXPECT_EQ(q.size(), 3u);
   EXPECT_EQ(q.dequeue().pkt->size_bytes, 100u);
@@ -29,10 +30,12 @@ TEST(DropTailQueue, FifoOrder) {
 TEST(DropTailQueue, DropsWhenFull) {
   DropTailQueue q(2);
   std::uint64_t uid = 0;
-  EXPECT_TRUE(q.enqueue(make_packet(uid), 1));
-  EXPECT_TRUE(q.enqueue(make_packet(uid), 1));
-  EXPECT_FALSE(q.enqueue(make_packet(uid), 1));
-  EXPECT_EQ(q.drops(), 1u);
+  EXPECT_EQ(q.enqueue(make_packet(uid), 1), nullptr);
+  EXPECT_EQ(q.enqueue(make_packet(uid), 1), nullptr);
+  // The full queue hands the refused packet back to its caller.
+  PacketPtr refused = q.enqueue(make_packet(uid), 1);
+  ASSERT_NE(refused, nullptr);
+  EXPECT_EQ(refused->uid, 3u);
   EXPECT_EQ(q.size(), 2u);
 }
 
@@ -68,8 +71,9 @@ TEST(DropTailQueue, RingWrapsAroundCapacity) {
     while (q.size() < q.capacity()) {
       auto p = make_packet(uid);
       p->size_bytes = next_in;
-      ASSERT_TRUE(q.enqueue(std::move(p), static_cast<NodeId>(next_in),
-                            SimTime::from_ns(next_in)));
+      ASSERT_EQ(q.enqueue(std::move(p), static_cast<NodeId>(next_in),
+                          SimTime::from_ns(next_in)),
+                nullptr);
       ++next_in;
     }
     for (int i = 0; i < 3; ++i) take();
@@ -78,21 +82,23 @@ TEST(DropTailQueue, RingWrapsAroundCapacity) {
   take();
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(next_out, next_in);
-  EXPECT_EQ(q.drops(), 0u);
 }
 
 TEST(DropTailQueue, DropsAtCapacityAfterWrap) {
   DropTailQueue q(3);
   std::uint64_t uid = 0;
-  for (int i = 0; i < 3; ++i) EXPECT_TRUE(q.enqueue(make_packet(uid), 1));
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(q.enqueue(make_packet(uid), 1), nullptr);
+  }
   q.dequeue();
   q.dequeue();
   // The tail wraps to the front of the ring; the third enqueue finds it
-  // full and drops, leaving what was queued untouched.
-  EXPECT_TRUE(q.enqueue(make_packet(uid), 1));
-  EXPECT_TRUE(q.enqueue(make_packet(uid), 1));
-  EXPECT_FALSE(q.enqueue(make_packet(uid), 1));
-  EXPECT_EQ(q.drops(), 1u);
+  // full and refuses, leaving what was queued untouched.
+  EXPECT_EQ(q.enqueue(make_packet(uid), 1), nullptr);
+  EXPECT_EQ(q.enqueue(make_packet(uid), 1), nullptr);
+  PacketPtr refused = q.enqueue(make_packet(uid), 1);
+  ASSERT_NE(refused, nullptr);
+  EXPECT_EQ(refused->uid, 6u);
   EXPECT_EQ(q.size(), 3u);
   EXPECT_EQ(q.dequeue().pkt->uid, 3u);
   EXPECT_EQ(q.dequeue().pkt->uid, 4u);
@@ -111,9 +117,12 @@ TEST(DropTailQueue, HighWatermarkAcrossWrap) {
   EXPECT_EQ(q.high_watermark(), 4u);
   for (int i = 0; i < 4; ++i) q.dequeue();
   EXPECT_EQ(q.high_watermark(), 4u);
-  for (int i = 0; i < 6; ++i) q.enqueue(make_packet(uid), 1);  // one drop
+  int refused = 0;
+  for (int i = 0; i < 6; ++i) {
+    if (q.enqueue(make_packet(uid), 1) != nullptr) ++refused;
+  }
   EXPECT_EQ(q.high_watermark(), 5u);
-  EXPECT_EQ(q.drops(), 1u);
+  EXPECT_EQ(refused, 1);
 }
 
 TEST(DropTailQueue, BeforeChangeHookSeesTheOldLength) {
@@ -168,7 +177,7 @@ TEST_F(NodeTest, DeliversTcpToRegisteredPort) {
   sim.run_until(SimTime::from_ms(100));
   ASSERT_EQ(sink.got.size(), 1u);
   EXPECT_EQ(sink.got[0]->tcp().seqno, 5);
-  EXPECT_EQ(b->delivered_local(), 1u);
+  EXPECT_EQ(b->count(TraceEventKind::kDeliver), 1u);
 }
 
 TEST_F(NodeTest, UnknownPortCountsDrop) {
@@ -176,7 +185,8 @@ TEST_F(NodeTest, UnknownPortCountsDrop) {
   p->l4 = TcpHeader{};
   a->send(std::move(p));
   sim.run_until(SimTime::from_ms(100));
-  EXPECT_EQ(b->drops_no_agent(), 1u);
+  EXPECT_EQ(b->count(TraceEventKind::kDropNoAgent), 1u);
+  EXPECT_EQ(b->count(TraceEventKind::kDeliver), 0u);
 }
 
 TEST_F(NodeTest, DuplicatePortRegistrationAborts) {
@@ -296,8 +306,10 @@ TEST(NodeForwarding, TtlExpiredPacketsAreDropped) {
   p->l4 = TcpHeader{};
   a.send(std::move(p));
   sim.run_until(SimTime::from_ms(100));
-  EXPECT_EQ(b.drops_ttl(), 1u);
-  EXPECT_EQ(c.delivered_local(), 0u);
+  EXPECT_EQ(b.count(TraceEventKind::kDropTtl), 1u);
+  EXPECT_EQ(b.count(TraceEventKind::kForward), 0u);
+  EXPECT_EQ(c.count(TraceEventKind::kDeliver), 0u);
+  EXPECT_EQ(c.count(TraceEventKind::kDropNoAgent), 0u);
 }
 
 TEST(NodeForwarding, MultihopForwardingCountsAndDelivers) {
@@ -325,7 +337,7 @@ TEST(NodeForwarding, MultihopForwardingCountsAndDelivers) {
   a.send(std::move(p));
   sim.run_until(SimTime::from_ms(100));
   ASSERT_EQ(sink.got.size(), 1u);
-  EXPECT_EQ(b.forwarded(), 1u);
+  EXPECT_EQ(b.count(TraceEventKind::kForward), 1u);
   EXPECT_EQ(sink.got[0]->ip.ttl, ttl_before - 1);
 }
 
@@ -334,13 +346,11 @@ TEST(StaticRoutingTest, MissingRouteCountsDrop) {
   PhyParams params;
   Channel channel(sim, params);
   Node a(sim, channel, 0, {0, 0});
-  auto ra = std::make_unique<StaticRouting>(a);
-  StaticRouting* raw = ra.get();
-  a.set_routing(std::move(ra));
+  a.set_routing(std::make_unique<StaticRouting>(a));
   PacketPtr p = a.new_packet(5, IpProto::kTcp, 100);
   p->l4 = TcpHeader{};
   a.send(std::move(p));
-  EXPECT_EQ(raw->drops_no_route(), 1u);
+  EXPECT_EQ(a.count(TraceEventKind::kDropNoRoute), 1u);
 }
 
 }  // namespace
