@@ -57,7 +57,7 @@ class DropTailQueue {
     std::size_t tail = head_ + size_;
     if (tail >= capacity_) tail -= capacity_;
     ring_[tail] = Entry{std::move(pkt), next_hop, now};
-    if (++size_ > high_watermark_) high_watermark_ = size_;
+    ++size_;
     return nullptr;
   }
 
@@ -70,15 +70,12 @@ class DropTailQueue {
     return e;
   }
 
-  std::size_t high_watermark() const { return high_watermark_; }
-
  private:
   std::size_t capacity_;
   std::unique_ptr<Entry[]> ring_;  // null until the first enqueue
   std::size_t head_ = 0;           // index of the oldest entry
   std::size_t size_ = 0;
   ChangeHook before_change_;
-  std::size_t high_watermark_ = 0;
 };
 
 }  // namespace muzha

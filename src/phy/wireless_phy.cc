@@ -34,7 +34,6 @@ SimTime WirelessPhy::tx_duration(Bytes total, bool basic_rate) const {
 }
 
 void WirelessPhy::schedule_records() {
-  catch_up();
   Scheduler& sched = sim_.scheduler();
   for (const Record& record : records_) {
     if (record.signal == 0) {
@@ -87,36 +86,19 @@ void WirelessPhy::apply_passed() {
   while (!records_.empty() && sched.passed(records_.back().key)) {
     const Record record = records_.back();
     records_.pop_back();
+    // The edge's own transition at its own time. It reports no edge: a
+    // record exists only while the owner acts on none.
     if (record.signal == 0) {
-      // What signal_start() does for a signal it cannot lock onto, at the
-      // start's own time.
-      interfere(record.dist);
-      if (!busy()) book_busy(record.key.time);
-      const std::uint64_t id = next_signal_seq_++;
-      active_signals_.push_back({id, record.dist});
-      file_record({Scheduler::follow(record.key, record.airtime), id, {}, {}});
+      begin_signal(record.key, nullptr, false, record.airtime, record.dist);
     } else {
-      // What signal_end() does for a signal it is not decoding, at the
-      // end's own time.
-      remove_signal(record.signal);
-      if (!busy()) book_idle(record.key.time);
+      end_signal(record.key.time, record.signal);
     }
-  }
-}
-
-void WirelessPhy::interfere(Meters dist) {
-  // Capture effect: a sufficiently distant (weak) interferer does not
-  // destroy the frame being decoded.
-  if (decoding_seq_ != 0 && !decoding_corrupted_ &&
-      dist < decoding_dist_ * channel_.params().capture_distance_ratio) {
-    decoding_corrupted_ = true;
-    ++collisions_;
   }
 }
 
 void WirelessPhy::start_tx(PacketPtr pkt, bool basic_rate) {
   MUZHA_ASSERT(!tx_active_, "PHY is half-duplex: cannot start TX during TX");
-  bool was_busy = carrier_busy();
+  catch_up();
   // Transmitting while decoding destroys the reception (half duplex).
   if (decoding_seq_ != 0) {
     decoding_corrupted_ = true;
@@ -129,24 +111,34 @@ void WirelessPhy::start_tx(PacketPtr pkt, bool basic_rate) {
   if (FrameTrace* trace = channel_.frame_trace()) {
     trace->tx_start(sim_.now(), id_, pkt->mac.type, pkt->mac.seq);
   }
-  update_carrier(was_busy);
+  if (book_carrier(sim_.now())) report_edge();
   channel_.transmit(*this, *pkt, dur);
   sim_.schedule_in(dur, [this] {
-    bool busy_before = carrier_busy();
+    catch_up();
     tx_active_ = false;
-    // Inform the MAC of TX completion *before* the carrier-idle transition:
-    // the MAC must update its exchange state (e.g. start awaiting the ACK)
+    const bool edge = book_carrier(sim_.now());
+    // Inform the MAC of TX completion *before* the carrier-idle report: the
+    // MAC must update its exchange state (e.g. start awaiting the ACK)
     // before any idle notification can restart contention.
     if (on_tx_done_) on_tx_done_();
-    update_carrier(busy_before);
+    if (edge) report_edge();
   });
 }
 
 void WirelessPhy::signal_start(PacketPtr pkt, bool pre_corrupted,
                                SimTime duration, Meters tx_dist) {
-  bool was_busy = carrier_busy();
-  std::uint64_t seq = next_signal_seq_++;
-  double ratio = channel_.params().capture_distance_ratio;
+  catch_up();
+  if (begin_signal(sim_.scheduler().running(), std::move(pkt), pre_corrupted,
+                   duration, tx_dist)) {
+    report_edge();
+  }
+}
+
+bool WirelessPhy::begin_signal(Scheduler::Key key, PacketPtr pkt,
+                               bool pre_corrupted, SimTime airtime,
+                               Meters dist) {
+  const std::uint64_t seq = next_signal_seq_++;
+  const double ratio = channel_.params().capture_distance_ratio;
   // Lock onto a decodable frame when not transmitting or already decoding,
   // provided every signal currently on the air is weak enough to be
   // captured over (all at least `ratio` times farther than the new frame's
@@ -154,7 +146,7 @@ void WirelessPhy::signal_start(PacketPtr pkt, bool pre_corrupted,
   bool can_lock = !tx_active_ && decoding_seq_ == 0 && pkt != nullptr;
   if (can_lock) {
     for (const Signal& signal : active_signals_) {
-      if (signal.dist < tx_dist * ratio) {
+      if (signal.dist < dist * ratio) {
         can_lock = false;
         break;
       }
@@ -164,35 +156,40 @@ void WirelessPhy::signal_start(PacketPtr pkt, bool pre_corrupted,
     decoding_seq_ = seq;
     decoding_pkt_ = std::move(pkt);
     decoding_corrupted_ = pre_corrupted;
-    decoding_dist_ = tx_dist;
-  } else {
-    interfere(tx_dist);
+    decoding_dist_ = dist;
+  } else if (decoding_seq_ != 0 && !decoding_corrupted_ &&
+             dist < decoding_dist_ * ratio) {
+    // Capture effect: a sufficiently distant (weak) interferer does not
+    // destroy the frame being decoded.
+    decoding_corrupted_ = true;
+    ++collisions_;
   }
-  const Scheduler::Key end =
-      Scheduler::follow(sim_.scheduler().running(), duration);
-  active_signals_.push_back({seq, tx_dist});
-  update_carrier(was_busy);
+  active_signals_.push_back({seq, dist});
+  const bool edge = book_carrier(key.time);
+  const Scheduler::Key end = Scheduler::follow(key, airtime);
   if (needs_idle_edges_ || seq == decoding_seq_) {
     sim_.scheduler().schedule(end, [this, seq] { signal_end(seq); });
   } else {
     file_record({end, seq, {}, {}});
   }
+  return edge;
 }
 
-void WirelessPhy::remove_signal(std::uint64_t signal_seq) {
+bool WirelessPhy::end_signal(SimTime t, std::uint64_t id) {
   auto it = std::find_if(
       active_signals_.begin(), active_signals_.end(),
-      [signal_seq](const Signal& signal) { return signal.id == signal_seq; });
+      [id](const Signal& signal) { return signal.id == id; });
   MUZHA_ASSERT(it != active_signals_.end(),
-               "signal_end without matching start");
+               "signal end without matching start");
   *it = active_signals_.back();  // swap-pop; order is irrelevant
   active_signals_.pop_back();
+  return book_carrier(t);
 }
 
-void WirelessPhy::signal_end(std::uint64_t signal_seq) {
-  bool was_busy = carrier_busy();
-  remove_signal(signal_seq);
-  if (signal_seq == decoding_seq_) {
+void WirelessPhy::signal_end(std::uint64_t id) {
+  catch_up();
+  const bool edge = end_signal(sim_.now(), id);
+  if (id == decoding_seq_) {
     decoding_seq_ = 0;
     PacketPtr p = std::move(decoding_pkt_);
     bool corrupted = decoding_corrupted_ || tx_active_;
@@ -203,20 +200,20 @@ void WirelessPhy::signal_end(std::uint64_t signal_seq) {
     }
     if (on_rx_) on_rx_(corrupted ? nullptr : std::move(p), corrupted);
   }
-  update_carrier(was_busy);
+  if (edge) report_edge();
 }
 
-void WirelessPhy::update_carrier(bool was_busy) {
-  MUZHA_DCHECK(was_busy == busy_booked_,
-               "a carrier edge reported from a state that was never booked");
-  bool now_busy = busy();
-  if (now_busy == was_busy) return;
+bool WirelessPhy::book_carrier(SimTime t) {
+  const bool now_busy = busy();
+  if (now_busy == busy_booked_) return false;
+  while (next_sample_.time < t) fold_sample();
   if (now_busy) {
-    book_busy(sim_.now());
+    busy_since_ = t;
   } else {
-    book_idle(sim_.now());
+    busy_accum_ += t - busy_since_;
   }
-  if (on_channel_state_) on_channel_state_(now_busy);
+  busy_booked_ = now_busy;
+  return true;
 }
 
 }  // namespace muzha

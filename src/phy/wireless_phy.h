@@ -24,28 +24,27 @@
 // carrier_busy(), cumulative_busy_time(), collisions(),
 // set_needs_idle_edges() and sync_busy_samples()) first applies the records
 // whose keys have passed, in key order, so every answer is the one the
-// events would have given. When the owner starts needing edges again, every
-// record is scheduled under its key and fires exactly where it would have.
+// events would have given: a record runs the event's start or end at its
+// key's time. When the owner starts needing edges again, every record is
+// scheduled under its key and fires exactly where it would have.
 // A PHY without an owner that says otherwise needs idle edges and keeps no
 // records.
 //
 // Busy time: the PHY sums the time its carrier is sensed busy, own
-// transmissions included. A reported edge counts at now; an edge that only a
-// record caused counts at the record's own start or end time. The channel
-// state callback reports real edges only.
+// transmissions included, booking each edge at its own time: a real edge at
+// now, a record's at the record's start or end. A handler that changes the
+// carrier books the change, then calls up to the MAC, then reports the edge
+// (real edges only), so the booked state is busy() at every catch-up,
+// which checks it.
 //
-// Busy samples: one sampler (the Muzha estimator) gets the busy total at
-// every `interval` boundary after set_busy_sampler(), each exactly once and
-// in order, with no event. A boundary at t is keyed
+// Busy samples: one sampler (the Muzha estimator) gets the booked busy
+// total at every `interval` boundary after set_busy_sampler(), each exactly
+// once and in order, with no event. A boundary at t is keyed
 // Scheduler::last_at(t, interval), where a tick scheduled one interval
 // before would have fired. It is folded just before the PHY books a
-// busy-time change (a real edge, a record's start or expiry), if it lies
-// strictly before the change's time, or by sync_busy_samples() once its key
-// has passed; the IFQ calls that before every change and the sampler's
-// owner before every read. The total is the booked one, from the carrier
-// state busy_since_ and busy_accum_ count from, not busy(): the TX-end and
-// signal-end handlers reach the MAC, and through it the IFQ, before they
-// book their edge.
+// busy-time change, if it lies strictly before the change's time, or by
+// sync_busy_samples() once its key has passed; the IFQ calls that before
+// every change and the sampler's owner before every read.
 #pragma once
 
 #include <algorithm>
@@ -58,6 +57,7 @@
 #include "phy/position.h"
 #include "phy/spatial_grid.h"
 #include "pkt/packet.h"
+#include "sim/assert.h"
 #include "sim/inline_callback.h"
 #include "sim/scheduler.h"
 #include "sim/sim_time.h"
@@ -99,7 +99,9 @@ class WirelessPhy {
   // Whether the owner acts on idle edges. While it does not, sensed-only
   // starts and the ends of signals this PHY is not decoding are kept as
   // records; turning the need back on schedules every record under its key.
+  // Catches up first, so that a record applied here files its end as one.
   void set_needs_idle_edges(bool needs) {
+    catch_up();
     needs_idle_edges_ = needs;
     if (needs && !records_.empty()) schedule_records();
   }
@@ -204,39 +206,39 @@ class WirelessPhy {
   }
 
   bool busy() const { return tx_active_ || !active_signals_.empty(); }
-  // Inline so that a PHY with nothing due pays a comparison or two.
+  // Every entry point calls it first, when the booked carrier state is the
+  // live one. Inline so that a PHY with nothing due pays a comparison or two.
   void catch_up() {
+    MUZHA_DCHECK(busy() == busy_booked_,
+                 "a carrier change left unbooked at an entry point");
     if (!records_.empty() && sim_.now() >= records_.back().key.time) {
       apply_passed();
     }
   }
   void apply_passed();
+  // A signal starts under `key`: the lock decision or capture check, the
+  // carrier booked at key.time, and the end scheduled or filed under
+  // follow(key, airtime). True at a carrier edge.
+  bool begin_signal(Scheduler::Key key, PacketPtr pkt, bool pre_corrupted,
+                    SimTime airtime, Meters dist);
+  // Signal `id` leaves the air, and the carrier is booked, at `t`. True at
+  // a carrier edge.
+  bool end_signal(SimTime t, std::uint64_t id);
+  // Books busy() at `t`, no earlier than the last booked change, after
+  // folding the sample boundaries strictly before `t`. True at an edge.
+  bool book_carrier(SimTime t);
   // The booked busy total at `t`, no earlier than the last booked change.
   SimTime booked_busy_total(SimTime t) const {
     return busy_booked_ ? busy_accum_ + (t - busy_since_) : busy_accum_;
   }
-  // Book the carrier busy from, or idle at, `t`, no earlier than the last
-  // booked change, after folding the sample boundaries strictly before `t`.
-  void book_busy(SimTime t) {
-    fold_samples_before(t);
-    busy_since_ = t;
-    busy_booked_ = true;
-  }
-  void book_idle(SimTime t) {
-    fold_samples_before(t);
-    busy_accum_ += t - busy_since_;
-    busy_booked_ = false;
-  }
-  void fold_samples_before(SimTime t) {
-    while (next_sample_.time < t) fold_sample();
+  // Tells the owner the carrier edge a handler has booked.
+  void report_edge() {
+    if (on_channel_state_) on_channel_state_(busy());
   }
   void fold_passed_samples();
   void fold_sample();
-  void interfere(Meters dist);
-  void remove_signal(std::uint64_t signal_seq);
   void schedule_records();
-  void signal_end(std::uint64_t signal_seq);
-  void update_carrier(bool was_busy);
+  void signal_end(std::uint64_t id);
 
   Simulator& sim_;
   Channel& channel_;
@@ -254,7 +256,7 @@ class WirelessPhy {
 
   bool tx_active_ = false;
   // Every signal currently arriving, those whose end is a record included.
-  // Flat vector, erased by swap-pop: the capture decision in signal_start()
+  // Flat vector, erased by swap-pop: the capture decision in begin_signal()
   // is an order-independent predicate over ALL entries, so element order
   // does not matter, and the handful of concurrently overlapping signals
   // never justifies a node-allocating container on the per-delivery warm

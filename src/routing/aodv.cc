@@ -166,7 +166,6 @@ void Aodv::on_rreq_timeout(NodeId dst) {
     return;
   }
   // Discovery failed: drop everything buffered for this destination.
-  ++discovery_failures_;
   for (const PacketPtr& p : pd.buffered) {
     node_.note(TraceEventKind::kDropDiscovery, *p);
   }

@@ -54,7 +54,6 @@ class Aodv final : public RoutingProtocol {
   std::uint64_t rreqs_originated() const { return rreqs_originated_; }
   std::uint64_t rreps_sent() const { return rreps_sent_; }
   std::uint64_t rerrs_sent() const { return rerrs_sent_; }
-  std::uint64_t discovery_failures() const { return discovery_failures_; }
 
  private:
   struct PendingDiscovery {
@@ -96,7 +95,6 @@ class Aodv final : public RoutingProtocol {
   std::uint64_t rreqs_originated_ = 0;
   std::uint64_t rreps_sent_ = 0;
   std::uint64_t rerrs_sent_ = 0;
-  std::uint64_t discovery_failures_ = 0;
 };
 
 }  // namespace muzha

@@ -39,17 +39,15 @@ TEST(DropTailQueue, DropsWhenFull) {
   EXPECT_EQ(q.size(), 2u);
 }
 
-TEST(DropTailQueue, OccupancyAndWatermark) {
+TEST(DropTailQueue, Occupancy) {
   DropTailQueue q(4);
   std::uint64_t uid = 0;
   EXPECT_DOUBLE_EQ(q.occupancy(), 0.0);
   q.enqueue(make_packet(uid), 1);
   q.enqueue(make_packet(uid), 1);
   EXPECT_DOUBLE_EQ(q.occupancy(), 0.5);
-  EXPECT_EQ(q.high_watermark(), 2u);
   q.dequeue();
   EXPECT_DOUBLE_EQ(q.occupancy(), 0.25);
-  EXPECT_EQ(q.high_watermark(), 2u);  // watermark sticks
 }
 
 TEST(DropTailQueue, RingWrapsAroundCapacity) {
@@ -104,25 +102,6 @@ TEST(DropTailQueue, DropsAtCapacityAfterWrap) {
   EXPECT_EQ(q.dequeue().pkt->uid, 4u);
   EXPECT_EQ(q.dequeue().pkt->uid, 5u);
   EXPECT_TRUE(q.empty());
-}
-
-TEST(DropTailQueue, HighWatermarkAcrossWrap) {
-  DropTailQueue q(5);
-  std::uint64_t uid = 0;
-  for (int i = 0; i < 3; ++i) q.enqueue(make_packet(uid), 1);
-  EXPECT_EQ(q.high_watermark(), 3u);
-  q.dequeue();
-  q.dequeue();
-  for (int i = 0; i < 3; ++i) q.enqueue(make_packet(uid), 1);  // wraps
-  EXPECT_EQ(q.high_watermark(), 4u);
-  for (int i = 0; i < 4; ++i) q.dequeue();
-  EXPECT_EQ(q.high_watermark(), 4u);
-  int refused = 0;
-  for (int i = 0; i < 6; ++i) {
-    if (q.enqueue(make_packet(uid), 1) != nullptr) ++refused;
-  }
-  EXPECT_EQ(q.high_watermark(), 5u);
-  EXPECT_EQ(refused, 1);
 }
 
 TEST(DropTailQueue, BeforeChangeHookSeesTheOldLength) {
