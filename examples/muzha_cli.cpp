@@ -7,8 +7,8 @@
 //
 // One flow is created per comma-separated variant, all sharing the
 // first-to-last path (chain) or the two arms (cross, first two variants).
-// A malformed number or a value out of range prints a message and the
-// usage, and exits 2.
+// A malformed number prints a message and the usage, and exits 2; so does a
+// config that validate() refuses, with one line per broken rule.
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -54,29 +54,6 @@ bool parse_number(const char* text, T& out) {
   if (ec != std::errc() || ptr != end) return false;
   if constexpr (std::is_floating_point_v<T>) return std::isfinite(out);
   return true;
-}
-
-// The first option value the experiment cannot run with, or nullptr.
-const char* range_error(const ExperimentConfig& cfg, int window,
-                        Seconds duration) {
-  if (cfg.uniform_error_rate < 0.0 || cfg.uniform_error_rate > 1.0) {
-    return "--loss must be in [0, 1]";
-  }
-  // Past half the clock's range the conversion, or a timer set past the
-  // horizon, could overflow the 64-bit clock; under 1 ns the run is empty.
-  if (duration.value() > SimTime::max().to_seconds() / 2 ||
-      to_sim_time(duration) <= SimTime::zero()) {
-    return "--duration must be > 0 (and fit the simulation clock)";
-  }
-  if (window < 1) return "--window must be >= 1";
-  if (cfg.topology == TopologyKind::kChain && cfg.hops < 1) {
-    return "--hops must be >= 1 for a chain";
-  }
-  if (cfg.topology == TopologyKind::kCross &&
-      (cfg.hops < 2 || cfg.hops % 2 != 0)) {
-    return "--hops must be even and >= 2 for a cross";
-  }
-  return nullptr;
 }
 
 }  // namespace
@@ -157,8 +134,12 @@ int main(int argc, char** argv) {
     usage(argv[0]);
     return 2;
   }
-  if (const char* err = range_error(cfg, window, duration)) {
-    std::fprintf(stderr, "%s\n", err);
+  // Past half the clock's range the conversion, or a timer set past the
+  // horizon, could overflow the 64-bit clock; under 1 ns the run is empty.
+  if (duration.value() > SimTime::max().to_seconds() / 2 ||
+      to_sim_time(duration) <= SimTime::zero()) {
+    std::fprintf(stderr,
+                 "--duration must be > 0 (and fit the simulation clock)\n");
     usage(argv[0]);
     return 2;
   }
@@ -178,6 +159,13 @@ int main(int argc, char** argv) {
       f.dst = static_cast<std::size_t>(cfg.hops);
     }
     cfg.flows.push_back(f);
+  }
+  if (std::vector<std::string> errors = validate(cfg); !errors.empty()) {
+    for (const std::string& e : errors) {
+      std::fprintf(stderr, "%s\n", e.c_str());
+    }
+    usage(argv[0]);
+    return 2;
   }
 
   ExperimentResult res = run_experiment(cfg);

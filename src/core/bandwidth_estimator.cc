@@ -33,20 +33,21 @@ void BandwidthEstimator::start() {
   started_ = true;
   last_busy_total_ = device_.phy().cumulative_busy_time();
   device_.phy().set_busy_sampler(
-      cfg_.sample_interval, [this](SimTime busy_total) { sample(busy_total); });
+      DraiConfig::sample_interval,
+      [this](SimTime busy_total) { sample(busy_total); });
 }
 
 void BandwidthEstimator::sample(SimTime busy_total) {
   SimTime delta = busy_total - last_busy_total_;
   last_busy_total_ = busy_total;
   double inst = static_cast<double>(delta.ns()) /
-                static_cast<double>(cfg_.sample_interval.ns());
+                static_cast<double>(DraiConfig::sample_interval.ns());
   if (inst > 1.0) inst = 1.0;
   util_ewma_ = kEwmaAlpha * inst + (1.0 - kEwmaAlpha) * util_ewma_;
 
   double q = static_cast<double>(device_.queue().size());
   SegmentsPerSecond inst_gradient =
-      Segments(q - last_queue_size_) / to_seconds(cfg_.sample_interval);
+      Segments(q - last_queue_size_) / to_seconds(DraiConfig::sample_interval);
   last_queue_size_ = q;
   gradient_ewma_ =
       kEwmaAlpha * inst_gradient + (1.0 - kEwmaAlpha) * gradient_ewma_;

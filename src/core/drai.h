@@ -34,9 +34,9 @@ struct DraiConfig {
   double u_aggressive_accel = 0.50;  // below: level 5
   double u_moderate_accel = 0.80;    // below: level 4
   double u_stabilize = 0.96;         // below: level 3, above: level 2
-  // Utilization sampling (the estimator's EWMA weight is in
+  // Utilization sampling, a constant (the estimator's EWMA weight is in
   // bandwidth_estimator.cc).
-  SimTime sample_interval = SimTime::from_ms(50);
+  static constexpr SimTime sample_interval = SimTime::from_ms(50);
 
   // Future-work extension (paper Ch. 6: "consideration of queue size ... as
   // part of DRAI formula"): when enabled, a *rising* queue caps the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "phy/phy_params.h"
 #include "phy/position.h"
 #include "phy/spatial_grid.h"
 #include "phy/wireless_phy.h"
@@ -50,7 +51,7 @@ void Channel::transmit(const WirelessPhy& src, const Packet& pkt,
     for (WirelessPhy* rx : phys_) {
       if (rx == &src) continue;
       Meters dist = distance(sp, rx->position());
-      if (dist <= params_.cs_range) deliver(rx, dist, pkt, duration);
+      if (dist <= PhyParams::cs_range) deliver(rx, dist, pkt, duration);
     }
   } else {
     // Cell side == cs_range, so the 3x3 neighborhood is a superset of the
@@ -59,7 +60,7 @@ void Channel::transmit(const WirelessPhy& src, const Packet& pkt,
     // which fixes both the schedule_in order and the random-loss RNG draw
     // order.
     scratch_.clear();
-    grid_.gather(sp, params_.cs_range, scratch_);
+    grid_.gather(sp, PhyParams::cs_range, scratch_);
     std::sort(scratch_.begin(), scratch_.end(),
               [](const SpatialGrid::Entry& a, const SpatialGrid::Entry& b) {
                 return a.order < b.order;
@@ -73,7 +74,7 @@ void Channel::transmit(const WirelessPhy& src, const Packet& pkt,
 
 void Channel::deliver(WirelessPhy* rx, Meters dist, const Packet& pkt,
                       SimTime duration) {
-  bool decodable = dist <= params_.rx_range;
+  bool decodable = dist <= PhyParams::rx_range;
   bool pre_corrupted = false;
   PacketPtr copy;
   if (decodable) {
@@ -83,7 +84,7 @@ void Channel::deliver(WirelessPhy* rx, Meters dist, const Packet& pkt,
         loss_rate_.value() > 0.0 && sim_.rng().chance(loss_rate_.value());
     if (pre_corrupted) ++frames_corrupted_by_error_;
   }
-  rx->arrive(to_sim_time(dist / params_.propagation), std::move(copy),
+  rx->arrive(to_sim_time(dist / PhyParams::propagation), std::move(copy),
              pre_corrupted, duration, dist);
 }
 

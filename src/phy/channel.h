@@ -39,16 +39,15 @@ enum class ChannelMode : std::uint8_t { kSpatialIndex, kBruteForce };
 
 class Channel {
  public:
-  Channel(Simulator& sim, PhyParams params,
+  // The radio parameters are constants (phy/phy_params.h), so the
+  // PhyParams argument and params() carry nothing; perfbench spells both.
+  Channel(Simulator& sim, PhyParams /*params*/,
           ChannelMode mode = ChannelMode::kSpatialIndex)
-      : sim_(sim),
-        params_(params),
-        mode_(mode),
-        grid_(params.cs_range) {}
+      : sim_(sim), mode_(mode), grid_(PhyParams::cs_range) {}
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
-  const PhyParams& params() const { return params_; }
+  PhyParams params() const { return {}; }
 
   // Registers a PHY for delivery. Attaching a PHY twice is a bug (it would
   // receive every frame twice); MUZHA_DCHECKed.
@@ -92,7 +91,6 @@ class Channel {
                SimTime duration);
 
   Simulator& sim_;
-  PhyParams params_;
   ChannelMode mode_;
   Probability loss_rate_;
   FrameTrace* frame_trace_ = nullptr;

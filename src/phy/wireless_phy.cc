@@ -22,15 +22,14 @@ WirelessPhy::WirelessPhy(Simulator& sim, Channel& channel, NodeId id,
 }
 
 SimTime WirelessPhy::tx_duration(Bytes total, bool basic_rate) const {
-  const PhyParams& p = channel_.params();
-  // Rates are integral bit/s in every deployed configuration; the integer
-  // ceil-division below is exact and must stay exact.
+  // Rates are integral bit/s; the integer ceil-division below is exact and
+  // must stay exact.
   std::uint64_t rate = static_cast<std::uint64_t>(
-      (basic_rate ? p.basic_rate : p.data_rate).value());
+      (basic_rate ? PhyParams::basic_rate : PhyParams::data_rate).value());
   // bits * 1e9 / rate nanoseconds, rounded up.
   std::uint64_t bits = static_cast<std::uint64_t>(to_bits(total).value());
   std::int64_t ns = static_cast<std::int64_t>((bits * 1'000'000'000ull + rate - 1) / rate);
-  return p.plcp_overhead + SimTime::from_ns(ns);
+  return PhyParams::plcp_overhead + SimTime::from_ns(ns);
 }
 
 void WirelessPhy::schedule_records() {
@@ -99,10 +98,11 @@ void WirelessPhy::apply_passed() {
 void WirelessPhy::start_tx(PacketPtr pkt, bool basic_rate) {
   MUZHA_ASSERT(!tx_active_, "PHY is half-duplex: cannot start TX during TX");
   catch_up();
-  // Transmitting while decoding destroys the reception (half duplex).
+  // Transmitting while decoding destroys the reception (half duplex). As in
+  // begin_signal's capture check, only an intact reception counts.
   if (decoding_seq_ != 0) {
+    if (!decoding_corrupted_) ++collisions_;
     decoding_corrupted_ = true;
-    ++collisions_;
   }
   SimTime dur = tx_duration(
       Bytes(mac_frame_bytes(pkt->mac.type, pkt->size_bytes)), basic_rate);
@@ -138,7 +138,7 @@ bool WirelessPhy::begin_signal(Scheduler::Key key, PacketPtr pkt,
                                bool pre_corrupted, SimTime airtime,
                                Meters dist) {
   const std::uint64_t seq = next_signal_seq_++;
-  const double ratio = channel_.params().capture_distance_ratio;
+  constexpr double ratio = PhyParams::capture_distance_ratio;
   // Lock onto a decodable frame when not transmitting or already decoding,
   // provided every signal currently on the air is weak enough to be
   // captured over (all at least `ratio` times farther than the new frame's

@@ -2,15 +2,21 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
+#include <cstdlib>
 #include <cstdint>
 #include <iterator>
 #include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "app/cbr.h"
 #include "core/tcp_muzha.h"
 #include "net/node.h"
 #include "net/trace.h"
 #include "phy/channel.h"
+#include "phy/phy_params.h"
 #include "phy/position.h"
 #include "pkt/packet.h"
 #include "relwork/adtcp.h"
@@ -178,22 +184,6 @@ std::vector<Position> node_positions(const ExperimentConfig& cfg, Rng& rng) {
 Stack build_stack(const ExperimentConfig& cfg, Network& net,
                   const std::vector<Position>& positions,
                   const std::vector<std::size_t>& members) {
-  MUZHA_ASSERT(!cfg.flows.empty(), "experiment needs at least one flow");
-  MUZHA_ASSERT(cfg.duration >= SimTime::zero(),
-               "duration must not be negative");
-  // Written so that NaN fails too.
-  MUZHA_ASSERT(cfg.uniform_error_rate >= 0.0 && cfg.uniform_error_rate <= 1.0,
-               "uniform_error_rate must be in [0, 1]");
-  MUZHA_ASSERT(cfg.chain_spacing > Meters(0.0), "chain_spacing must be > 0");
-  const bool relays_move = cfg.relay_max_speed != MetersPerSecond(0.0);
-  MUZHA_ASSERT(!relays_move ||
-                   cfg.relay_max_speed >= RandomWaypointMobility::kMinSpeed,
-               "relay_max_speed must be 0 or at least 1 m/s");
-  MUZHA_ASSERT(cfg.topology == TopologyKind::kChain ||
-                   (cfg.chain_spacing == kChainSpacing && !relays_move),
-               "chain_spacing and relay_max_speed apply to a chain only");
-  MUZHA_ASSERT(!relays_move || cfg.hops >= 2,
-               "relay motion needs an interior relay: hops must be >= 2");
   Stack st;
   st.net = &net;
   // Global node index -> index in `net`; SIZE_MAX for another stack's node.
@@ -206,7 +196,7 @@ Stack build_stack(const ExperimentConfig& cfg, Network& net,
   if (cfg.static_routing) {
     net.use_static_routing();
     install_static_routes(net, members, positions,
-                          net.channel().params().rx_range);
+                          PhyParams::rx_range);
   } else {
     net.use_aodv();
   }
@@ -234,9 +224,6 @@ Stack build_stack(const ExperimentConfig& cfg, Network& net,
   st.flows.reserve(cfg.flows.size());
   for (std::size_t i = 0; i < cfg.flows.size(); ++i) {
     const FlowSpec& f = cfg.flows[i];
-    MUZHA_ASSERT(f.src < positions.size() && f.dst < positions.size(),
-                 "flow endpoints out of range");
-    MUZHA_ASSERT(f.src != f.dst, "flow endpoints must differ");
     const VariantInfo& variant = variant_info(f.variant);
     TcpConfig tc;
     tc.dst = static_cast<NodeId>(f.dst);
@@ -276,9 +263,6 @@ Stack build_stack(const ExperimentConfig& cfg, Network& net,
   st.cbr_apps.resize(cfg.cbr_flows.size());
   for (std::size_t i = 0; i < cfg.cbr_flows.size(); ++i) {
     const CbrFlowSpec& c = cfg.cbr_flows[i];
-    MUZHA_ASSERT(c.src < positions.size() && c.dst < positions.size(),
-                 "CBR endpoints out of range");
-    MUZHA_ASSERT(c.src != c.dst, "CBR endpoints must differ");
     std::size_t src = local_index[c.src];
     if (src == SIZE_MAX) continue;
     CbrApp::Config cc;
@@ -304,9 +288,9 @@ Stack build_stack(const ExperimentConfig& cfg, Network& net,
       Rect r = district_rect(cfg.field, district_of(cfg.field, members[li]));
       move(li, {.min_x = r.x0, .max_x = r.x1, .min_y = r.y0, .max_y = r.y1,
                 .max_speed = kFieldMaxSpeed, .pause = kFieldPause,
-                .tick = cfg.field.mobility_tick});
+                .tick = FieldConfig::mobility_tick});
     }
-  } else if (relays_move) {
+  } else if (cfg.relay_max_speed != MetersPerSecond(0.0)) {
     for (std::size_t li = 0; li < members.size(); ++li) {
       const std::size_t i = members[li];
       if (i == 0 || i == positions.size() - 1) continue;  // endpoints stay
@@ -367,7 +351,107 @@ ExperimentResult collect(const ExperimentConfig& cfg,
   return result;
 }
 
+std::vector<std::string> validate(const ExperimentConfig& cfg) {
+  std::vector<std::string> errors;
+  // Each rule is written so that NaN breaks it.
+  auto require = [&errors](bool ok, std::string message) {
+    if (!ok) errors.push_back(std::move(message));
+    return ok;
+  };
+  // The topology's node count, which flow endpoints index; 0 while the
+  // topology itself breaks a rule.
+  std::size_t nodes = 0;
+  const FieldConfig& field = cfg.field;
+  switch (cfg.topology) {
+    case TopologyKind::kChain:
+      if (require(cfg.hops >= 1, "hops must be >= 1 for a chain")) {
+        nodes = static_cast<std::size_t>(cfg.hops) + 1;
+      }
+      break;
+    case TopologyKind::kCross:
+      if (require(cfg.hops >= 2 && cfg.hops % 2 == 0,
+                  "hops must be even and >= 2 for a cross")) {
+        nodes = 2 * static_cast<std::size_t>(cfg.hops) + 1;
+      }
+      break;
+    case TopologyKind::kRandomField:
+      if (require(field.nodes >= 2, "field.nodes must be >= 2")) {
+        nodes = static_cast<std::size_t>(field.nodes);
+      }
+      require(field.width > Meters(0.0), "field.width must be > 0");
+      require(field.height > Meters(0.0), "field.height must be > 0");
+      require(field.districts >= 1, "field.districts must be >= 1");
+      // district_rect's strip width, (width - (D - 1) * gap) / D, is > 0.
+      require(field.districts <= 1 || !(field.width > Meters(0.0)) ||
+                  field.width > static_cast<double>(field.districts - 1) *
+                                    field.district_gap,
+              "field.width must leave room for the district gaps");
+      break;
+  }
+  require(cfg.chain_spacing > Meters(0.0), "chain_spacing must be > 0");
+  const bool relays_move = cfg.relay_max_speed != MetersPerSecond(0.0);
+  require(!relays_move ||
+              cfg.relay_max_speed >= RandomWaypointMobility::kMinSpeed,
+          "relay_max_speed must be 0 or at least 1 m/s");
+  const bool chain = cfg.topology == TopologyKind::kChain;
+  require(chain || (cfg.chain_spacing == kChainSpacing && !relays_move),
+          "chain_spacing and relay_max_speed apply to a chain only");
+  require(!relays_move || !chain || cfg.hops >= 2,
+          "relay motion needs an interior relay: hops must be >= 2");
+  require(cfg.duration >= SimTime::zero(), "duration must not be negative");
+  require(!cfg.flows.empty(), "experiment needs at least one flow");
+  auto endpoints = [&](const std::string& name, std::size_t src,
+                       std::size_t dst) {
+    require(nodes == 0 || (src < nodes && dst < nodes),
+            name + ": endpoints out of range");
+    require(src != dst, name + ": endpoints must differ");
+  };
+  for (std::size_t i = 0; i < cfg.flows.size(); ++i) {
+    const FlowSpec& f = cfg.flows[i];
+    const std::string name = "flows[" + std::to_string(i) + "]";
+    endpoints(name, f.src, f.dst);
+    require(f.window >= 1, name + ": window must be >= 1");
+    require(f.start_time >= SimTime::zero(),
+            name + ": start_time must not be negative");
+  }
+  for (std::size_t i = 0; i < cfg.cbr_flows.size(); ++i) {
+    const CbrFlowSpec& c = cfg.cbr_flows[i];
+    const std::string name = "cbr_flows[" + std::to_string(i) + "]";
+    endpoints(name, c.src, c.dst);
+    require(c.rate > BitsPerSecond(0.0), name + ": rate must be > 0");
+    // An IP header at least: at 0 bytes the source sends forever at one
+    // instant, and at 15 a unicast frame's airtime equals EIFS, the limit
+    // of the signal-end keys (DESIGN.md "Signal records").
+    require(c.packet_size_bytes >= 20,
+            name + ": packet_size_bytes must be >= 20");
+    require(c.start_time >= SimTime::zero(),
+            name + ": start_time must not be negative");
+  }
+  require(cfg.uniform_error_rate >= 0.0 && cfg.uniform_error_rate <= 1.0,
+          "uniform_error_rate must be in [0, 1]");
+  require(cfg.shards >= 1, "shards must be >= 1");
+  require(cfg.shards <= 1 || cfg.topology == TopologyKind::kRandomField,
+          "shards > 1 needs a field topology (kRandomField)");
+  if (cfg.shards > 1 && cfg.topology == TopologyKind::kRandomField) {
+    require(field.districts >= cfg.shards,
+            "a sharded field needs at least one district per shard: "
+            "territories are runs of whole district strips");
+    // Strips are x-ordered, full height and dealt to shards contiguously,
+    // so every gap between two shards is one district_gap. Channel::deliver
+    // drops a frame only beyond cs_range: a gap of exactly cs_range couples.
+    require(field.district_gap > PhyParams::cs_range,
+            "a sharded field needs districts decoupled at carrier-sense "
+            "range: district_gap must exceed cs_range");
+  }
+  return errors;
+}
+
 ExperimentResult run_experiment(const ExperimentConfig& cfg) {
+  const std::vector<std::string> errors = validate(cfg);
+  for (const std::string& e : errors) {
+    std::fprintf(stderr, "run_experiment: invalid config: %s\n", e.c_str());
+  }
+  if (!errors.empty()) std::abort();
   if (cfg.shards != 1) return run_sharded_experiment(cfg);
   // One core, on this thread. Placement draws from the network's own
   // simulation RNG, as the topology builders do.

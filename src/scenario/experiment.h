@@ -102,7 +102,7 @@ struct FieldConfig {
   // Random-waypoint motion when true: speeds uniform in [1, 10] m/s, a 2 s
   // pause at each waypoint, positions updated every `mobility_tick`.
   bool mobile = true;
-  SimTime mobility_tick = SimTime::from_ms(250);
+  static constexpr SimTime mobility_tick = SimTime::from_ms(250);
   // City districts: the field splits into `districts` vertical strips of
   // equal width separated by `district_gap` of empty ground (the overall
   // `width` includes the gaps). Node i belongs to district i % districts;
@@ -198,6 +198,13 @@ struct ExperimentResult {
   std::vector<double> flow_throughputs() const;
 };
 
+// Every rule a config must meet to run, the only list of them: one message
+// per broken rule, in a fixed order, and an empty list when cfg can run. A
+// zero duration is legal: it builds the stack and runs nothing.
+std::vector<std::string> validate(const ExperimentConfig& cfg);
+
+// Refuses a config that validate() rejects before it builds anything: it
+// prints every message to stderr and aborts.
 ExperimentResult run_experiment(const ExperimentConfig& cfg);
 
 // Paper defaults: 1460 B payload segments, 40 B ACKs (Sec. 5.3).

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "phy/channel.h"
-#include "phy/phy_params.h"
 #include "phy/position.h"
 #include "scenario/city.h"
 #include "scenario/experiment.h"
@@ -39,18 +38,6 @@ std::uint64_t shard_seed(const ExperimentConfig& cfg, int shard) {
 ExperimentResult run_sharded_experiment(const ExperimentConfig& cfg) {
   const int K = cfg.shards;
   MUZHA_ASSERT(K >= 2, "run_sharded_experiment needs shards >= 2");
-  MUZHA_ASSERT(cfg.topology == TopologyKind::kRandomField,
-               "shards > 1 needs a field topology (kRandomField)");
-  MUZHA_ASSERT(cfg.field.districts >= K,
-               "a sharded field needs at least one district per shard: "
-               "territories are runs of whole district strips");
-  const PhyParams phy{};  // run_experiment builds with default radio params
-  // Strips are x-ordered, full height and dealt to shards contiguously, so
-  // every gap between two shards is one district_gap. Channel::deliver
-  // drops a frame only beyond cs_range: a gap of exactly cs_range couples.
-  MUZHA_ASSERT(cfg.field.district_gap > phy.cs_range,
-               "a sharded field needs districts decoupled at carrier-sense "
-               "range: district_gap must exceed cs_range");
 
   // --- Partition: draw the global placement and deal the x-ordered
   // district strips to shards contiguously. No network exists yet.

@@ -35,12 +35,10 @@
 namespace muzha {
 
 // Runs cfg on cfg.shards event cores; run_experiment() calls it whenever
-// cfg.shards != 1. Requirements:
-//  - shards >= 2;
-//  - topology kRandomField;
-//  - field.districts >= shards (each shard gets at least one strip);
-//  - field.district_gap > carrier-sense range (no frame crosses a gap);
-//  - at least one node per shard.
+// cfg.shards != 1, once validate() has accepted cfg. Its sharding rules
+// (scenario/experiment.h) ask for a kRandomField with at least one
+// district per shard and a district_gap beyond carrier-sense range, so no
+// frame crosses a gap. It also needs at least one node per shard.
 ExperimentResult run_sharded_experiment(const ExperimentConfig& cfg);
 
 }  // namespace muzha

@@ -52,9 +52,9 @@ std::vector<Position> node_positions(const ExperimentConfig& cfg, Rng& rng);
 // global ids, then builds on them: routing, router assistance, loss, the
 // TCP flows, the CBR load and, last, motion (a mobile field's nodes or a
 // chain's moving relays). Static routes are computed over all of
-// `positions`: each member gets the routes a one-core run gives it. Dies
-// with a message on a config that means nothing, such as a negative
-// duration or relay motion off a chain.
+// `positions`: each member gets the routes a one-core run gives it. cfg
+// must be one that validate() accepts (scenario/experiment.h); build_stack
+// checks nothing itself.
 Stack build_stack(const ExperimentConfig& cfg, Network& net,
                   const std::vector<Position>& positions,
                   const std::vector<std::size_t>& members);

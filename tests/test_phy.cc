@@ -162,6 +162,26 @@ TEST_F(PhyTest, HalfDuplexTxDuringRxCorruptsReception) {
   EXPECT_EQ(log.corrupted, 1);
 }
 
+// b's frame destroys c's reception of a's (equal distances: no capture).
+// When c then starts to send, it cuts off a reception that is already
+// lost, so the one lost frame counts one collision, not two.
+TEST_F(PhyTest, TxOverALostReceptionCountsNoSecondCollision) {
+  WirelessPhy a(sim, channel, 0, {0, 0});
+  WirelessPhy b(sim, channel, 1, {500, 0});
+  WirelessPhy c(sim, channel, 2, {250, 0});
+  RxLog log;
+  log.attach(c);
+  a.start_tx(data_packet(1000), false);
+  sim.schedule_in(SimTime::from_us(100),
+                  [&] { b.start_tx(data_packet(1000, 1), false); });
+  sim.schedule_in(SimTime::from_us(300),
+                  [&] { c.start_tx(data_packet(50, 2), false); });
+  sim.run();
+  EXPECT_EQ(log.ok, 0);
+  EXPECT_EQ(log.corrupted, 1);
+  EXPECT_EQ(c.collisions(), 1u);
+}
+
 TEST_F(PhyTest, CarrierBusyDuringOwnTx) {
   WirelessPhy a(sim, channel, 0, {0, 0});
   EXPECT_FALSE(a.carrier_busy());

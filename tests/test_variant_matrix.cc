@@ -119,7 +119,7 @@ constexpr VariantPin kVariantPins[] = {
     {TcpVariant::kNewReno,
      {0x7F3E6E187BDAA2C1ull, 0x117B5821811824BAull, 0x6C2D813BAD71F967ull}},
     {TcpVariant::kSack,
-     {0x889A503AC248F27Aull, 0x949157B40E1C02B0ull, 0x85DA0390217A463Aull}},
+     {0x889A503AC248F27Aull, 0x87CEEC49CD377A67ull, 0x85DA0390217A463Aull}},
     {TcpVariant::kVegas,
      {0xA91B0AC6B0FB1A82ull, 0x9E7F4E99BB520CE7ull, 0x93704C8A2FD2039Full}},
     {TcpVariant::kMuzha,
